@@ -171,15 +171,20 @@ def _q_distinct_docs_error_bounds(sf_dir: str):
         .groupby("source").map_groups(group_count, batch_format="pandas")
     exact_df = _typed(exact, {"source": "object", "exact_docs": "int64"})
 
-    merged = est.merge(exact_df, on="source", how="inner")
+    # both sides count only sources with a non-null doc_id (the estimate
+    # also keeps all-null groups, at n_docs = 0); a source on only one side
+    # is a failure, so the merge is outer and such a row is not within bound
+    est = est[est["n_docs"] > 0]
+    merged = est.merge(exact_df, on="source", how="outer")
     if len(merged) == 0:
         return pd.DataFrame({"source": pd.Series([], dtype="object"),
                              "within_bound": pd.Series([], dtype="bool")})
     rel_bound = 3 * 1.04 / np.sqrt(2.0 ** 14)
     err = (merged["distinct_docs"] - merged["exact_docs"]).abs()
+    both = merged["distinct_docs"].notna() & merged["exact_docs"].notna()
     return pd.DataFrame({
         "source": merged["source"].astype("object"),
-        "within_bound": (err <= rel_bound * merged["exact_docs"])
+        "within_bound": (both & (err <= rel_bound * merged["exact_docs"]))
         .astype(bool),
     }).sort_values("source").reset_index(drop=True)
 

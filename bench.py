@@ -359,17 +359,17 @@ def run_at(ncpu: int, attempts: int = 2) -> dict:
 
 
 def profile_stats() -> None:
-    """--stats: per-stage Ray Data timing for the headline pipeline.
+    """--stats: where the headline pipeline's time goes.
 
-    Builds the same lineage the headline query executes (pruned parquet
-    read -> HllTokenPartials map_batches -> two bundled merge levels),
-    materializes it, and prints Ray's stats() breakdown — the per-stage
+    Runs the headline lineage (pruned parquet read -> HllTokenPartials
+    map_batches -> combiner tree over the partial blocks' object refs) and
+    prints its end-to-end wall time, the number of merge tasks, and the
+    number of rows that reach the driver (one, by the tree's contract).
+    Then prints Ray's stats() breakdown of the scan alone — the per-stage
     wall/cpu/udf split used to decide where to iterate (e.g. the round-4
     finding that task-time SKEW, not kernel time, dominated the driver's
     medians came from exactly this view). Untimed warm-up first so the
-    numbers are steady-state, not worker cold-start. The final driver fold
-    (iter_batches over <= fanout rows) is not in the view; it is bounded
-    and microseconds-scale by design.
+    numbers are steady-state, not worker cold-start.
     """
     import ray
 
@@ -383,25 +383,24 @@ def profile_stats() -> None:
     from cardinalityestimation_ray.stages.sketch_stages import (
         HllTokenPartials,
         _merge_block_fn,
-        _tree_levels,
+        combine_partials,
     )
 
     ensure_corpus()
     warm_page_cache()
 
-    def lineage():
+    def partials():
         ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
                                    override_num_blocks=2 * NUM_CPUS)
-        ds = ds.map_batches(HllTokenPartials(b=14), batch_format="pyarrow")
-        return _tree_levels(ds, _merge_block_fn("hll"), fanout=64, levels=2)
+        return ds.map_batches(HllTokenPartials(b=14), batch_format="pyarrow")
 
-    lineage().materialize()  # warm-up (workers + imports)
+    combine_partials(partials(), _merge_block_fn("hll"))  # warm-up
     t0 = time.perf_counter()
-    materialized = lineage().materialize()
+    merged, n_tasks = combine_partials(partials(), _merge_block_fn("hll"))
     wall = time.perf_counter() - t0
-    print(materialized.stats())
+    print(partials().materialize().stats())
     print(f"\n[headline lineage] end-to-end wall: {wall:.3f}s "
-          f"({materialized.count()} partial rows reach the driver fold)")
+          f"({n_tasks} merge tasks, {merged.num_rows} rows reach the driver)")
 
     # --- heavy-hitters lineages (the costliest bench query): the two
     # passes of frequency.heavy_hitters, mirrored stage-for-stage (same

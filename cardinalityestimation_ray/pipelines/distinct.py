@@ -15,7 +15,7 @@ from ..stages.sketch_stages import (
     HllColumnPartials,
     HllTokenPartials,
     hll_merge_aggregate,
-    tree_merge_keyed_partials,
+    tree_merge_partials,
 )
 
 _U64_SPAN = float(1 << 64)
@@ -63,8 +63,6 @@ def global_distinct_tokens(tokens_ds, b: int = 14,
     the pattern for stages with real per-actor setup cost. Both produce
     identical results (tested).
     """
-    from ..stages.sketch_stages import tree_merge_partials
-
     if concurrency is None:
         partials = tokens_ds.map_batches(
             HllTokenPartials(b=b, hash_name=hash_name), batch_format="pyarrow",
@@ -103,7 +101,8 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
         batch_format="pyarrow", batch_size=batch_size,
     )
     if strategy == "tree":
-        merged = tree_merge_keyed_partials(partials, "source", hash_name=hash_name)
+        merged = tree_merge_partials(partials, "hll", key_column="source",
+                                     hash_name=hash_name)
         return _keyed_result_frame(merged, "source", "distinct_tokens",
                                    "total_tokens")
     from ray.data.aggregate import Sum
@@ -130,8 +129,8 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
         batch_format="pyarrow",
     )
     if strategy == "tree":
-        merged = tree_merge_keyed_partials(partials, key_column,
-                                           hash_name=hash_name)
+        merged = tree_merge_partials(partials, "hll", key_column=key_column,
+                                     hash_name=hash_name)
         return _keyed_result_frame(merged, key_column, estimate_name, count_name)
     from ray.data.aggregate import Sum
 
@@ -162,8 +161,8 @@ def flagship_summary(tokens_ds, b: int = 14,
     partials = tokens_ds.map_batches(
         HllTokenPartials(b=b, key_column="source", hash_name=hash_name),
         batch_format="pyarrow", batch_size=None)
-    merged = tree_merge_keyed_partials(partials, "source",
-                                       hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", key_column="source",
+                                 hash_name=hash_name)
     per_source = _keyed_result_frame(merged, "source", "distinct_tokens",
                                      "total_tokens")
     glob = HyperLogLog.merge_many(sk.copy() for sk, _ in merged.values())
@@ -202,8 +201,8 @@ def set_ops_distinct(ds, value_column: str, key_column: str,
         HllColumnPartials(value_column, b=b, key_column=key_column,
                           hash_name=hash_name),
         batch_format="pyarrow")
-    merged = tree_merge_keyed_partials(partials, key_column,
-                                       hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", key_column=key_column,
+                                 hash_name=hash_name)
     empty = HyperLogLog(b=b, hash_name=hash_name)
     sk_a = merged.get(key_a, (empty, 0))[0]
     sk_b = merged.get(key_b, (empty, 0))[0]
@@ -231,7 +230,6 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
     from ..sketches.theta import ThetaSketch
     from ..stages.sketch_stages import (
         GenericSketchPartials,
-        tree_merge_keyed_partials_generic,
     )
 
     def only_keys(batch: pa.Table) -> pa.Table:
@@ -243,7 +241,7 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
             GenericSketchPartials("theta", {"k": k}, token_column,
                                   explode_list=True, key_column=key_column),
             batch_format="pyarrow")
-    merged = tree_merge_keyed_partials_generic(partials, key_column, "theta")
+    merged = tree_merge_partials(partials, "theta", key_column=key_column)
     empty = ThetaSketch(k=k)
     sk_a = merged.get(key_a, (empty, 0))[0]
     sk_b = merged.get(key_b, (empty, 0))[0]
@@ -281,14 +279,13 @@ def pairwise_overlap_matrix(tokens_ds, key_column: str, *, k: int = 4096,
     from ..sketches.theta import ThetaSketch
     from ..stages.sketch_stages import (
         GenericSketchPartials,
-        tree_merge_keyed_partials_generic,
     )
 
     partials = tokens_ds.map_batches(
         GenericSketchPartials("theta", {"k": k}, token_column,
                               explode_list=True, key_column=key_column),
         batch_format="pyarrow")
-    merged = tree_merge_keyed_partials_generic(partials, key_column, "theta")
+    merged = tree_merge_partials(partials, "theta", key_column=key_column)
     keys = sorted(merged)
     estimates = {k: int(merged[k][0].estimate()) for k in keys}
     rows = []
@@ -349,7 +346,7 @@ def pairwise_overlap_matrix_distributed(
       hashes below each OTHER key's theta — a |keys| x |distinct
       non-exact thetas| matrix ``C`` built with one histogram pass.
 
-    Shape: keyed theta partials (one bundled-merge level) -> per-key
+    Shape: keyed theta partials -> per-key
     ``groupby(key).map_groups`` merge (a Dataset row per key, blob <= k
     hashes) -> per-key scalars (theta/estimate/|retained|) to the driver
     (O(|keys|) tiny rows) -> hash-range-bucketed ``groupby`` over exploded
@@ -365,7 +362,6 @@ def pairwise_overlap_matrix_distributed(
     ~4.5x10^8 rows; beyond that a dense matrix is the wrong ask).
     """
     import numpy as np
-    import pyarrow.compute as pc
 
     from ..stages.sketch_stages import (
         GenericSketchPartials,
@@ -383,46 +379,17 @@ def pairwise_overlap_matrix_distributed(
                               explode_list=True, key_column=key_column),
         batch_format="pyarrow")
 
-    merge_block = _merge_block_fn("theta")
-
-    def merge_keyed_block(tbl: pa.Table) -> pa.Table:
-        """Bundled combiner level: merge per key WITHIN one bundle."""
-        out_k, out_b, out_n = [], [], []
-        order = pc.sort_indices(tbl, sort_keys=[(key_column, "ascending")])
-        tbl = tbl.take(order)
-        keys = tbl[key_column].to_pylist()
-        if not keys:  # typed empty (schema-stable blocks)
-            return pa.table({key_column: tbl[key_column],
-                             "sketch": pa.array([], type=pa.binary()),
-                             "n_added": pa.array([], type=pa.int64())})
-        i = 0
-        while i < len(keys):
-            j = i
-            while j < len(keys) and keys[j] == keys[i]:
-                j += 1
-            sub = merge_block(tbl.slice(i, j - i))
-            out_k.append(keys[i])
-            out_b.append(sub["sketch"][0].as_py())
-            out_n.append(sub["n_added"][0].as_py())
-            i = j
-        return pa.table({key_column: pa.array(out_k),
-                         "sketch": pa.array(out_b, type=pa.binary()),
-                         "n_added": pa.array(out_n, type=pa.int64())})
+    merge_keyed = _merge_block_fn("theta", key_column)
 
     def merge_group(grp: pa.Table) -> pa.Table:
-        sub = merge_keyed_block(grp)
+        sub = merge_keyed(grp)
         if sub.num_rows != 1:
             raise AssertionError("groupby handed a multi-key group")
         return sub
 
-    # one bundled level thins the shuffle input; the keyed groupby then
-    # leaves EXACTLY one (key, blob) row per key, cluster-resident.
-    # num_cpus differs from the upstream stage so the level is NOT fused
-    # onto it (fused it would only ever see its own block's partial rows
-    # and the thinning becomes a no-op — see sketch_stages._tree_levels)
+    # the keyed groupby leaves EXACTLY one (key, blob) row per key,
+    # cluster-resident
     merged_ds = (partials
-                 .map_batches(merge_keyed_block, batch_format="pyarrow",
-                              batch_size=512, num_cpus=0.9)
                  .groupby(key_column)
                  .map_groups(merge_group, batch_format="pyarrow")
                  .materialize())

@@ -15,7 +15,7 @@ import pandas as pd
 
 from ..sketches import hashing
 from ..sources.io import read_sketch_results, write_sketch_results
-from ..stages.sketch_stages import HllTokenPartials, tree_merge_keyed_partials
+from ..stages.sketch_stages import HllTokenPartials, tree_merge_partials
 
 
 def incremental_distinct_update(results_path: str, new_tokens_ds, *,
@@ -46,8 +46,8 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
         stage = HllColumnPartials(value_column, b=b, key_column=key_column,
                                   hash_name=hash_name)
     partials = new_tokens_ds.map_batches(stage, batch_format="pyarrow")
-    fresh = tree_merge_keyed_partials(partials, key_column,
-                                      hash_name=hash_name)
+    fresh = tree_merge_partials(partials, "hll", key_column=key_column,
+                                hash_name=hash_name)
     merged: dict = {}
     for k in set(prior) | set(fresh):
         if k in prior and k in fresh:

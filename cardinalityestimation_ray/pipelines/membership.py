@@ -104,12 +104,17 @@ def collect_build_keys(ds, column: str, *,
     ``ds.to_pandas()`` followed by ``.unique()`` pulls every build ROW to
     the driver before any size check can fire — unbounded at 100x scale.
     Here each block contributes only its per-block distinct non-null keys
-    (vectorized ``pc.unique`` inside ``map_batches``), and the driver
-    folds those small per-block sets incrementally, raising as soon as
-    the running distinct count exceeds ``max_build_keys`` — so driver
-    memory is bounded by cap + one block's key set even when the build
-    side itself is enormous. Null build keys are dropped (the documented
-    "IN the non-null keys" contract of ``broadcast_semi_join``)."""
+    (vectorized ``pc.unique`` inside ``map_batches``). The driver buffers
+    those per-block sets and collapses the buffer with one ``np.unique``
+    only once it has doubled since the last collapse, so the total
+    collapse work is O(n log n), not one full re-sort per block. Every
+    collapse checks the cap, and so does a last one at the end: the call
+    raises exactly when the distinct count exceeds ``max_build_keys``.
+    The buffer never holds more than twice the last collapsed set (at
+    most the cap) plus one block, so driver memory is O(cap + one block)
+    even when the build side itself is enormous. Null build keys are
+    dropped (the documented "IN the non-null keys" contract of
+    ``broadcast_semi_join``)."""
     import pyarrow.compute as pc
 
     def block_unique(batch: pa.Table) -> pa.Table:
@@ -120,19 +125,28 @@ def collect_build_keys(ds, column: str, *,
 
     uniq = ds.select_columns([column]).map_batches(
         block_unique, batch_format="pyarrow")
-    seen: np.ndarray | None = None
-    for batch in uniq.iter_batches(batch_format="pyarrow"):
-        vals = np.unique(batch[column].to_numpy(zero_copy_only=False))
-        seen = vals if seen is None else \
-            np.unique(np.concatenate([seen, vals]))
-        if len(seen) > max_build_keys:
+    def collapse(parts: list) -> np.ndarray:
+        keys = np.unique(np.concatenate(parts))
+        if len(keys) > max_build_keys:
             raise ValueError(
                 f"broadcast build side exceeds max_build_keys="
                 f"{max_build_keys:,} distinct keys (stopped counting at "
-                f"{len(seen):,}); use the bucketed hash join "
+                f"{len(keys):,}); use the bucketed hash join "
                 f"(pipelines/joins.py:bucketed_inner_join) or raise the "
                 f"cap explicitly if the workers have the headroom")
-    return seen if seen is not None else np.array([], dtype=np.int64)
+        return keys
+
+    parts: list = []
+    n_buffered = n_collapsed = 0
+    for batch in uniq.iter_batches(batch_size=None, batch_format="pyarrow"):
+        parts.append(batch[column].to_numpy(zero_copy_only=False))
+        n_buffered += len(parts[-1])
+        if n_buffered >= 2 * max(n_collapsed, 1):
+            parts = [collapse(parts)]
+            n_buffered = n_collapsed = len(parts[0])
+    if not parts:
+        return np.array([], dtype=np.int64)
+    return collapse(parts)
 
 
 def broadcast_semi_join(ds, build_keys: np.ndarray, column: str, *,

@@ -19,7 +19,6 @@ import pyarrow as pa
 
 from ..stages.sketch_stages import (
     GenericSketchPartials,
-    tree_merge_keyed_partials_generic,
     tree_merge_partials,
 )
 
@@ -149,7 +148,7 @@ def column_quantiles_by_key(ds, column: str, key_column: str, *,
     partials = ds.map_batches(
         GenericSketchPartials(kind, params, column, key_column=key_column),
         batch_format="pyarrow")
-    merged = tree_merge_keyed_partials_generic(partials, key_column, kind)
+    merged = tree_merge_partials(partials, kind, key_column=key_column)
     rows = []
     for key in sorted(merged):
         sk, n = merged[key]

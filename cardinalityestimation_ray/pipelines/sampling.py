@@ -67,15 +67,12 @@ def stratified_sample_by_key(ds, column: str, key_column: str, *,
 
     Returns {key: (ReservoirSample, n_rows_for_key)}.
     """
-    from ..stages.sketch_stages import tree_merge_keyed_partials_generic
-
     partials = ds.map_batches(
         GenericSketchPartials("reservoir", {"k": k}, column,
                               key_column=key_column),
         batch_format="pyarrow",
     )
-    return tree_merge_keyed_partials_generic(partials, key_column,
-                                             "reservoir")
+    return tree_merge_partials(partials, "reservoir", key_column=key_column)
 
 
 def stratified_sample_summary(ds, column: str, key_column: str, *,

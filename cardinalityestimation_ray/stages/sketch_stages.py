@@ -1,25 +1,30 @@
-"""Ray Data stages for sketch building and merging.
+"""Ray Data stages that build partial sketches, and the combiner tree that
+merges them.
 
 The scale pattern (SURVEY.md §3/EP2, §7.3): a stateless-or-actor
 ``map_batches`` stage turns each Arrow batch into *tiny partial-sketch rows*
-(one per key per batch, each <= 2^b bytes), so the only shuffle in the whole
-pipeline moves kilobyte-scale partials — never raw tokens. A second, cheap
-``groupby(key).aggregate`` (or whole-dataset ``aggregate``) merges partials
-associatively, which is safe under Ray's unordered completion because
-register-max merge commutes (reference CardinalityEstimator.cs:606-609).
+(one per key per batch, each <= 2^b bytes), so nothing heavier than
+kilobyte-scale partials ever moves — never raw tokens. :func:`combine_partials`
+then merges those rows over the blocks' object refs: plain Ray tasks of
+``fanout`` blocks each, with exactly one merged row per key reaching the
+driver. Ray completes tasks in any order, which is safe because the merge
+is associative and, for the register-max kinds, commutative (reference
+CardinalityEstimator.cs:606-609; see :func:`sketch_merge_aggregate` for the
+order-dependent kinds). High-cardinality keys merge with
+``groupby(key).aggregate`` over the AggregateFn builders here instead.
 
 This replaces the reference's Parallel.ForEach + batched PLINQ merge tree
 (CardinalityEstimatorExtensions.cs:224-280,
-ConcurrentCardinalityEstimator.cs:709-773) with Ray's streaming executor.
+ConcurrentCardinalityEstimator.cs:709-773): Ray's streaming executor runs the
+partial stage, and plain Ray tasks run the merge tree.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..sketches import hashing
 from ..sketches.base import Sketch
@@ -426,14 +431,6 @@ def hll_merge_aggregate(b: int = 14, *, blob_column: str = "sketch",
     )
 
 
-def merge_partial_blobs(blobs: Iterable[bytes],
-                        hash_name: str = hashing.DEFAULT_HASH) -> HyperLogLog | None:
-    """Driver-side fold of a small iterable of partial blobs (tiny inputs only)."""
-    return HyperLogLog.merge_many(
-        HyperLogLog.from_bytes(b, hash_name) for b in blobs
-    )
-
-
 def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
                            blob_column: str = "sketch",
                            finalize: "str | object" = "sketch",
@@ -635,186 +632,147 @@ class GenericSketchPartials:
         })
 
 
-def _merge_block_fn(kind: str):
+def _decoder(kind: str, hash_name: str | None):
+    """Blob -> sketch for ``kind``. ``hash_name`` labels rebuilt HLL
+    sketches: the v3 HLL wire format does not carry its hash."""
+    if kind == "hll":
+        return lambda blob: HyperLogLog.from_bytes(blob, hash_name)
+    return lambda blob: sketch_from_blob(kind, blob)
+
+
+def _merge_block_fn(kind: str, key_column: str | None = None,
+                    hash_name: str | None = None):
+    """The kind's row merge: a table of partial rows in, one row per key out
+    (one row when ``key_column`` is None, none for an empty table).
+
+    The key column keeps the INPUT's type: an untyped ``pa.array(keys)``
+    infers null for an empty table and int64 for int32 keys, and sibling
+    outputs would then no longer concatenate."""
+    decode = _decoder(kind, hash_name)
+
     def merge_block(tbl: pa.Table) -> pa.Table:
-        acc: Sketch | None = None
-        total = 0
-        for blob, n in zip(tbl["sketch"].to_pylist(), tbl["n_added"].to_pylist()):
-            sk = sketch_from_blob(kind, blob)
-            acc = sk if acc is None else acc.merge(sk)
-            total += n
-        if acc is None:
-            return pa.table({"sketch": pa.array([], type=pa.binary()),
-                             "n_added": pa.array([], type=pa.int64())})
-        return pa.table({"sketch": pa.array([acc.to_bytes()], type=pa.binary()),
-                         "n_added": pa.array([total], type=pa.int64())})
+        keys = (tbl[key_column].to_pylist() if key_column is not None
+                else [None] * tbl.num_rows)
+        acc: dict = {}
+        counts: dict = {}
+        for k, blob, n in zip(keys, tbl["sketch"].to_pylist(),
+                              tbl["n_added"].to_pylist()):
+            sk = decode(blob)
+            if k in acc:
+                acc[k].merge(sk)
+                counts[k] += n
+            else:
+                acc[k] = sk
+                counts[k] = n
+        cols = {}
+        if key_column is not None:
+            cols[key_column] = pa.array(
+                list(acc), type=tbl.schema.field(key_column).type)
+        cols["sketch"] = pa.array([sk.to_bytes() for sk in acc.values()],
+                                  type=pa.binary())
+        cols["n_added"] = pa.array(list(counts.values()), type=pa.int64())
+        return pa.table(cols)
 
     return merge_block
 
 
-def _tree_levels(ds, merge_fn, fanout: int, levels: int):
-    """Chain the combiner-tree merge levels with OPERATOR FUSION disabled.
+def _leave_cpu_for_merges(ds):
+    """``ds`` set to run its executor one CPU short, so the merge chain has
+    a CPU of its own.
 
-    Each level must run as its OWN operator: fused onto the upstream stage,
-    a merge task only ever sees the single partial row its own block
-    produced, so ``batch_size=fanout`` bundling silently becomes a per-block
-    no-op and the driver fold degrades from O(blocks / fanout^levels) to
-    O(blocks) rows — invisible at test scale, exactly the failure the tree
-    exists to prevent at 10^6-block scale. Measured via ``bench.py --stats``
-    (round 4): 64 read blocks -> 64 rows reaching the driver fused, 1 row
-    unfused. Ray fuses Map operators whose resource requests match, so each
-    level asks for a DISTINCT fractional ``num_cpus`` (merge tasks are
-    KB-scale/ms-scale — the request value itself is immaterial).
-    """
-    for level in range(levels):
-        # alternating by level parity: ADJACENT levels always differ (which
-        # is what blocks fusion), no matter how deep the tree goes
-        ds = ds.map_batches(merge_fn, batch_format="pyarrow",
-                            batch_size=fanout,
-                            num_cpus=0.9 - 0.05 * (level % 2))
+    Merge tasks run outside Ray Data, and each one waits for the one
+    before, so at most one runs at a time. Excluding one CPU from the
+    executor (Ray Data's setting for other work on the same cluster) lets
+    that task start as soon as its inputs exist instead of queueing behind
+    scan tasks; on a 4-vCPU host it also keeps one worker process free of
+    the scan's ~110 MB footprint (the ``ray.data`` import, the Parquet
+    reader, mapped object-store pages). Left as is on a one-CPU cluster
+    and when the caller set resource limits. The copy has its own
+    DataContext, so the caller's datasets keep theirs."""
+    from ray.data import Dataset, ExecutionResources
+
+    if ray.cluster_resources().get("CPU", 0) < 2 or \
+            not ds.context.execution_options.is_resource_limits_default():
+        return ds
+    ds = Dataset.copy(ds, _deep_copy=True)
+    opts = ds.context.execution_options
+    opts.exclude_resources = opts.exclude_resources.add(
+        ExecutionResources(cpu=1))
     return ds
 
 
-def tree_merge_partials(partials_ds, kind: str, *, fanout: int = 64,
-                        levels: int = 2) -> tuple[Sketch | None, int]:
-    """Global combiner tree for any sketch kind — no all-to-all anywhere.
-
-    Each level is a stateless ``map_batches(merge_block, batch_size=fanout)``
-    (fusion-broken — see :func:`_tree_levels`): Ray bundles up to ``fanout``
-    upstream partial rows per task, so every
-    level divides the row count by its bundling factor while streaming with
-    the scan (no repartition shuffle, no barrier). The driver then folds the
-    surviving rows via streaming ``iter_batches``. Two levels bound the
-    driver fold to ~#blocks / bundling^2 rows — at 10^6-block scale add a
-    level rather than widening the driver fold.
-
-    Returns (merged sketch | None, total n_added)."""
-    merge_block = _merge_block_fn(kind)
-    ds = _tree_levels(partials_ds, merge_block, fanout, levels)
-    acc: Sketch | None = None
-    total = 0
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for blob, n in zip(batch["sketch"].to_pylist(),
-                           batch["n_added"].to_pylist()):
-            sk = sketch_from_blob(kind, blob)
-            acc = sk if acc is None else acc.merge(sk)
-            total += n
-    return acc, total
+@ray.remote(num_cpus=1)
+def _merge_task(merge_fn, *tables: pa.Table) -> pa.Table:
+    """One node of the combiner tree: concatenate, then row-merge."""
+    return merge_fn(pa.concat_tables(tables, promote_options="permissive"))
 
 
-def tree_merge_keyed_partials_generic(partials_ds, key_column: str, kind: str, *,
-                                      fanout: int = 512, levels: int = 2) -> dict:
-    """Keyed combiner tree for any sketch kind (bundled map levels, no
-    all-to-all). Returns dict[key, (Sketch, n_added)]. Low-cardinality keys
-    only (the driver streams the reduced rows).
+def combine_partials(partials_ds, merge_fn, *,
+                     fanout: int = 64) -> tuple[pa.Table | None, int]:
+    """The merge primitive: a combiner tree over the object refs of a
+    partial stage's output blocks (the reference's batched merge tree,
+    ConcurrentCardinalityEstimator.cs:709-773, with a parameter fan-in).
 
-    ``fanout`` counts ROWS, and keyed partial stages emit up to one row per
-    key per block — so each level's BLOCK-bundling factor is ~fanout/|keys|.
-    The keyed default is therefore larger than the global tree's 64
-    (512 rows x <=16 KB blobs = <=8 MB per merge task): at 10 keys that is
-    ~50 blocks per bundle, ~2500x over two levels."""
+    The block refs stream in as the executor produces them
+    (``iter_internal_ref_bundles``); blocks with no rows are skipped. Every
+    ``fanout`` pending refs go to one plain ``num_cpus=1`` merge task that
+    concatenates them and applies ``merge_fn`` (one row per key out), and
+    its output ref rejoins the pending list. When the stream ends, one last
+    merge task takes what is pending unless that is already a single merge
+    output. The merges are ordinary tasks, not Ray Data operators, so the
+    executor cannot fuse them onto the partial stage, and exactly one merged
+    table — one row per key — reaches the driver whatever the number of
+    blocks. Driver state is at most ``fanout`` refs plus that table.
 
-    def merge_block(tbl: pa.Table) -> pa.Table:
-        acc: dict = {}
-        counts: dict = {}
-        for k, blob, n in zip(tbl[key_column].to_pylist(),
-                              tbl["sketch"].to_pylist(),
-                              tbl["n_added"].to_pylist()):
-            sk = sketch_from_blob(kind, blob)
-            if k in acc:
-                acc[k].merge(sk)
-                counts[k] += n
-            else:
-                acc[k] = sk
-                counts[k] = n
-        ks = list(acc)
-        # key column typed from the INPUT (untyped inference gives null for
-        # an empty bundle / int64 for int32 keys -> schema mismatch on concat)
-        return pa.table({
-            key_column: pa.array(ks, type=tbl.schema.field(key_column).type),
-            "sketch": pa.array([acc[k].to_bytes() for k in ks], type=pa.binary()),
-            "n_added": pa.array([counts[k] for k in ks], type=pa.int64()),
-        })
+    Merge tasks are pure functions of their inputs, so Ray's task retry
+    after a worker death reproduces them exactly.
 
-    ds = _tree_levels(partials_ds, merge_block, fanout, levels)
-    acc: dict = {}
-    counts: dict = {}
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for k, blob, n in zip(batch[key_column].to_pylist(),
-                              batch["sketch"].to_pylist(),
-                              batch["n_added"].to_pylist()):
-            sk = sketch_from_blob(kind, blob)
-            if k in acc:
-                acc[k].merge(sk)
-                counts[k] += n
-            else:
-                acc[k] = sk
-                counts[k] = n
-    return {k: (acc[k], counts[k]) for k in acc}
-
-
-def _merge_rows_by_key(tbl: pa.Table, key_column: str,
-                       hash_name: str) -> pa.Table:
-    """Merge partial-sketch rows within one batch, one output row per key."""
-    acc: dict = {}
-    counts: dict = {}
-    keys = tbl[key_column].to_pylist()
-    blobs = tbl["sketch"].to_pylist()
-    added = tbl["n_added"].to_pylist()
-    for k, blob, n in zip(keys, blobs, added):
-        sk = HyperLogLog.from_bytes(blob, hash_name)
-        if k in acc:
-            acc[k].merge(sk)
-            counts[k] += n
-        else:
-            acc[k] = sk
-            counts[k] = n
-    ks = list(acc)
-    # key column typed from the INPUT (an untyped pa.array(ks) infers null
-    # for an empty bundle and int64 for int32 keys — either way the block
-    # schema diverges from sibling bundles and concat fails)
-    return pa.table({
-        key_column: pa.array(ks, type=tbl.schema.field(key_column).type),
-        "sketch": pa.array([acc[k].to_bytes() for k in ks], type=pa.binary()),
-        "n_added": pa.array([counts[k] for k in ks], type=pa.int64()),
-    })
-
-
-def tree_merge_keyed_partials(partials_ds, key_column: str, *,
-                              hash_name: str = hashing.DEFAULT_HASH,
-                              fanout: int = 512, levels: int = 2):
-    """Combiner tree over keyed partial-sketch rows — no all-to-all.
-
-    Each level is a stateless ``map_batches(batch_size=fanout)`` that merges
-    per key within its bundle of upstream rows (Ray's streaming executor
-    pipelines it with the scan; no repartition shuffle). The driver then
-    streams the surviving <= rows/bundling^levels rows and folds per key —
-    the same shape as the reference's batch-of-8 PLINQ merge tree
-    (ConcurrentCardinalityEstimator.cs:709-773). ``fanout`` counts ROWS —
-    up to one per key per upstream block — so the keyed default is larger
-    than the global tree's 64: block-bundling per level ~= fanout/|keys|
-    (512 rows x <=16 KB sketches = <=8 MB per merge task).
-
-    Use for LOW-cardinality keys (sources, languages, shards). For
-    high-cardinality keys use ``groupby(key).aggregate(hll_merge_aggregate())``
-    which hash-partitions the merge itself.
-
-    Returns ``dict[key, (HyperLogLog, n_added)]``.
+    Returns (merged table, or None when no block had rows; merge tasks run).
     """
-    ds = _tree_levels(
-        partials_ds, lambda t: _merge_rows_by_key(t, key_column, hash_name),
-        fanout, levels)
-    acc: dict = {}
-    counts: dict = {}
-    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for k, blob, n in zip(batch[key_column].to_pylist(),
-                              batch["sketch"].to_pylist(),
-                              batch["n_added"].to_pylist()):
-            sk = HyperLogLog.from_bytes(blob, hash_name)
-            if k in acc:
-                acc[k].merge(sk)
-                counts[k] += n
-            else:
-                acc[k] = sk
-                counts[k] = n
-    return {k: (acc[k], counts[k]) for k in acc}
+    if fanout < 2:
+        raise ValueError(f"fanout must be >= 2, got {fanout}")
+    pending: list = []
+    n_tasks = 0
+    partials_ds = _leave_cpu_for_merges(partials_ds)
+    for bundle in partials_ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            pending.append(ref)
+            if len(pending) == fanout:
+                pending = [_merge_task.remote(merge_fn, *pending)]
+                n_tasks += 1
+    if not pending:
+        return None, n_tasks
+    if len(pending) > 1 or n_tasks == 0:
+        pending = [_merge_task.remote(merge_fn, *pending)]
+        n_tasks += 1
+    return ray.get(pending[0]), n_tasks
+
+
+def tree_merge_partials(partials_ds, kind: str, *,
+                        key_column: str | None = None,
+                        hash_name: str | None = None, fanout: int = 64):
+    """Merge a partial stage's rows with :func:`combine_partials` and decode
+    the one merged row per key on the driver. No all-to-all anywhere.
+
+    Global (``key_column=None``): returns (merged sketch | None, total
+    n_added). Keyed: returns ``dict[key, (sketch, n_added)]``. Every merge
+    task and the driver hold one sketch per key, so the keyed form is for
+    LOW-cardinality keys (sources, languages, shards); high-cardinality keys
+    belong in ``groupby(key).aggregate(sketch_merge_aggregate(...))``, which
+    hash-partitions the merge itself."""
+    table, _ = combine_partials(
+        partials_ds, _merge_block_fn(kind, key_column, hash_name),
+        fanout=fanout)
+    decode = _decoder(kind, hash_name)
+    if key_column is None:
+        if table is None or table.num_rows == 0:
+            return None, 0
+        return decode(table["sketch"][0].as_py()), table["n_added"][0].as_py()
+    if table is None:
+        return {}
+    return {k: (decode(blob), n)
+            for k, blob, n in zip(table[key_column].to_pylist(),
+                                  table["sketch"].to_pylist(),
+                                  table["n_added"].to_pylist())}

@@ -54,6 +54,30 @@ def test_representative_queries_run_at_sf0001(entry_mod):
     assert (hh["cnt"].values[:-1] >= hh["cnt"].values[1:]).all()
 
 
+
+def test_error_bounds_flag_a_source_missing_from_the_estimate(entry_mod,
+                                                              sf_dir,
+                                                              monkeypatch):
+    """distinct_docs_error_bounds merges estimate and exact counts OUTER:
+    a source that only one side reports is a failed row, not a dropped one
+    (an inner merge would hide a pipeline that lost a source)."""
+    from cardinalityestimation_ray.pipelines import distinct
+
+    real = distinct.distinct_docs_by_source
+    dropped = []
+
+    def drop_one_source(ds, **kwargs):
+        est = real(ds, **kwargs)
+        dropped.append(sorted(est["source"])[0])
+        return est[est["source"] != dropped[0]]
+
+    monkeypatch.setattr(distinct, "distinct_docs_by_source", drop_one_source)
+    out = entry_mod.queries()["distinct_docs_error_bounds"](sf_dir)
+    assert len(out) == 20
+    by_source = dict(zip(out["source"], out["within_bound"]))
+    assert by_source.pop(dropped[0]) is False
+    assert all(by_source.values())
+
 def test_planted_dup_controls_at_sf0001(entry_mod):
     """The planted-duplicate controls must reproduce the residue-class
     arithmetic exactly (500 ids, M=200: classes 0..99 of 3 docs, 100..199

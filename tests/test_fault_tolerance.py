@@ -98,3 +98,49 @@ def test_actor_pool_worker_death_retry_yields_exact_result(ray_session,
         single.add_values(np.asarray(row.as_py(), dtype=np.int32))
     assert np.array_equal(sketch.registers(), single.registers())
     assert os.path.exists(marker)  # the crash really happened
+
+
+def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
+                                                                 tmp_path):
+    """The combiner tree's merges are plain Ray tasks: the first one kills
+    its worker (os._exit), Ray retries it on another worker, and the merged
+    registers equal both a flat fold and an undisturbed run of the tree."""
+    import ray.data
+
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    import pyarrow as pa
+
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        HllTokenPartials,
+        _merge_block_fn,
+        combine_partials,
+    )
+
+    marker = str(tmp_path / "merge_crashed_once")
+    merge = _merge_block_fn("hll")
+
+    def dying_merge(tbl: pa.Table) -> pa.Table:
+        if not os.path.exists(marker):
+            try:
+                with open(marker, "x") as f:
+                    f.write("x")
+                os._exit(1)
+            except FileExistsError:
+                pass
+        return merge(tbl)
+
+    tokens = pa.array([list(range(i, i + 50)) for i in range(0, 2000, 50)],
+                      type=pa.list_(pa.int32()))
+    ds = ray.data.from_arrow(pa.table({"tokens": tokens})).repartition(
+        8).map_batches(HllTokenPartials(b=12), batch_format="pyarrow")
+    table, n_tasks = combine_partials(ds, dying_merge, fanout=4)
+    clean, _ = combine_partials(ds, merge, fanout=4)
+    assert os.path.exists(marker)  # the crash really happened
+    assert n_tasks == 3
+    assert table["n_added"].to_pylist() == [2000]
+    got = HyperLogLog.from_bytes(table["sketch"][0].as_py())
+    single = HyperLogLog(b=12)
+    single.add_values(np.arange(2000, dtype=np.int32))
+    assert np.array_equal(got.registers(), single.registers())
+    assert table["sketch"][0].as_py() == clean["sketch"][0].as_py()

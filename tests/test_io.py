@@ -126,7 +126,7 @@ def test_incremental_update_equals_single_pass(tmp_path, _ray):
     from cardinalityestimation_ray.sources.io import read_sketch_results
     from cardinalityestimation_ray.stages.sketch_stages import (
         HllTokenPartials,
-        tree_merge_keyed_partials,
+        tree_merge_partials,
     )
 
     def day(lo, hi):
@@ -143,9 +143,10 @@ def test_incremental_update_equals_single_pass(tmp_path, _ray):
     incremental_distinct_update(path, day(0, 2000))
     df2 = incremental_distinct_update(path, day(2000, 4000))
 
-    single = tree_merge_keyed_partials(
+    single = tree_merge_partials(
         day(0, 4000).map_batches(HllTokenPartials(b=14, key_column="source"),
-                                 batch_format="pyarrow"), "source")
+                                 batch_format="pyarrow"),
+        "hll", key_column="source")
     stored = read_sketch_results(path, key_name="source")
     assert set(stored) == set(single)
     for k in single:

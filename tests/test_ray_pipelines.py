@@ -1812,3 +1812,22 @@ def test_collect_build_keys_streams_and_caps(ray_session):
     sds = ray.data.from_items([{"k": f"s{i % 40}"} for i in range(400)])
     skeys = collect_build_keys(sds, "k")
     assert len(skeys) == 40 and "s7" in set(skeys)
+
+
+def test_collect_build_keys_cap_is_exact(ray_session):
+    """The buffered fold collapses only when its buffer doubles, yet the cap
+    is exact: 1000 distinct keys (each repeated across 64 blocks) pass at
+    cap 1000 and raise at cap 999."""
+    import numpy as np
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.membership import (
+        collect_build_keys,
+    )
+
+    ds = ray.data.range(64_000).map_batches(
+        lambda b: {"k": b["id"] % 1000}, batch_format="numpy").repartition(64)
+    keys = collect_build_keys(ds, "k", max_build_keys=1000)
+    np.testing.assert_array_equal(keys, np.arange(1000))
+    with pytest.raises(ValueError, match="max_build_keys=999"):
+        collect_build_keys(ds, "k", max_build_keys=999)

@@ -1,17 +1,23 @@
-"""The combiner tree must actually REDUCE: Ray Data fuses Map operators
-with matching resource requests, and a fused merge level only ever sees the
-single partial row its own block produced — batch_size bundling silently
-becomes a per-block no-op and the driver fold degrades from
-O(blocks / fanout^levels) to O(blocks) rows. `_tree_levels` breaks fusion
-with distinct per-level num_cpus; these tests pin both the reduction and
-result identity (found via `bench.py --stats` in round 4: 64 read blocks ->
-64 rows reaching the driver fused, 1 unfused)."""
+"""The combiner tree must actually REDUCE: exactly one merged row per key
+reaches the driver, whatever the number of partial blocks, and the registers
+equal a flat fold. Its merges are plain Ray tasks over the partial blocks'
+object refs, so Ray Data's operator fusion cannot reach them — fused
+``map_batches`` merge levels once saw only their own block's row and let
+every partial row through to the driver (found via `bench.py --stats` in
+round 4: 64 read blocks -> 64 rows reaching the driver)."""
+
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
-def _partials(n_blocks: int, tokens_per_block: int = 40):
+def _partials(n_blocks: int, tokens_per_block: int = 40,
+              key_column: str | None = None):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
@@ -21,114 +27,145 @@ def _partials(n_blocks: int, tokens_per_block: int = 40):
     tokens = pa.array(
         [list(range(i * tokens_per_block, (i + 1) * tokens_per_block))
          for i in range(n_blocks)], type=pa.list_(pa.int32()))
-    return (ray.data.from_arrow(pa.table({"tokens": tokens}))
+    cols = {"tokens": tokens}
+    if key_column is not None:
+        cols[key_column] = pa.array(
+            ["a" if i % 2 else "b" for i in range(n_blocks)])
+    return (ray.data.from_arrow(pa.table(cols))
             .repartition(n_blocks)
-            .map_batches(HllTokenPartials(b=12), batch_format="pyarrow"))
+            .map_batches(HllTokenPartials(b=12, key_column=key_column),
+                         batch_format="pyarrow"))
 
 
-def test_tree_levels_bundle_across_blocks(ray_session):
-    """128 one-row partial blocks, fanout 8, 2 levels -> a handful of rows
-    reach the driver (<= ceil(128/8/8) plus stream-end flush slack), never
-    anything near the 128 a fused no-op tree leaves."""
+def _flat(n_tokens: int):
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+
+    single = HyperLogLog(b=12)
+    single.add_values(np.arange(n_tokens, dtype=np.int32))
+    return single
+
+
+def test_combiner_tree_sends_one_row_to_driver(ray_session):
+    """128 one-row partial blocks at fanout 8 -> exactly one row reaches the
+    driver. The first task takes 8 refs; each later one takes its
+    predecessor's output plus 7 new refs (17 tasks reach ref 127); the last
+    ref and the running merge go to one final task: 19 tasks."""
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
         _merge_block_fn,
-        _tree_levels,
+        combine_partials,
     )
 
-    lineage = _tree_levels(_partials(128), _merge_block_fn("hll"),
-                           fanout=8, levels=2)
-    m = lineage.materialize()
-    assert m.count() <= 6, (
-        f"{m.count()} partial rows reached the driver fold — the merge "
-        "levels did not bundle across blocks (operator fusion regressed)")
+    table, n_tasks = combine_partials(_partials(128), _merge_block_fn("hll"),
+                                      fanout=8)
+    assert table.num_rows == 1, (
+        f"{table.num_rows} partial rows reached the driver")
+    assert n_tasks == 19
+    assert table["n_added"][0].as_py() == 128 * 40
+    merged = HyperLogLog.from_bytes(table["sketch"][0].as_py())
+    assert np.array_equal(merged.registers(), _flat(128 * 40).registers())
 
 
-def test_keyed_tree_levels_bundle_across_blocks(ray_session):
-    """Keyed variant: 128 blocks x 2 keys -> the keyed merge levels must
-    collapse toward one row per key, not leave ~256 keyed partial rows for
-    the driver."""
-    import ray.data
-
-    from cardinalityestimation_ray.sketches import hashing
+def test_keyed_combiner_tree_sends_one_row_per_key(ray_session):
+    """Keyed: 128 blocks alternating between 2 keys -> exactly one row per
+    key reaches the driver, with each key's exact token count."""
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
-        _merge_rows_by_key,
-        _tree_levels,
-        tree_merge_keyed_partials,
+        _merge_block_fn,
+        combine_partials,
+        tree_merge_partials,
     )
 
     n_blocks, per = 128, 20
-    tokens = pa.array(
-        [list(range(i * per, (i + 1) * per)) for i in range(n_blocks)],
-        type=pa.list_(pa.int32()))
-    src = pa.array(["a" if i % 2 else "b" for i in range(n_blocks)])
-    ds = (ray.data.from_arrow(pa.table({"tokens": tokens, "source": src}))
-          .repartition(n_blocks))
-    partials = ds.map_batches(
-        HllTokenPartials(b=12, key_column="source"), batch_format="pyarrow")
+    partials = _partials(n_blocks, per, key_column="source")
+    table, _ = combine_partials(partials, _merge_block_fn("hll", "source"),
+                                fanout=8)
+    assert sorted(table["source"].to_pylist()) == ["a", "b"]
 
-    lineage = _tree_levels(
-        partials,
-        lambda t: _merge_rows_by_key(t, "source", hashing.DEFAULT_HASH),
-        fanout=8, levels=2)
-    m = lineage.materialize()
-    assert m.count() <= 12, (
-        f"{m.count()} keyed partial rows reached the driver fold")
-
-    merged = tree_merge_keyed_partials(partials, "source", fanout=8)
+    merged = tree_merge_partials(partials, "hll", key_column="source",
+                                 fanout=8)
     assert set(merged) == {"a", "b"}
     assert merged["a"][1] == (n_blocks // 2) * per
     assert merged["b"][1] == (n_blocks // 2) * per
 
 
+def test_combiner_tree_edge_cases(ray_session):
+    """A lone block still goes through one merge task (it may hold several
+    partial rows); no rows at all gives no table and no task; fanout < 2
+    cannot reduce and is refused. The CPU left to the merges is set on a
+    copy: the caller's dataset keeps its own execution options."""
+    import ray.data
+    from ray.data import ExecutionResources
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        HllTokenPartials,
+        _merge_block_fn,
+        combine_partials,
+        tree_merge_partials,
+    )
+
+    tokens = pa.array([[i, i + 1] for i in range(40)],
+                      type=pa.list_(pa.int32()))
+    one_block = ray.data.from_arrow(pa.table({"tokens": tokens})).map_batches(
+        HllTokenPartials(b=12), batch_format="pyarrow", batch_size=10)
+    table, n_tasks = combine_partials(one_block, _merge_block_fn("hll"))
+    assert (table.num_rows, n_tasks) == (1, 1)
+    assert table["n_added"][0].as_py() == 80
+    assert one_block.context.execution_options.exclude_resources == \
+        ExecutionResources.zero()
+
+    empty = one_block.filter(expr="n_added < 0")
+    assert combine_partials(empty, _merge_block_fn("hll")) == (None, 0)
+    assert tree_merge_partials(empty, "hll") == (None, 0)
+    assert tree_merge_partials(empty, "hll", key_column="source") == {}
+
+    with pytest.raises(ValueError, match="fanout"):
+        combine_partials(one_block, _merge_block_fn("hll"), fanout=1)
+
+
 def test_bench_stats_reports_single_driver_row():
     """`bench.py --stats` is the diagnostic that caught the fusion no-op —
     keep it working, and keep its headline assertion true: exactly one
-    partial row reaches the driver fold (subprocess: bench owns its own
-    Ray session; tiny corpus via GRAFT_BENCH_DOCS)."""
-    import os
-    import re
-    import subprocess
-    import sys
-
+    row reaches the driver, after at least one merge task (subprocess:
+    bench owns its own Ray session; tiny corpus via GRAFT_BENCH_DOCS)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, GRAFT_BENCH_DOCS="2000", RAY_GRAFT_CPUS="4")
     out = subprocess.run(
         [sys.executable, "bench.py", "--stats"], env=env,
-        capture_output=True, text=True, timeout=300, cwd="/root/repo")
+        capture_output=True, text=True, timeout=300, cwd=root)
     assert out.returncode == 0, out.stderr[-500:]
-    m = re.search(r"\((\d+) partial rows reach the driver fold\)",
+    m = re.search(r"\((\d+) merge tasks, (\d+) rows reach the driver\)",
                   out.stdout)
     assert m, out.stdout[-500:]
-    assert int(m.group(1)) == 1, out.stdout[-500:]
+    assert int(m.group(1)) >= 1, out.stdout[-500:]
+    assert int(m.group(2)) == 1, out.stdout[-500:]
 
 
 def test_tree_merge_result_identical_to_flat_fold(ray_session):
-    """Fusion-broken tree == single-sketch ground truth, registers and
-    n_added both (merge is associative/commutative, so the tree's bundling
-    boundaries must not matter)."""
-    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+    """Combiner tree == single-sketch ground truth, registers and n_added
+    both (merge is associative/commutative, so where the tree cuts its
+    fan-in groups must not matter)."""
     from cardinalityestimation_ray.stages.sketch_stages import (
         tree_merge_partials,
     )
 
     n_blocks, per = 96, 40
     sketch, total = tree_merge_partials(_partials(n_blocks, per), "hll",
-                                        fanout=8, levels=2)
+                                        fanout=8)
     assert total == n_blocks * per
-    single = HyperLogLog(b=12)
-    single.add_values(np.arange(n_blocks * per, dtype=np.int32))
-    assert np.array_equal(sketch.registers(), single.registers())
+    assert np.array_equal(sketch.registers(),
+                          _flat(n_blocks * per).registers())
 
 
 def test_keyed_merge_blocks_keep_input_key_type():
     """Round-4 session-9 review: the keyed tree-merge block kernels emitted
     untyped key arrays — null-typed for an empty bundle, int64 for int32
     keys — so sibling bundles produced unconcatenatable schemas."""
-    from cardinalityestimation_ray.sketches import HyperLogLog, hashing
+    from cardinalityestimation_ray.sketches import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
-        _merge_rows_by_key,
+        _merge_block_fn,
     )
 
+    merge = _merge_block_fn("hll", "k")
     sk = HyperLogLog(b=14)
     sk.add(1)
     empty = pa.table({"k": pa.array([], type=pa.int32()),
@@ -137,8 +174,8 @@ def test_keyed_merge_blocks_keep_input_key_type():
     full = pa.table({"k": pa.array([7, 7], type=pa.int32()),
                      "sketch": pa.array([sk.to_bytes()] * 2, type=pa.binary()),
                      "n_added": pa.array([1, 1], type=pa.int64())})
-    a = _merge_rows_by_key(empty, "k", hashing.DEFAULT_HASH)
-    b = _merge_rows_by_key(full, "k", hashing.DEFAULT_HASH)
+    a = merge(empty)
+    b = merge(full)
     assert a.schema.field("k").type == pa.int32()
     assert b.schema.field("k").type == pa.int32()
     merged = pa.concat_tables([a, b])
