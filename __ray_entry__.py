@@ -1660,7 +1660,8 @@ def _q_minhash_dedup_pairs(sf_dir: str):
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
 
     _assert_exact_regime(sf_dir, 9_600, "minhash_dedup_pairs (all-pairs "
-                         "oracle needs ceil(n/150) <= identical_cap=64)")
+                         "oracle needs ceil(n/150) <= identical_cap=64; "
+                         "ceil(n/150) assumes dense doc_ids 0..n-1)")
     pairs = minhash_dedup_pairs(_planted_docs(sf_dir, M=150), threshold=0.7)
     if len(pairs) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
@@ -1814,7 +1815,8 @@ def _q_simhash_dedup_pairs(sf_dir: str):
     from cardinalityestimation_ray.pipelines.dedup import simhash_dedup_pairs
 
     _assert_exact_regime(sf_dir, 9_600, "simhash_dedup_pairs (all-pairs "
-                         "oracle needs ceil(n/150) <= identical_cap=64)")
+                         "oracle needs ceil(n/150) <= identical_cap=64; "
+                         "ceil(n/150) assumes dense doc_ids 0..n-1)")
     pairs = simhash_dedup_pairs(_planted_docs(sf_dir, M=150), max_hamming=3)
     if len(pairs) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -365,7 +366,11 @@ def profile_stats() -> None:
     map_batches -> combiner tree over the partial blocks' object refs) and
     prints its end-to-end wall time, the number of merge tasks, and the
     number of rows that reach the driver (one, by the tree's contract).
-    Then prints Ray's stats() breakdown of the scan alone — the per-stage
+    The read uses automatic parallelism, as the pipelines do. Then prints
+    Ray's stats() breakdown of the scan copy that ``combine_partials``
+    executes, and that scan's operator names on the merge-task line
+    (``ReadParquet->MapBatches(HllTokenPartials)`` when the read fused into
+    the partial stage) — the per-stage
     wall/cpu/udf split used to decide where to iterate (e.g. the round-4
     finding that task-time SKEW, not kernel time, dominated the driver's
     medians came from exactly this view). Untimed warm-up first so the
@@ -383,6 +388,7 @@ def profile_stats() -> None:
     from cardinalityestimation_ray.stages.sketch_stages import (
         HllTokenPartials,
         _merge_block_fn,
+        _scan_copy,
         combine_partials,
     )
 
@@ -390,17 +396,23 @@ def profile_stats() -> None:
     warm_page_cache()
 
     def partials():
-        ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
-                                   override_num_blocks=2 * NUM_CPUS)
+        # automatic read parallelism, as the pipelines read
+        ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"])
         return ds.map_batches(HllTokenPartials(b=14), batch_format="pyarrow")
 
     combine_partials(partials(), _merge_block_fn("hll"))  # warm-up
     t0 = time.perf_counter()
     merged, n_tasks = combine_partials(partials(), _merge_block_fn("hll"))
     wall = time.perf_counter() - t0
-    print(partials().materialize().stats())
+    # the scan copy combine_partials executes (fused read, one CPU left to
+    # the merges), not the caller's dataset
+    scan_stats = _scan_copy(partials()).materialize().stats()
+    print(scan_stats)
+    scan_ops = " | ".join(re.findall(r"^Operator \d+ (.+?): ", scan_stats,
+                                     re.M))
     print(f"\n[headline lineage] end-to-end wall: {wall:.3f}s "
-          f"({n_tasks} merge tasks, {merged.num_rows} rows reach the driver)")
+          f"({n_tasks} merge tasks, {merged.num_rows} rows reach the driver; "
+          f"scan: {scan_ops})")
 
     # --- heavy-hitters lineages (the costliest bench query): the two
     # passes of frequency.heavy_hitters, mirrored stage-for-stage (same

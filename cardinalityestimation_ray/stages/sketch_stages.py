@@ -4,7 +4,12 @@ merges them.
 The scale pattern (SURVEY.md §3/EP2, §7.3): a stateless-or-actor
 ``map_batches`` stage turns each Arrow batch into *tiny partial-sketch rows*
 (one per key per batch, each <= 2^b bytes), so nothing heavier than
-kilobyte-scale partials ever moves — never raw tokens. :func:`combine_partials`
+kilobyte-scale partials ever moves — never raw tokens. Over a Parquet read
+the reference's one partial estimator per partition holds literally: the scan
+that :func:`combine_partials` runs fuses the read into the partial stage, one
+``ReadParquet->MapBatches(...)`` task per read task, so the read output never
+enters the object store (:func:`_scan_copy` says when Ray's split read is
+kept instead). :func:`combine_partials`
 then merges those rows over the blocks' object refs: plain Ray tasks of
 ``fanout`` blocks each, with exactly one merged row per key reaching the
 driver. Ray completes tasks in any order, which is safe because the merge
@@ -20,6 +25,8 @@ partial stage, and plain Ray tasks run the merge tree.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +49,7 @@ def sketch_from_blob(kind: str, blob: bytes) -> Sketch:
     return sketch_from_bytes(kind, blob)
 
 
-def _flatten_list_column(col):
+def _flatten_list_column(col, with_parents: bool = True):
     """(flat Arrow array, parent row indices as numpy) of a list column —
     the ONE owner of the null-element contract.
 
@@ -51,28 +58,33 @@ def _flatten_list_column(col):
     numeric flat array to float64 on to_numpy, making every token in the
     batch hash via the 8-byte image instead of the 4-byte one and silently
     inflating distinct counts). Null LISTS contribute no elements (Arrow
-    flatten skips them).
+    flatten skips them). With ``with_parents=False`` the parents are not
+    computed and come back as None (callers that only need the values).
     """
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     flat = pc.list_flatten(col)
-    parents = pc.list_parent_indices(col)
     if isinstance(flat, pa.ChunkedArray):
         flat = flat.combine_chunks()
+    valid = pc.is_valid(flat) if flat.null_count else None
+    if valid is not None:
+        flat = flat.filter(valid)
+    if not with_parents:
+        return flat, None
+    parents = pc.list_parent_indices(col)
     if isinstance(parents, pa.ChunkedArray):
         parents = parents.combine_chunks()
-    if flat.null_count:
-        valid = pc.is_valid(flat)
-        flat = flat.filter(valid)
+    if valid is not None:
         parents = parents.filter(valid)
     return flat, parents.to_numpy(zero_copy_only=False)
 
 
-def _flatten_tokens(batch: pa.Table, token_column: str):
-    """(flat int32 numpy values, parent row indices) of a list<int32>
-    column — numpy view of :func:`_flatten_list_column` (see its docstring
-    for the null contract)."""
-    flat, parents = _flatten_list_column(batch[token_column])
+def _flatten_tokens(batch: pa.Table, token_column: str,
+                    with_parents: bool = True):
+    """(flat int32 numpy values, parent row indices or None) of a
+    list<int32> column — numpy view of :func:`_flatten_list_column` (see its
+    docstring for the null contract)."""
+    flat, parents = _flatten_list_column(batch[token_column], with_parents)
     return flat.to_numpy(zero_copy_only=False), parents
 
 
@@ -171,7 +183,8 @@ class HllTokenPartials:
         if self.key_column is not None:
             batch = _drop_null_keys(batch, self.key_column)
         if self.key_column is None:
-            values, _ = _flatten_tokens(batch, self.token_column)
+            values, _ = _flatten_tokens(batch, self.token_column,
+                                        with_parents=False)
             n_raw = len(values)
             values = self._dedup_tokens(values)
             sk = self._new_sketch()
@@ -205,7 +218,8 @@ class HllTokenPartials:
             idx = codes.indices
             for code in range(len(key_values)):
                 sub = batch.filter(pc.equal(idx, code))
-                vals, _ = _flatten_tokens(sub, self.token_column)
+                vals, _ = _flatten_tokens(sub, self.token_column,
+                                          with_parents=False)
                 n_raw = len(vals)
                 vals = self._dedup_tokens(vals)
                 sk = self._new_sketch()
@@ -676,29 +690,77 @@ def _merge_block_fn(kind: str, key_column: str | None = None,
     return merge_block
 
 
-def _leave_cpu_for_merges(ds):
-    """``ds`` set to run its executor one CPU short, so the merge chain has
-    a CPU of its own.
+def _scan_copy(ds):
+    """The copy of ``ds`` that :func:`combine_partials` executes: its
+    executor runs one CPU short, and a Parquet read fuses into the partial
+    stage. The caller's Dataset and logical plan are never touched.
 
-    Merge tasks run outside Ray Data, and each one waits for the one
-    before, so at most one runs at a time. Excluding one CPU from the
-    executor (Ray Data's setting for other work on the same cluster) lets
-    that task start as soon as its inputs exist instead of queueing behind
-    scan tasks; on a 4-vCPU host it also keeps one worker process free of
-    the scan's ~110 MB footprint (the ``ray.data`` import, the Parquet
-    reader, mapped object-store pages). Left as is on a one-CPU cluster
-    and when the caller set resource limits. The copy has its own
-    DataContext, so the caller's datasets keep theirs."""
-    from ray.data import Dataset, ExecutionResources
+    One CPU short: merge tasks run outside Ray Data, and each one waits for
+    the one before, so at most one runs at a time. Excluding one CPU from
+    the executor (Ray Data's setting for other work on the same cluster)
+    lets that task start as soon as its inputs exist instead of queueing
+    behind scan tasks; on a 4-vCPU host it also keeps one worker process
+    free of the scan's ~110 MB footprint (the ``ray.data`` import, the
+    Parquet reader, mapped object-store pages). Skipped on a one-CPU
+    cluster and when the caller set resource limits.
 
-    if ray.cluster_resources().get("CPU", 0) < 2 or \
-            not ds.context.execution_options.is_resource_limits_default():
+    Fused read: with automatic parallelism Ray asks for 200 blocks by
+    default (fewer for a small input, never fewer than 2x the cluster's
+    CPUs) and, when the files give fewer read tasks, splits each task's
+    output into more blocks. A read that splits
+    its output never fuses with the next stage, so 4 files become 4 read
+    tasks plus 20 one-block partial tasks. When the plan is a linear chain
+    rooted at such a read, the copy rebuilds the chain on copied operators
+    with the read's parallelism pinned to the number of tasks it produces
+    anyway: no split, and one ``Read->MapBatches(...)`` task per read task
+    whose only output is its partial rows. Ray's split is kept when the
+    caller set ``override_num_blocks`` and when the read has fewer tasks
+    than the scan has CPUs (one big file: the split is its parallelism).
+    """
+    from ray.data import ExecutionResources
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data._internal.util import _autodetect_parallelism
+
+    cpus = int(ray.cluster_resources().get("CPU", 0))
+    leave_cpu = cpus >= 2 and \
+        ds.context.execution_options.is_resource_limits_default()
+    scan_cpus = cpus - 1 if leave_cpu else cpus
+
+    chain = []
+    op = ds._logical_plan.dag
+    while len(op.input_dependencies) == 1:
+        chain.append(op)
+        op = op.input_dependencies[0]
+    n_tasks = 0
+    if isinstance(op, Read) and op._parallelism == -1 \
+            and not ds._plan.has_computed_output():
+        reader = op._datasource_or_legacy_reader
+        parallelism, _, _ = _autodetect_parallelism(
+            -1, ds.context.target_max_block_size, ds.context, reader,
+            op._mem_size)
+        n_tasks = len(reader.get_read_tasks(parallelism))
+    pin = n_tasks > 0 and n_tasks >= scan_cpus
+    if not (leave_cpu or pin):
         return ds
-    ds = Dataset.copy(ds, _deep_copy=True)
-    opts = ds.context.execution_options
-    opts.exclude_resources = opts.exclude_resources.add(
-        ExecutionResources(cpu=1))
-    return ds
+
+    plan = ds._plan.deep_copy()
+    dag = ds._logical_plan.dag
+    if pin:
+        dag = copy.copy(op)
+        dag._parallelism = n_tasks
+        dag._output_dependencies = []
+        for old in reversed(chain):
+            new = copy.copy(old)
+            new._input_dependencies = [dag]
+            new._output_dependencies = []
+            dag._output_dependencies.append(new)
+            dag = new
+    if leave_cpu:
+        opts = plan._context.execution_options
+        opts.exclude_resources = opts.exclude_resources.add(
+            ExecutionResources(cpu=1))
+    return type(ds)(plan, LogicalPlan(dag, plan._context))
 
 
 @ray.remote(num_cpus=1)
@@ -713,7 +775,11 @@ def combine_partials(partials_ds, merge_fn, *,
     partial stage's output blocks (the reference's batched merge tree,
     ConcurrentCardinalityEstimator.cs:709-773, with a parameter fan-in).
 
-    The block refs stream in as the executor produces them
+    The scan runs on :func:`_scan_copy` of ``partials_ds``: one CPU is left
+    to the merges, and a Parquet read with automatic parallelism fuses into
+    the partial stage (one partial block per read task instead of Ray's
+    split blocks). ``partials_ds`` and its plan are left as they are. The
+    block refs stream in as the executor produces them
     (``iter_internal_ref_bundles``); blocks with no rows are skipped. Every
     ``fanout`` pending refs go to one plain ``num_cpus=1`` merge task that
     concatenates them and applies ``merge_fn`` (one row per key out), and
@@ -733,7 +799,7 @@ def combine_partials(partials_ds, merge_fn, *,
         raise ValueError(f"fanout must be >= 2, got {fanout}")
     pending: list = []
     n_tasks = 0
-    partials_ds = _leave_cpu_for_merges(partials_ds)
+    partials_ds = _scan_copy(partials_ds)
     for bundle in partials_ds.iter_internal_ref_bundles():
         for ref, meta in bundle.blocks:
             if meta.num_rows == 0:

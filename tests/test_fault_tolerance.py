@@ -144,3 +144,59 @@ def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
     single.add_values(np.arange(2000, dtype=np.int32))
     assert np.array_equal(got.registers(), single.registers())
     assert table["sketch"][0].as_py() == clean["sketch"][0].as_py()
+
+
+def test_fused_read_partial_worker_death_retry_yields_exact_result(
+        ray_session, tmp_path):
+    """Over Parquet files the read fuses into the partial stage, so a worker
+    death kills a read and its partial sketch together: the first fused
+    task exits (os._exit), Ray retries it, and the merged registers equal a
+    flat fold. (The tests above start from ``from_arrow``, which never
+    reaches the fused read.)"""
+    import re
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        HllTokenPartials,
+        _scan_copy,
+        tree_merge_partials,
+    )
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for i in range(4):
+        tokens = pa.array([list(range(j, j + 50))
+                           for j in range(i * 500, (i + 1) * 500, 50)],
+                          type=pa.list_(pa.int32()))
+        pq.write_table(pa.table({"tokens": tokens}),
+                       str(data / f"part-{i}.parquet"))
+    marker = str(tmp_path / "fused_crashed_once")
+    stage = HllTokenPartials(b=12)
+
+    def flaky(batch: pa.Table) -> pa.Table:
+        if not os.path.exists(marker):
+            try:
+                with open(marker, "x") as f:
+                    f.write("x")
+                os._exit(1)
+            except FileExistsError:
+                pass
+        return stage(batch)
+
+    ds = ray.data.read_parquet(str(data), columns=["tokens"]).map_batches(
+        flaky, batch_format="pyarrow")
+    sketch, total = tree_merge_partials(ds, "hll")
+    assert os.path.exists(marker)  # the crash really happened
+    assert total == 2000
+    single = HyperLogLog(b=12)
+    single.add_values(np.arange(2000, dtype=np.int32))
+    assert np.array_equal(sketch.registers(), single.registers())
+    # the task that died was a fused read + partial task
+    stats = _scan_copy(ds).materialize().stats()
+    assert re.findall(r"^Operator \d+ (.+?): ", stats, re.M) == \
+        ["ReadParquet->MapBatches(flaky)"]

@@ -172,3 +172,27 @@ def test_minhash_est_margin_widens_text_verify(ray_session):
                                verify="char_ngram", threshold=0.7,
                                est_margin=0.0, num_perm=16, num_bands=8)
     assert (0, 1) in set(zip(wide["id_a"], wide["id_b"]))
+
+
+def test_global_token_partials_skip_parents_keep_null_contract():
+    """The global HLL partial flattens without parent indices; null
+    elements are still dropped, so its blob is byte-identical to the blob
+    of the same lists with the nulls removed, and the values match the
+    parents-aligned flatten the keyed paths use."""
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        HllTokenPartials,
+        _flatten_tokens,
+    )
+
+    typ = pa.list_(pa.int32())
+    dirty = pa.table({"tokens": pa.array(
+        [[1, None, 2], None, [], [None], [3, 4, None]], type=typ)})
+    clean = pa.table({"tokens": pa.array(
+        [[1, 2], None, [], [], [3, 4]], type=typ)})
+    values, parents = _flatten_tokens(dirty, "tokens", with_parents=False)
+    aligned, aligned_parents = _flatten_tokens(dirty, "tokens")
+    assert parents is None and values.dtype == np.int32
+    assert values.tolist() == aligned.tolist() == [1, 2, 3, 4]
+    assert aligned_parents.tolist() == [0, 0, 4, 4]
+    stage = HllTokenPartials(b=12)
+    assert stage(dirty).equals(stage(clean))

@@ -4,7 +4,11 @@ equal a flat fold. Its merges are plain Ray tasks over the partial blocks'
 object refs, so Ray Data's operator fusion cannot reach them — fused
 ``map_batches`` merge levels once saw only their own block's row and let
 every partial row through to the driver (found via `bench.py --stats` in
-round 4: 64 read blocks -> 64 rows reaching the driver)."""
+round 4: 64 read blocks -> 64 rows reaching the driver).
+
+The other fusion here is wanted: a Parquet read fuses into the partial stage
+(one task per read task), on a scan copy that leaves the caller's plan
+alone."""
 
 import os
 import re
@@ -35,6 +39,60 @@ def _partials(n_blocks: int, tokens_per_block: int = 40,
             .repartition(n_blocks)
             .map_batches(HllTokenPartials(b=12, key_column=key_column),
                          batch_format="pyarrow"))
+
+
+def _write_parquet_files(directory, n_files: int, rows: int = 500,
+                         per_row: int = 20) -> int:
+    """``n_files`` Parquet files of disjoint list<int32> token rows; returns
+    the token count (tokens are 0..count-1)."""
+    import pyarrow.parquet as pq
+
+    for i in range(n_files):
+        base = i * rows * per_row
+        tokens = pa.array(
+            [list(range(base + r * per_row, base + (r + 1) * per_row))
+             for r in range(rows)], type=pa.list_(pa.int32()))
+        pq.write_table(pa.table({"tokens": tokens}),
+                       os.path.join(directory, f"part-{i}.parquet"))
+    return n_files * rows * per_row
+
+
+def _operator_names(stats: str) -> list[str]:
+    """The executed operators named in a Dataset's ``stats()`` text."""
+    return re.findall(r"^Operator \d+ (.+?): ", stats, re.M)
+
+
+def _executed_scan(ds):
+    """(operator names, partial blocks) of the scan copy that
+    combine_partials executes for ``ds``, from Ray's stats of one run."""
+    from cardinalityestimation_ray.stages.sketch_stages import _scan_copy
+
+    scan = _scan_copy(ds)
+    n_blocks = sum(len(bundle.blocks)
+                   for bundle in scan.iter_internal_ref_bundles())
+    return _operator_names(scan.stats()), n_blocks
+
+
+def _parquet_partials(directory, **read_args):
+    import ray.data
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        HllTokenPartials,
+    )
+
+    return ray.data.read_parquet(str(directory), columns=["tokens"],
+                                 **read_args).map_batches(
+        HllTokenPartials(b=12), batch_format="pyarrow")
+
+
+def _assert_flat_fold(ds, n_tokens: int):
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        tree_merge_partials,
+    )
+
+    sketch, total = tree_merge_partials(ds, "hll")
+    assert total == n_tokens
+    assert np.array_equal(sketch.registers(), _flat(n_tokens).registers())
 
 
 def _flat(n_tokens: int):
@@ -124,20 +182,23 @@ def test_combiner_tree_edge_cases(ray_session):
 
 def test_bench_stats_reports_single_driver_row():
     """`bench.py --stats` is the diagnostic that caught the fusion no-op —
-    keep it working, and keep its headline assertion true: exactly one
-    row reaches the driver, after at least one merge task (subprocess:
-    bench owns its own Ray session; tiny corpus via GRAFT_BENCH_DOCS)."""
+    keep it working, and keep its headline assertions true: exactly one
+    row reaches the driver, after at least one merge task, and the scan is
+    the one fused read + partial operator (subprocess: bench owns its own
+    Ray session; small corpus via GRAFT_BENCH_DOCS: 8000 docs are 4 files,
+    more read tasks than the 3 scan CPUs)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, GRAFT_BENCH_DOCS="2000", RAY_GRAFT_CPUS="4")
+    env = dict(os.environ, GRAFT_BENCH_DOCS="8000", RAY_GRAFT_CPUS="4")
     out = subprocess.run(
         [sys.executable, "bench.py", "--stats"], env=env,
         capture_output=True, text=True, timeout=300, cwd=root)
     assert out.returncode == 0, out.stderr[-500:]
-    m = re.search(r"\((\d+) merge tasks, (\d+) rows reach the driver\)",
-                  out.stdout)
+    m = re.search(r"\((\d+) merge tasks, (\d+) rows reach the driver; "
+                  r"scan: (.+)\)$", out.stdout, re.M)
     assert m, out.stdout[-500:]
     assert int(m.group(1)) >= 1, out.stdout[-500:]
     assert int(m.group(2)) == 1, out.stdout[-500:]
+    assert m.group(3) == FUSED, out.stdout[-500:]
 
 
 def test_tree_merge_result_identical_to_flat_fold(ray_session):
@@ -180,3 +241,59 @@ def test_keyed_merge_blocks_keep_input_key_type():
     assert b.schema.field("k").type == pa.int32()
     merged = pa.concat_tables([a, b])
     assert merged.num_rows == 1 and merged["n_added"][0].as_py() == 2
+
+
+FUSED = "ReadParquet->MapBatches(HllTokenPartials)"
+
+
+def test_parquet_read_fuses_into_partial_stage(ray_session, tmp_path):
+    """4 files on the 4-CPU session (3 scan CPUs): Ray's automatic
+    parallelism would split each read task's output into more blocks, and a
+    split read never fuses with the next stage. The scan copy pins the read
+    to its 4 tasks, so one fused operator runs 4 tasks and emits one partial
+    block per file. Fails loudly if a Ray upgrade stops the fusion."""
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    ds = _parquet_partials(tmp_path)
+    assert _executed_scan(ds) == ([FUSED], 4)
+    _assert_flat_fold(ds, n_tokens)
+
+
+def test_scan_copy_leaves_the_callers_plan_alone(ray_session, tmp_path):
+    """The scan copy rebuilds the chain on copied operators: the caller's
+    Dataset keeps its logical plan, its automatic read parallelism, its
+    execution options, and still runs Ray's split read."""
+    from ray.data import ExecutionResources
+
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    ds = _parquet_partials(tmp_path)
+    plan, dag = ds._logical_plan, ds._logical_plan.dag
+    read = dag.input_dependencies[0]
+    _assert_flat_fold(ds, n_tokens)
+    assert ds._logical_plan is plan and plan.dag is dag
+    assert dag.input_dependencies == [read] and read._parallelism == -1
+    assert read.output_dependencies == [dag]
+    assert ds.context.execution_options.exclude_resources == \
+        ExecutionResources.zero()
+    names = _operator_names(ds.materialize().stats())
+    assert names[0].startswith("ReadParquet->SplitBlocks("), names
+    assert names[1] == "MapBatches(HllTokenPartials)", names
+
+
+def test_explicit_override_num_blocks_is_honoured(ray_session, tmp_path):
+    """A caller that set ``override_num_blocks`` gets its block count: the
+    read keeps its split (8 blocks from 4 files) and does not fuse."""
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    ds = _parquet_partials(tmp_path, override_num_blocks=8)
+    names, n_blocks = _executed_scan(ds)
+    assert FUSED not in names and n_blocks == 8, (names, n_blocks)
+    _assert_flat_fold(ds, n_tokens)
+
+
+def test_single_file_keeps_rays_split(ray_session, tmp_path):
+    """One file, fewer read tasks than scan CPUs: Ray's split is what gives
+    the partial stage its parallelism, so the scan copy keeps it."""
+    n_tokens = _write_parquet_files(tmp_path, 1, rows=2000)
+    ds = _parquet_partials(tmp_path)
+    names, n_blocks = _executed_scan(ds)
+    assert FUSED not in names and n_blocks > 1, (names, n_blocks)
+    _assert_flat_fold(ds, n_tokens)
