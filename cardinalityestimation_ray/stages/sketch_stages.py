@@ -8,15 +8,15 @@ kilobyte-scale partials ever moves — never raw tokens. Over a Parquet read
 the reference's one partial estimator per partition holds literally: the scan
 that :func:`combine_partials` runs fuses the read into the partial stage, one
 ``ReadParquet->MapBatches(...)`` task per read task, so the read output never
-enters the object store (:func:`_scan_copy` says when Ray's split read is
-kept instead). :func:`combine_partials`
-then merges those rows over the blocks' object refs: plain Ray tasks of
-``fanout`` blocks each, with exactly one merged row per key reaching the
-driver. Ray completes tasks in any order, which is safe because the merge
-is associative and, for the register-max kinds, commutative (reference
-CardinalityEstimator.cs:606-609; see :func:`sketch_merge_aggregate` for the
-order-dependent kinds). High-cardinality keys merge with
-``groupby(key).aggregate`` over the AggregateFn builders here instead.
+enters the object store (unless the caller set ``override_num_blocks``).
+:func:`combine_partials` then merges those rows over the blocks' object
+refs: plain Ray tasks of ``fanout`` blocks each, with exactly one merged row
+per key reaching the driver. Ray completes tasks in any order, which is safe
+because the merge is associative and, for the register-max kinds,
+commutative (reference CardinalityEstimator.cs:606-609; see
+:func:`sketch_merge_aggregate` for the order-dependent kinds).
+High-cardinality keys merge with ``groupby(key).aggregate`` over the
+AggregateFn builders here instead.
 
 This replaces the reference's Parallel.ForEach + batched PLINQ merge tree
 (CardinalityEstimatorExtensions.cs:224-280,
@@ -707,25 +707,25 @@ def _scan_copy(ds):
     Fused read: with automatic parallelism Ray asks for 200 blocks by
     default (fewer for a small input, never fewer than 2x the cluster's
     CPUs) and, when the files give fewer read tasks, splits each task's
-    output into more blocks. A read that splits
-    its output never fuses with the next stage, so 4 files become 4 read
-    tasks plus 20 one-block partial tasks. When the plan is a linear chain
-    rooted at such a read, the copy rebuilds the chain on copied operators
-    with the read's parallelism pinned to the number of tasks it produces
-    anyway: no split, and one ``Read->MapBatches(...)`` task per read task
-    whose only output is its partial rows. Ray's split is kept when the
-    caller set ``override_num_blocks`` and when the read has fewer tasks
-    than the scan has CPUs (one big file: the split is its parallelism).
+    output into more blocks. A read that splits its output never fuses with
+    the next stage, so 4 files become 4 read tasks plus 20 one-block
+    partial tasks. When the plan is a linear chain rooted at such a read,
+    the copy rebuilds the chain on copied operators with the read's
+    parallelism pinned to the number of tasks it produces anyway (Ray
+    stored it on the operator when it planned the read): no split, and one
+    ``Read->MapBatches(...)`` task per read task whose only output is its
+    partial rows. That holds for a single file too: one fused task beat
+    the split read plus its one-block partial tasks on every file count and
+    size measured, up to a 43 MB file of 19 M tokens (NOTES.md). Ray's split
+    is kept only when the caller set ``override_num_blocks``.
     """
     from ray.data import ExecutionResources
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.read_operator import Read
-    from ray.data._internal.util import _autodetect_parallelism
 
     cpus = int(ray.cluster_resources().get("CPU", 0))
     leave_cpu = cpus >= 2 and \
         ds.context.execution_options.is_resource_limits_default()
-    scan_cpus = cpus - 1 if leave_cpu else cpus
 
     chain = []
     op = ds._logical_plan.dag
@@ -735,18 +735,13 @@ def _scan_copy(ds):
     n_tasks = 0
     if isinstance(op, Read) and op._parallelism == -1 \
             and not ds._plan.has_computed_output():
-        reader = op._datasource_or_legacy_reader
-        parallelism, _, _ = _autodetect_parallelism(
-            -1, ds.context.target_max_block_size, ds.context, reader,
-            op._mem_size)
-        n_tasks = len(reader.get_read_tasks(parallelism))
-    pin = n_tasks > 0 and n_tasks >= scan_cpus
-    if not (leave_cpu or pin):
+        n_tasks = op.estimated_num_outputs() or 0
+    if not (leave_cpu or n_tasks):
         return ds
 
     plan = ds._plan.deep_copy()
     dag = ds._logical_plan.dag
-    if pin:
+    if n_tasks:
         dag = copy.copy(op)
         dag._parallelism = n_tasks
         dag._output_dependencies = []
