@@ -400,7 +400,7 @@ def _q_bloom_absent_probe_tokens(sf_dir: str):
 
     from cardinalityestimation_ray.sketches.bloom import BloomFilter
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
@@ -418,8 +418,7 @@ def _q_bloom_absent_probe_tokens(sf_dir: str):
                 flat_words, batch_format="pyarrow")
 
     partials = words_ds().map_batches(
-        GenericSketchPartials("bloom", {"num_bits": 1 << 20, "num_hashes": 7},
-                              "tok"),
+        SketchPartials("bloom", "tok", num_bits=1 << 20, num_hashes=7),
         batch_format="pyarrow")
     bf, _total = tree_merge_partials(partials, "bloom")
     if bf is None:
@@ -1166,15 +1165,14 @@ def _q_udaf_theta_distinct_users_by_type(sf_dir: str):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         sketch_merge_aggregate,
     )
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "user_id"])
     partials = ev.map_batches(
-        GenericSketchPartials("theta", {"k": 4096}, "user_id",
-                              key_column="event_type"),
+        SketchPartials("theta", "user_id", key_column="event_type", k=4096),
         batch_format="pyarrow")
     out = partials.groupby("event_type").aggregate(
         sketch_merge_aggregate("theta", {"k": 4096},
@@ -2347,10 +2345,9 @@ def _q_incremental_distinct_docs(sf_dir: str):
             lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), 1)),
             batch_format="pyarrow")
         incremental_distinct_update(path, half_a, key_column="source",
-                                    value_column="doc_id", explode_list=False)
+                                    value_column="doc_id")
         out = incremental_distinct_update(path, half_b, key_column="source",
-                                          value_column="doc_id",
-                                          explode_list=False)
+                                          value_column="doc_id")
     out = out.rename(columns={"distinct_tokens": "distinct_docs",
                               "total_tokens": "n_docs"})
     return out.sort_values("source").reset_index(drop=True)

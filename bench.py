@@ -258,12 +258,14 @@ def bench_once() -> dict:
     import numpy as np
     import pyarrow as pa
 
-    from cardinalityestimation_ray.stages.sketch_stages import _flatten_tokens
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        _flatten_list_column,
+    )
 
     vocab = 1 << 17  # >= generator vocab_size
 
     def seen_bitmap(batch: pa.Table) -> pa.Table:
-        values, _ = _flatten_tokens(batch, "tokens")
+        values, _ = _flatten_list_column(batch["tokens"])
         seen = np.zeros(vocab, dtype=bool)
         seen[values] = True
         return pa.table({"bits": pa.array([np.packbits(seen).tobytes()],
@@ -362,14 +364,14 @@ def run_at(ncpu: int, attempts: int = 2) -> dict:
 def profile_stats() -> None:
     """--stats: where the headline pipeline's time goes.
 
-    Runs the headline lineage (pruned parquet read -> HllTokenPartials
+    Runs the headline lineage (pruned parquet read -> SketchPartials
     map_batches -> combiner tree over the partial blocks' object refs) and
     prints its end-to-end wall time, the number of merge tasks, and the
     number of rows that reach the driver (one, by the tree's contract).
     The read uses automatic parallelism, as the pipelines do. Then prints
     Ray's stats() breakdown of the scan copy that ``combine_partials``
     executes, and that scan's operator names on the merge-task line
-    (``ReadParquet->MapBatches(HllTokenPartials)`` when the read fused into
+    (``ReadParquet->MapBatches(SketchPartials)`` when the read fused into
     the partial stage) — the per-stage
     wall/cpu/udf split used to decide where to iterate (e.g. the round-4
     finding that task-time SKEW, not kernel time, dominated the driver's
@@ -386,7 +388,7 @@ def profile_stats() -> None:
     ctx.enable_progress_bars = False
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         _merge_block_fn,
         _scan_copy,
         combine_partials,
@@ -398,7 +400,7 @@ def profile_stats() -> None:
     def partials():
         # automatic read parallelism, as the pipelines read
         ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"])
-        return ds.map_batches(HllTokenPartials(b=14), batch_format="pyarrow")
+        return ds.map_batches(SketchPartials(b=14), batch_format="pyarrow")
 
     combine_partials(partials(), _merge_block_fn("hll"))  # warm-up
     t0 = time.perf_counter()
@@ -425,8 +427,7 @@ def profile_stats() -> None:
 
     from cardinalityestimation_ray.sketches.countmin import CountMinSketch
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
-        _flatten_tokens,
+        _flatten_list_column,
         tree_merge_partials,
     )
 
@@ -437,8 +438,7 @@ def profile_stats() -> None:
         ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
                                    override_num_blocks=2 * NUM_CPUS)
         return ds.map_batches(
-            GenericSketchPartials("countmin", {"depth": 5, "width": width},
-                                  "tokens", explode_list=True),
+            SketchPartials("countmin", "tokens", depth=5, width=width),
             batch_format="pyarrow")
 
     t0 = time.perf_counter()
@@ -449,7 +449,7 @@ def profile_stats() -> None:
 
     def candidate_counts(batch: pa.Table) -> pa.Table:
         sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
-        values, _ = _flatten_tokens(batch, "tokens")
+        values, _ = _flatten_list_column(batch["tokens"])
         uniq, counts = np.unique(values, return_counts=True)
         est = sketch.query_values(uniq.astype(np.int32))
         keep = est >= threshold

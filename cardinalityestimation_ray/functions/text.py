@@ -38,9 +38,74 @@ _CJK_PATTERN = r"[\x{4E00}-\x{9FFF}]"
 
 
 def _as_array(col) -> pa.Array:
+    """One Arrow array for a column; a one-chunk column is not copied."""
     if isinstance(col, pa.ChunkedArray):
-        return col.combine_chunks()
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     return col
+
+
+def _list_offsets(arr: pa.Array) -> np.ndarray:
+    """Row offsets into ``pc.list_flatten(arr)``: row i's values are
+    ``flat[offsets[i]:offsets[i + 1]]``. A null list holds no values (the
+    flatten skips it), and a sliced array starts at offset 0."""
+    lengths = pc.fill_null(pc.list_value_length(arr), 0)
+    offsets = np.zeros(len(arr) + 1, dtype=np.int64)
+    np.cumsum(lengths.to_numpy(zero_copy_only=False), out=offsets[1:])
+    return offsets
+
+
+def _filter_flat(flat: pa.Array, offsets: np.ndarray, keep: pa.Array
+                ) -> tuple[pa.Array, np.ndarray]:
+    """Drop the flat values where ``keep`` is false; the row offsets
+    follow."""
+    kept = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(keep.to_numpy(zero_copy_only=False), out=kept[1:])
+    return flat.filter(keep), kept[offsets]
+
+
+def row_ids(offsets: np.ndarray) -> np.ndarray:
+    """The row index of every flat value (the inverse of row offsets)."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _flatten_list_column(col):
+    """(values, row offsets) of a column — the ONE owner of the null
+    contract for the partial-sketch stage and every other consumer of a
+    token-list column. Row i's values are
+    ``values[offsets[i]:offsets[i + 1]]``.
+
+    A list column flattens to its elements; a scalar column reads as a
+    column of one-element lists. Null lists and null scalars hold no
+    values. Null ELEMENTS are dropped and the offsets follow (SQL
+    semantics — and critically, a single null would otherwise flip a
+    numeric flat array to float64 on to_numpy, making every token in the
+    batch hash via the 8-byte image instead of the 4-byte one and silently
+    inflating distinct counts). String and binary values stay Arrow, for
+    the zero-copy hash path; every other type comes back as numpy.
+    """
+    col = _as_array(col)
+    if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+        flat = _as_array(pc.list_flatten(col))
+        offsets = _list_offsets(col)
+    else:
+        flat = col
+        offsets = np.arange(len(col) + 1)
+    if flat.null_count:
+        flat, offsets = _filter_flat(flat, offsets, pc.is_valid(flat))
+    t = flat.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or \
+            pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return flat, offsets
+    return flat.to_numpy(zero_copy_only=False), offsets
+
+
+def split_tokens(toks) -> tuple[pa.Array, np.ndarray]:
+    """(flat tokens, row offsets) of a whitespace-split text column. Empty
+    strings (from leading or trailing whitespace) are not tokens."""
+    toks = _as_array(toks)
+    flat = _as_array(pc.list_flatten(toks))
+    return _filter_flat(flat, _list_offsets(toks),
+                       pc.not_equal(flat, pa.scalar("")))
 
 
 def flat_tokens(text, *, lowered: bool = False
@@ -54,15 +119,10 @@ def flat_tokens(text, *, lowered: bool = False
     text = _as_array(text)
     if text.null_count:
         text = pc.fill_null(text, "")
-    toks = pc.split_pattern_regex(text, r"\s+")
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks)
-    keep = pc.not_equal(flat, pa.scalar(""))
-    flat = _as_array(flat.filter(keep))
-    parents = _as_array(parents.filter(keep))
+    flat, offsets = split_tokens(pc.split_pattern_regex(text, r"\s+"))
     if lowered:
         flat = _as_array(pc.utf8_lower(flat))
-    return flat, parents.to_numpy(zero_copy_only=False)
+    return flat, row_ids(offsets)
 
 
 def doc_bigram_codes(flat: pa.Array, parents: np.ndarray
@@ -101,21 +161,11 @@ def distinct_tokens_per_row(batch: pa.Table,
 
     Vectorized: one lexsort over (row, token) then a segment diff — no
     per-row Python."""
-    col = batch[token_column]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    flat = pc.list_flatten(col)
-    parents = pc.list_parent_indices(col)
-    # null ELEMENTS are not tokens (SQL semantics, mirroring
-    # _flatten_tokens) — and one null would flip the flat array to float64
-    # where NaN != NaN makes every null count as a NEW distinct token
-    # (round-3 review fix)
-    if flat.null_count:
-        valid = pc.is_valid(flat)
-        flat = flat.filter(valid)
-        parents = parents.filter(valid)
-    values = _as_array(flat).to_numpy(zero_copy_only=False)
-    rows = _as_array(parents).to_numpy(zero_copy_only=False)
+    # null ELEMENTS are not tokens (the flatten drops them) — one null
+    # would flip the flat array to float64 where NaN != NaN makes every
+    # null count as a NEW distinct token (round-3 review fix)
+    values, offsets = _flatten_list_column(batch[token_column])
+    rows = row_ids(offsets)
     n = len(batch)
     distinct = np.zeros(n, dtype=np.int64)
     if len(values):
@@ -127,8 +177,7 @@ def distinct_tokens_per_row(batch: pa.Table,
     # denominator = the NULL-FILTERED token count: list_value_length counts
     # null elements the numerator excludes, deflating the ratio (round-4
     # session-9 review fix — [1, 2, 2, None] is 2/3, not 2/4)
-    totals = np.zeros(n, dtype=np.int64)
-    np.add.at(totals, rows, 1)
+    totals = np.diff(offsets)
     ttr = np.divide(distinct, totals, out=np.ones(n, dtype=np.float64),
                     where=totals > 0)
     out = batch.append_column("n_distinct_tokens", pa.array(distinct))

@@ -12,9 +12,8 @@ import pyarrow as pa
 from ..sketches import hashing
 from ..sketches.hll import HyperLogLog
 from ..stages.sketch_stages import (
-    HllColumnPartials,
-    HllTokenPartials,
-    hll_merge_aggregate,
+    SketchPartials,
+    sketch_merge_aggregate,
     tree_merge_partials,
 )
 
@@ -55,21 +54,22 @@ def global_distinct_tokens(tokens_ds, b: int = 14,
     the partial stage — with reads already sized to CPU slots, re-slicing to
     a fixed row count only adds coalesce/copy overhead (by-source: 1.10 s ->
     0.79 s); cache residency inside a large batch is handled by the stage's
-    own 8k-element CHUNK loop, not by the batch size.
+    add path (HyperLogLog.add_values hashes 8k values at a time), not by
+    the batch size.
 
     ``concurrency``: None runs the scan as stateless tasks (cheap, elastic —
     right for this stage's trivial per-actor state); an int or (min, max)
-    runs it as an ACTOR POOL (``map_batches(HllTokenPartials, concurrency=…)``),
+    runs it as an ACTOR POOL (``map_batches(SketchPartials, concurrency=…)``),
     the pattern for stages with real per-actor setup cost. Both produce
     identical results (tested).
     """
     if concurrency is None:
         partials = tokens_ds.map_batches(
-            HllTokenPartials(b=b, hash_name=hash_name), batch_format="pyarrow",
+            SketchPartials(b=b, hash_name=hash_name), batch_format="pyarrow",
             batch_size=batch_size)
     else:
         partials = tokens_ds.map_batches(
-            HllTokenPartials, batch_format="pyarrow",
+            SketchPartials, batch_format="pyarrow",
             fn_constructor_kwargs={"b": b, "hash_name": hash_name},
             concurrency=concurrency, num_cpus=1, batch_size=batch_size)
     sketch, total = tree_merge_partials(partials, "hll", fanout=fanout)
@@ -97,7 +97,7 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
     for high-cardinality keys.
     """
     partials = tokens_ds.map_batches(
-        HllTokenPartials(b=b, key_column="source", hash_name=hash_name),
+        SketchPartials(key_column="source", b=b, hash_name=hash_name),
         batch_format="pyarrow", batch_size=batch_size,
     )
     if strategy == "tree":
@@ -108,7 +108,8 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
     from ray.data.aggregate import Sum
 
     return partials.groupby("source").aggregate(
-        hll_merge_aggregate(b=b, hash_name=hash_name),
+        sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
+                               finalize="estimate"),
         Sum("n_added", alias_name="total_tokens"),
     ).rename_columns({"estimate": "distinct_tokens"}).to_pandas()
 
@@ -124,8 +125,8 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
     Exact (direct-count mode) whenever a key's distinct count is <= 100 —
     the reference's exact regime (HllConstants.cs:42)."""
     partials = ds.map_batches(
-        HllColumnPartials(value_column, b=b, key_column=key_column,
-                          hash_name=hash_name),
+        SketchPartials("hll", value_column, key_column=key_column, b=b,
+                       hash_name=hash_name),
         batch_format="pyarrow",
     )
     if strategy == "tree":
@@ -135,7 +136,8 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
     from ray.data.aggregate import Sum
 
     return partials.groupby(key_column).aggregate(
-        hll_merge_aggregate(b=b, hash_name=hash_name),
+        sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
+                               finalize="estimate"),
         Sum("n_added", alias_name=count_name),
     ).rename_columns({"estimate": estimate_name}).to_pandas()
 
@@ -159,7 +161,7 @@ def flagship_summary(tokens_ds, b: int = 14,
     sketch (lossless union) — so the global row costs a driver-side merge of
     a few KB sketches, not a second scan (round-2 review fix)."""
     partials = tokens_ds.map_batches(
-        HllTokenPartials(b=b, key_column="source", hash_name=hash_name),
+        SketchPartials(key_column="source", b=b, hash_name=hash_name),
         batch_format="pyarrow", batch_size=None)
     merged = tree_merge_partials(partials, "hll", key_column="source",
                                  hash_name=hash_name)
@@ -198,8 +200,8 @@ def set_ops_distinct(ds, value_column: str, key_column: str,
                                      value_set=pa.array([key_a, key_b])))
 
     partials = ds.map_batches(only_keys, batch_format="pyarrow").map_batches(
-        HllColumnPartials(value_column, b=b, key_column=key_column,
-                          hash_name=hash_name),
+        SketchPartials("hll", value_column, key_column=key_column, b=b,
+                       hash_name=hash_name),
         batch_format="pyarrow")
     merged = tree_merge_partials(partials, "hll", key_column=key_column,
                                  hash_name=hash_name)
@@ -228,9 +230,6 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
     import pyarrow.compute as pc
 
     from ..sketches.theta import ThetaSketch
-    from ..stages.sketch_stages import (
-        GenericSketchPartials,
-    )
 
     def only_keys(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.is_in(batch[key_column],
@@ -238,8 +237,7 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
 
     partials = tokens_ds.map_batches(only_keys, batch_format="pyarrow") \
         .map_batches(
-            GenericSketchPartials("theta", {"k": k}, token_column,
-                                  explode_list=True, key_column=key_column),
+            SketchPartials("theta", token_column, key_column=key_column, k=k),
             batch_format="pyarrow")
     merged = tree_merge_partials(partials, "theta", key_column=key_column)
     empty = ThetaSketch(k=k)
@@ -277,13 +275,9 @@ def pairwise_overlap_matrix(tokens_ds, key_column: str, *, k: int = 4096,
     plus the pair output itself.
     """
     from ..sketches.theta import ThetaSketch
-    from ..stages.sketch_stages import (
-        GenericSketchPartials,
-    )
 
     partials = tokens_ds.map_batches(
-        GenericSketchPartials("theta", {"k": k}, token_column,
-                              explode_list=True, key_column=key_column),
+        SketchPartials("theta", token_column, key_column=key_column, k=k),
         batch_format="pyarrow")
     merged = tree_merge_partials(partials, "theta", key_column=key_column)
     keys = sorted(merged)
@@ -363,11 +357,7 @@ def pairwise_overlap_matrix_distributed(
     """
     import numpy as np
 
-    from ..stages.sketch_stages import (
-        GenericSketchPartials,
-        _merge_block_fn,
-        sketch_from_blob,
-    )
+    from ..stages.sketch_stages import _merge_block_fn, sketch_from_blob
 
     if n_buckets < 2 or (n_buckets & (n_buckets - 1)):
         raise ValueError(
@@ -375,8 +365,7 @@ def pairwise_overlap_matrix_distributed(
     shift = 64 - (int(n_buckets).bit_length() - 1)  # h >> shift in [0, B)
 
     partials = tokens_ds.map_batches(
-        GenericSketchPartials("theta", {"k": k}, token_column,
-                              explode_list=True, key_column=key_column),
+        SketchPartials("theta", token_column, key_column=key_column, k=k),
         batch_format="pyarrow")
 
     merge_keyed = _merge_block_fn("theta", key_column)

@@ -9,8 +9,8 @@ import pyarrow as pa
 
 from ..sketches.countmin import CountMinSketch
 from ..stages.sketch_stages import (
-    GenericSketchPartials,
-    _flatten_tokens,
+    SketchPartials,
+    _flatten_list_column,
     tree_merge_partials,
 )
 
@@ -19,7 +19,7 @@ def _batch_token_counts(batch: pa.Table, token_column: str) -> pa.Table:
     """Pre-aggregate token counts within a batch (the combiner): emits at most
     one row per distinct token per batch, so the downstream groupby shuffles
     vocabulary-sized partials, never the corpus."""
-    values, _ = _flatten_tokens(batch, token_column)
+    values, _ = _flatten_list_column(batch[token_column])
     uniq, counts = np.unique(values, return_counts=True)
     return pa.table({
         "token": pa.array(uniq, type=pa.int32()),
@@ -89,8 +89,7 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
         width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
 
     partials = make_tokens_ds().map_batches(
-        GenericSketchPartials("countmin", {"depth": depth, "width": width},
-                              token_column, explode_list=True),
+        SketchPartials("countmin", token_column, depth=depth, width=width),
         batch_format="pyarrow",
     )
     cms, total = tree_merge_partials(partials, "countmin")
@@ -104,7 +103,7 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
         # stateless task: full scheduler width; the broadcast blob fetch is
         # zero-copy from the local object store after the first task per node
         sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
-        values, _ = _flatten_tokens(batch, token_column)
+        values, _ = _flatten_list_column(batch[token_column])
         uniq, counts = np.unique(values, return_counts=True)
         est = sketch.query_values(uniq.astype(np.int32))
         keep = est >= threshold
@@ -150,7 +149,7 @@ def exact_token_counts(tokens_ds, probe_tokens, *,
     sorted_probes = np.sort(probes)
 
     def partial(batch: pa.Table) -> pa.Table:
-        values, _ = _flatten_tokens(batch, token_column)
+        values, _ = _flatten_list_column(batch[token_column])
         v = values.astype(np.int64)
         pos = np.clip(np.searchsorted(sorted_probes, v), 0,
                       len(sorted_probes) - 1)
@@ -182,8 +181,7 @@ def token_frequencies_cms(tokens_ds, probe_tokens: np.ndarray, *,
     per batch, merge = elementwise add) and queried on the driver.
     """
     partials = tokens_ds.map_batches(
-        GenericSketchPartials("countmin", {"depth": depth, "width": width},
-                              token_column, explode_list=True),
+        SketchPartials("countmin", token_column, depth=depth, width=width),
         batch_format="pyarrow",
     )
     # tree-task memory = fanout x blob size: at the default width 2^16 a
@@ -264,10 +262,13 @@ def token_bigram_topk(tokens_ds, k: int = 20,
 
 def _packed_bigrams(batch: pa.Table, token_column: str) -> np.ndarray:
     """int64-packed consecutive token pairs of a batch (doc-boundary masked)."""
-    values, parents = _flatten_tokens(batch, token_column)
+    values, offsets = _flatten_list_column(batch[token_column])
     if len(values) < 2:
         return np.empty(0, dtype=np.int64)
-    same_doc = parents[:-1] == parents[1:]
+    # pair (i, i + 1) crosses a document boundary iff a row starts at i + 1
+    starts = offsets[1:-1]
+    same_doc = np.ones(len(values) - 1, dtype=bool)
+    same_doc[starts[(starts > 0) & (starts < len(values))] - 1] = False
     # low word masked: negative ids must not sign-extend over the high word
     return ((values[:-1].astype(np.int64) << 32)
             | (values[1:].astype(np.int64) & 0xFFFFFFFF))[same_doc]

@@ -15,19 +15,19 @@ import pandas as pd
 
 from ..sketches import hashing
 from ..sources.io import read_sketch_results, write_sketch_results
-from ..stages.sketch_stages import HllTokenPartials, tree_merge_partials
+from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 
 def incremental_distinct_update(results_path: str, new_tokens_ds, *,
                                 key_column: str = "source", b: int = 14,
                                 hash_name: str = hashing.DEFAULT_HASH,
-                                value_column: str = "tokens",
-                                explode_list: bool = True) -> pd.DataFrame:
+                                value_column: str = "tokens"
+                                ) -> pd.DataFrame:
     """Merge new data into a persisted keyed sketch table.
 
-    ``value_column``/``explode_list`` select what is counted: the default
-    explodes the tokens list (distinct tokens per key); pass a scalar
-    column with ``explode_list=False`` for e.g. distinct doc_ids per key.
+    ``value_column`` selects what is counted: the default tokens list gives
+    distinct tokens per key; a scalar column such as doc_id gives distinct
+    doc_ids per key.
 
     Returns the updated summary (key, estimate, n_added). The write is
     atomic (tmp + rename), so a crashed update leaves the previous table
@@ -37,15 +37,10 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
     prior = (read_sketch_results(results_path, key_name=key_column,
                                  hash_name=hash_name)
              if os.path.exists(results_path) else {})
-    if explode_list:
-        stage = HllTokenPartials(b=b, token_column=value_column,
-                                 key_column=key_column, hash_name=hash_name)
-    else:
-        from ..stages.sketch_stages import HllColumnPartials
-
-        stage = HllColumnPartials(value_column, b=b, key_column=key_column,
-                                  hash_name=hash_name)
-    partials = new_tokens_ds.map_batches(stage, batch_format="pyarrow")
+    partials = new_tokens_ds.map_batches(
+        SketchPartials("hll", value_column, key_column=key_column, b=b,
+                       hash_name=hash_name),
+        batch_format="pyarrow")
     fresh = tree_merge_partials(partials, "hll", key_column=key_column,
                                 hash_name=hash_name)
     merged: dict = {}

@@ -13,16 +13,15 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sketches.bloom import BloomFilter
-from ..stages.sketch_stages import GenericSketchPartials, tree_merge_partials
+from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 
 def build_token_bloom(tokens_ds, *, num_bits: int = 1 << 22, num_hashes: int = 7,
                       token_column: str = "tokens") -> tuple[BloomFilter, int]:
     """Distributed Bloom build over the exploded token column."""
     partials = tokens_ds.map_batches(
-        GenericSketchPartials(
-            "bloom", {"num_bits": num_bits, "num_hashes": num_hashes},
-            token_column, explode_list=True),
+        SketchPartials("bloom", token_column, num_bits=num_bits,
+                       num_hashes=num_hashes),
         batch_format="pyarrow",
     )
     bf, total = tree_merge_partials(partials, "bloom")

@@ -17,10 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.sketch_stages import (
-    GenericSketchPartials,
-    tree_merge_partials,
-)
+from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 _DEFAULT_QS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -32,7 +29,7 @@ def column_quantiles(ds, column: str, *, kind: str = "tdigest",
     if params is None:
         params = {"delta": 200} if kind == "tdigest" else {"k": 200}
     partials = ds.map_batches(
-        GenericSketchPartials(kind, params, column), batch_format="pyarrow")
+        SketchPartials(kind, column, **params), batch_format="pyarrow")
     sk, total = tree_merge_partials(partials, kind)
     if sk is None:
         # keep the non-empty schema (q, value, n) so an empty input stays
@@ -146,7 +143,7 @@ def column_quantiles_by_key(ds, column: str, key_column: str, *,
     if params is None:
         params = {"delta": 200} if kind == "tdigest" else {"k": 200}
     partials = ds.map_batches(
-        GenericSketchPartials(kind, params, column, key_column=key_column),
+        SketchPartials(kind, column, key_column=key_column, **params),
         batch_format="pyarrow")
     merged = tree_merge_partials(partials, kind, key_column=key_column)
     rows = []

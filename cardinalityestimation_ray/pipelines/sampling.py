@@ -21,31 +21,26 @@ import numpy as np
 import pandas as pd
 
 from ..sketches.reservoir import ReservoirSample
-from ..stages.sketch_stages import GenericSketchPartials, tree_merge_partials
+from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 
-def reservoir_sample_column(ds, column: str, *, k: int = 1024,
-                            explode_list: bool = False
+def reservoir_sample_column(ds, column: str, *, k: int = 1024
                             ) -> tuple[ReservoirSample, int]:
-    """Uniform k-sample of a numeric column (optionally exploding a list
-    column). Returns (merged reservoir, total rows seen)."""
+    """Uniform k-sample of a numeric column; a list column samples its
+    elements. Returns (merged reservoir, total values seen)."""
     partials = ds.map_batches(
-        GenericSketchPartials("reservoir", {"k": k}, column,
-                              explode_list=explode_list),
-        batch_format="pyarrow",
-    )
+        SketchPartials("reservoir", column, k=k), batch_format="pyarrow")
     rs, total = tree_merge_partials(partials, "reservoir")
     if rs is None:
         rs = ReservoirSample(k=k)
     return rs, total
 
 
-def reservoir_sample_summary(ds, column: str, *, k: int = 1024,
-                             explode_list: bool = False) -> pd.DataFrame:
+def reservoir_sample_summary(ds, column: str, *, k: int = 1024
+                             ) -> pd.DataFrame:
     """Driver-facing summary row: population size, sample size, and sample
     bounds (the sample itself is random; the summary shape is stable)."""
-    rs, total = reservoir_sample_column(ds, column, k=k,
-                                       explode_list=explode_list)
+    rs, total = reservoir_sample_column(ds, column, k=k)
     samp = rs.sample()
     return pd.DataFrame({
         "n_total": [int(total)],
@@ -68,8 +63,7 @@ def stratified_sample_by_key(ds, column: str, key_column: str, *,
     Returns {key: (ReservoirSample, n_rows_for_key)}.
     """
     partials = ds.map_batches(
-        GenericSketchPartials("reservoir", {"k": k}, column,
-                              key_column=key_column),
+        SketchPartials("reservoir", column, key_column=key_column, k=k),
         batch_format="pyarrow",
     )
     return tree_merge_partials(partials, "reservoir", key_column=key_column)

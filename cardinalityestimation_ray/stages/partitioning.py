@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..sketches import hashing
-from .sketch_stages import HllTokenPartials, hll_merge_aggregate
+from .sketch_stages import SketchPartials, sketch_merge_aggregate
 
 
 def create_sketches(n: int, kind: str = "hll", params: dict | None = None) -> list:
@@ -75,18 +75,23 @@ def add_hash_bucket(ds, column: str, num_buckets: int,
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
 
-def _salted_two_level_merge(partials, key_column: str, *, b: int,
-                            num_salts: int, hash_name: str,
-                            estimate_name: str, count_name: str):
-    """Shared salted two-level merge over partial-sketch rows (the single
-    owner of the salt derivation + aggregate wiring — round-3 review fix:
-    the token and scalar variants each carried a verbatim copy).
+def salted_distinct_column_by_key(ds, value_column: str, key_column: str, *,
+                                  b: int = 14, num_salts: int = 16,
+                                  hash_name: str = hashing.DEFAULT_HASH,
+                                  estimate_name: str = "distinct_values",
+                                  count_name: str = "n_rows"):
+    """Per-key distinct values with an EXPLICIT salted two-level merge;
+    ``value_column`` may be a list column (distinct tokens) or a scalar one
+    (e.g. distinct doc_ids). Returns a Dataset
+    (key, estimate_name, count_name).
 
-    Salt assignment is deterministic: the partial row's sketch-blob hash.
-    Level 1 groups on (key, salt) so a hot key's merge fans across
-    ``num_salts`` reducers; level 2 folds the <= num_salts salted sketches
-    per key. Register-max commutativity makes the result IDENTICAL to the
-    unsalted merge (asserted in tests).
+    Even with per-batch partial sketches, a heavily skewed key funnels all
+    its partials into one reducer in ``groupby(key).aggregate``. Salt
+    assignment is deterministic: the partial row's sketch-blob hash. Level 1
+    groups on (key, salt) so a hot key's merge fans across ``num_salts``
+    reducers; level 2 folds the <= num_salts salted sketches per key.
+    Register-max commutativity makes the result IDENTICAL to the unsalted
+    merge (asserted in tests).
     """
     from ray.data.aggregate import Sum
 
@@ -98,13 +103,18 @@ def _salted_two_level_merge(partials, key_column: str, *, b: int,
         salt = (h % np.uint64(num_salts)).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
-    salted = partials.map_batches(add_salt, batch_format="pyarrow")
+    params = {"b": b, "hash_name": hash_name}
+    salted = ds.map_batches(
+        SketchPartials("hll", value_column, key_column=key_column, **params),
+        batch_format="pyarrow",
+    ).map_batches(add_salt, batch_format="pyarrow")
     lvl1 = salted.groupby([key_column, "salt"]).aggregate(
-        hll_merge_aggregate(b=b, hash_name=hash_name, finalize_to="sketch"),
+        sketch_merge_aggregate("hll", params),
         Sum("n_added", alias_name="n_added"),
     )
     lvl2 = lvl1.groupby(key_column).aggregate(
-        hll_merge_aggregate(b=b, hash_name=hash_name, blob_column="hll"),
+        sketch_merge_aggregate("hll", params, blob_column="hll",
+                               finalize="estimate"),
         Sum("n_added", alias_name=count_name),
     )
     return lvl2.rename_columns({"estimate": estimate_name})
@@ -113,38 +123,10 @@ def _salted_two_level_merge(partials, key_column: str, *, b: int,
 def salted_distinct_tokens_by_key(tokens_ds, key_column: str = "source", *,
                                   b: int = 14, num_salts: int = 16,
                                   hash_name: str = hashing.DEFAULT_HASH):
-    """Per-key distinct tokens with EXPLICIT salted two-level merge.
-
-    Even with per-batch partial sketches, a heavily skewed key funnels all
-    its partials into one reducer in ``groupby(key).aggregate``. See
-    :func:`_salted_two_level_merge` for the salting scheme.
-    Returns a Dataset (key, distinct_tokens, total_tokens).
-    """
-    partials = tokens_ds.map_batches(
-        HllTokenPartials(b=b, key_column=key_column, hash_name=hash_name),
-        batch_format="pyarrow",
-    )
-    return _salted_two_level_merge(
-        partials, key_column, b=b, num_salts=num_salts, hash_name=hash_name,
-        estimate_name="distinct_tokens", count_name="total_tokens")
-
-
-def salted_distinct_column_by_key(ds, value_column: str, key_column: str, *,
-                                  b: int = 14, num_salts: int = 16,
-                                  hash_name: str = hashing.DEFAULT_HASH,
-                                  estimate_name: str = "distinct_values",
-                                  count_name: str = "n_rows"):
-    """Scalar-column variant of :func:`salted_distinct_tokens_by_key`
-    (e.g. distinct doc_ids per source): same two-level salted merge,
-    partials built by HllColumnPartials instead of the token-list explode.
-    """
-    from .sketch_stages import HllColumnPartials
-
-    partials = ds.map_batches(
-        HllColumnPartials(value_column, b=b, key_column=key_column,
-                          hash_name=hash_name),
-        batch_format="pyarrow",
-    )
-    return _salted_two_level_merge(
-        partials, key_column, b=b, num_salts=num_salts, hash_name=hash_name,
-        estimate_name=estimate_name, count_name=count_name)
+    """Per-key distinct tokens with the salted two-level merge of
+    :func:`salted_distinct_column_by_key`. Returns a Dataset
+    (key, distinct_tokens, total_tokens)."""
+    return salted_distinct_column_by_key(
+        tokens_ds, "tokens", key_column, b=b, num_salts=num_salts,
+        hash_name=hash_name, estimate_name="distinct_tokens",
+        count_name="total_tokens")

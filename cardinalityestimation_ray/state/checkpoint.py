@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import pyarrow.parquet as pq
 
 from ..sketches.hll import HyperLogLog
-from ..stages.sketch_stages import HllTokenPartials
+from ..stages.sketch_stages import SketchPartials
 
 FORMAT_VERSION = 1
 
@@ -134,8 +134,7 @@ def _process_partition(input_file: str, partition_id: str,
     # the node and distorts cluster-size scaling
     table = pq.read_table(input_file, columns=[token_column],
                           use_threads=False)
-    stage = HllTokenPartials(b=b, token_column=token_column,
-                             hash_name=hash_name)
+    stage = SketchPartials("hll", token_column, b=b, hash_name=hash_name)
     out = stage(table)
     blob = out["sketch"][0].as_py()
     n_added = int(out["n_added"][0].as_py())

@@ -72,11 +72,11 @@ def test_adversarial_oracle_parity(ray_session, adv_dir, harness, oracle_con, na
 def test_generic_partials_keep_all_null_value_groups(ray_session):
     """A key whose values are ALL null still emits an (empty-sketch, 0)
     row — SQL keeps the group with COUNT(DISTINCT v) = 0 (round-4 fix:
-    the keyed GenericSketchPartials silently dropped the group)."""
+    the keyed partial stage silently dropped the group)."""
     import pyarrow as pa
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         sketch_from_blob,
     )
 
@@ -84,8 +84,7 @@ def test_generic_partials_keep_all_null_value_groups(ray_session):
         "k": pa.array(["a", "a", "ghost", None]),
         "v": pa.array([1, 2, None, 5], type=pa.int64()),
     })
-    out = GenericSketchPartials("theta", {"k": 64}, "v",
-                                key_column="k")(batch)
+    out = SketchPartials("theta", "v", key_column="k", k=64)(batch)
     rows = {out["k"][i].as_py(): (out["sketch"][i].as_py(),
                                   out["n_added"][i].as_py())
             for i in range(len(out))}

@@ -16,14 +16,14 @@ def test_worker_death_retry_yields_exact_result(ray_session, tmp_path):
     ray.data.DataContext.get_current().enable_progress_bars = False
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
     marker = str(tmp_path / "crashed_once")
     import pyarrow as pa
 
-    stage = HllTokenPartials(b=12)
+    stage = SketchPartials(b=12)
 
     def flaky(batch: pa.Table) -> pa.Table:
         # first task to see this marker missing kills its worker process —
@@ -66,7 +66,7 @@ def test_actor_pool_worker_death_retry_yields_exact_result(ray_session,
 
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
@@ -74,7 +74,7 @@ def test_actor_pool_worker_death_retry_yields_exact_result(ray_session,
 
     class FlakyStage:
         def __init__(self):
-            self.stage = HllTokenPartials(b=12)
+            self.stage = SketchPartials(b=12)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             if not os.path.exists(marker):
@@ -112,7 +112,7 @@ def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
 
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         _merge_block_fn,
         combine_partials,
     )
@@ -133,7 +133,7 @@ def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
     tokens = pa.array([list(range(i, i + 50)) for i in range(0, 2000, 50)],
                       type=pa.list_(pa.int32()))
     ds = ray.data.from_arrow(pa.table({"tokens": tokens})).repartition(
-        8).map_batches(HllTokenPartials(b=12), batch_format="pyarrow")
+        8).map_batches(SketchPartials(b=12), batch_format="pyarrow")
     table, n_tasks = combine_partials(ds, dying_merge, fanout=4)
     clean, _ = combine_partials(ds, merge, fanout=4)
     assert os.path.exists(marker)  # the crash really happened
@@ -162,7 +162,7 @@ def test_fused_read_partial_worker_death_retry_yields_exact_result(
     ray.data.DataContext.get_current().enable_progress_bars = False
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         _scan_copy,
         tree_merge_partials,
     )
@@ -176,7 +176,7 @@ def test_fused_read_partial_worker_death_retry_yields_exact_result(
         pq.write_table(pa.table({"tokens": tokens}),
                        str(data / f"part-{i}.parquet"))
     marker = str(tmp_path / "fused_crashed_once")
-    stage = HllTokenPartials(b=12)
+    stage = SketchPartials(b=12)
 
     def flaky(batch: pa.Table) -> pa.Table:
         if not os.path.exists(marker):

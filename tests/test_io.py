@@ -125,7 +125,7 @@ def test_incremental_update_equals_single_pass(tmp_path, _ray):
     )
     from cardinalityestimation_ray.sources.io import read_sketch_results
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
@@ -144,7 +144,7 @@ def test_incremental_update_equals_single_pass(tmp_path, _ray):
     df2 = incremental_distinct_update(path, day(2000, 4000))
 
     single = tree_merge_partials(
-        day(0, 4000).map_batches(HllTokenPartials(b=14, key_column="source"),
+        day(0, 4000).map_batches(SketchPartials(b=14, key_column="source"),
                                  batch_format="pyarrow"),
         "hll", key_column="source")
     stored = read_sketch_results(path, key_name="source")

@@ -175,13 +175,13 @@ def test_minhash_est_margin_widens_text_verify(ray_session):
 
 
 def test_global_token_partials_skip_parents_keep_null_contract():
-    """The global HLL partial flattens without parent indices; null
-    elements are still dropped, so its blob is byte-identical to the blob
-    of the same lists with the nulls removed, and the values match the
-    parents-aligned flatten the keyed paths use."""
+    """The flatten returns row offsets, not parent indices; null elements
+    are dropped with the offsets following them, so the HLL partial's blob
+    is byte-identical to the blob of the same lists with the nulls
+    removed."""
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
-        _flatten_tokens,
+        SketchPartials,
+        _flatten_list_column,
     )
 
     typ = pa.list_(pa.int32())
@@ -189,10 +189,9 @@ def test_global_token_partials_skip_parents_keep_null_contract():
         [[1, None, 2], None, [], [None], [3, 4, None]], type=typ)})
     clean = pa.table({"tokens": pa.array(
         [[1, 2], None, [], [], [3, 4]], type=typ)})
-    values, parents = _flatten_tokens(dirty, "tokens", with_parents=False)
-    aligned, aligned_parents = _flatten_tokens(dirty, "tokens")
-    assert parents is None and values.dtype == np.int32
-    assert values.tolist() == aligned.tolist() == [1, 2, 3, 4]
-    assert aligned_parents.tolist() == [0, 0, 4, 4]
-    stage = HllTokenPartials(b=12)
+    values, offsets = _flatten_list_column(dirty["tokens"])
+    assert values.dtype == np.int32
+    assert values.tolist() == [1, 2, 3, 4]
+    assert offsets.tolist() == [0, 2, 2, 2, 2, 4]
+    stage = SketchPartials(b=12)
     assert stage(dirty).equals(stage(clean))

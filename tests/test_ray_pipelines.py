@@ -433,13 +433,12 @@ def test_generic_partials_string_column(tokens_small):
     """count-min / Bloom over a STRING column (doc_id) through the generic
     partial stage — Arrow zero-copy hash path."""
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
     partials = tokens_small().map_batches(
-        GenericSketchPartials("bloom", {"num_bits": 1 << 16, "num_hashes": 5},
-                              "doc_id"),
+        SketchPartials("bloom", "doc_id", num_bits=1 << 16, num_hashes=5),
         batch_format="pyarrow")
     bf, total = tree_merge_partials(partials, "bloom")
     assert total == 500  # sf0.001 has 500 docs
@@ -447,8 +446,7 @@ def test_generic_partials_string_column(tokens_small):
     assert not bf.contains("doc-nonexistent-xyz")
 
     cpart = tokens_small().map_batches(
-        GenericSketchPartials("countmin", {"depth": 4, "width": 1 << 12},
-                              "source", key_column=None),
+        SketchPartials("countmin", "source", depth=4, width=1 << 12),
         batch_format="pyarrow")
     cms, ctotal = tree_merge_partials(cpart, "countmin")
     assert ctotal == 500
@@ -1052,7 +1050,7 @@ def test_all_null_value_column(_ray):
     """SQL GROUP BY keeps a group whose values are all null —
     COUNT(DISTINCT v) is 0, the group row still exists. The keyed partial
     stage used to DROP such groups (round-4 session-9 review: its sibling
-    GenericSketchPartials kept them); both now agree with SQL."""
+    stage kept them); the one SketchPartials stage now agrees with SQL."""
     import pyarrow as pa
     import ray.data
 
@@ -1623,15 +1621,14 @@ def test_udaf_theta_keyed_exact(_ray, sf_dir):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         sketch_merge_aggregate,
     )
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_type", "user_id"])
     partials = ev.map_batches(
-        GenericSketchPartials("theta", {"k": 4096}, "user_id",
-                              key_column="event_type"),
+        SketchPartials("theta", "user_id", key_column="event_type", k=4096),
         batch_format="pyarrow")
     out = partials.groupby("event_type").aggregate(
         sketch_merge_aggregate("theta", {"k": 4096},
@@ -1653,14 +1650,14 @@ def test_udaf_countmin_counter_identity(tokens_small, sf_dir):
 
     from cardinalityestimation_ray.sketches.countmin import CountMinSketch
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         sketch_from_blob,
         sketch_merge_aggregate,
     )
 
     params = {"depth": 4, "width": 1 << 12}
     partials = tokens_small().map_batches(
-        GenericSketchPartials("countmin", params, "source"),
+        SketchPartials("countmin", "source", **params),
         batch_format="pyarrow")
     res = partials.aggregate(
         sketch_merge_aggregate("countmin", params, name="cms"))
@@ -1678,13 +1675,13 @@ def test_udaf_tdigest_quantile_and_bloom_blob(tokens_small, sf_dir):
     import duckdb
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         sketch_from_blob,
         sketch_merge_aggregate,
     )
 
     partials = tokens_small().map_batches(
-        GenericSketchPartials("tdigest", {"delta": 200}, "n_tok"),
+        SketchPartials("tdigest", "n_tok", delta=200),
         batch_format="pyarrow")
     res = partials.aggregate(
         sketch_merge_aggregate("tdigest", {"delta": 200},
@@ -1698,8 +1695,7 @@ def test_udaf_tdigest_quantile_and_bloom_blob(tokens_small, sf_dir):
     assert 0.45 <= rank <= 0.55
 
     bpart = tokens_small().map_batches(
-        GenericSketchPartials("bloom", {"num_bits": 1 << 16, "num_hashes": 5},
-                              "doc_id"),
+        SketchPartials("bloom", "doc_id", num_bits=1 << 16, num_hashes=5),
         batch_format="pyarrow")
     blob = bpart.aggregate(
         sketch_merge_aggregate("bloom", {"num_bits": 1 << 16, "num_hashes": 5},

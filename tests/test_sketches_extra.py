@@ -388,14 +388,13 @@ def test_reservoir_via_ray_stage(ray_session):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
     ds = ray.data.range(50_000).repartition(8)
-    partials = ds.map_batches(
-        GenericSketchPartials("reservoir", {"k": 500}, "id"),
-        batch_format="pyarrow")
+    partials = ds.map_batches(SketchPartials("reservoir", "id", k=500),
+                              batch_format="pyarrow")
     rs, total = tree_merge_partials(partials, "reservoir")
     assert total == 50_000 and rs.n == 50_000
     s = rs.sample()
@@ -405,7 +404,7 @@ def test_reservoir_via_ray_stage(ray_session):
 
 def test_reservoir_default_seed_streams_independent():
     """Round-1 ADVICE fix: default-constructed reservoirs (the shape
-    GenericSketchPartials builds per batch from one shared spec) must not
+    SketchPartials builds per batch from one shared spec) must not
     share a tag stream, else merged samples are position-correlated."""
     vals = np.arange(1000, dtype=np.float64)
     a = ReservoirSample(k=1000)
@@ -648,7 +647,7 @@ def test_generic_partials_string_list_explode(ray_session):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        GenericSketchPartials,
+        SketchPartials,
         tree_merge_partials,
     )
 
@@ -657,8 +656,7 @@ def test_generic_partials_string_list_explode(ray_session):
                           type=pa.list_(pa.string())),
     })
     partials = ray.data.from_arrow(tbl).map_batches(
-        GenericSketchPartials("hll", {"b": 12}, "words", explode_list=True),
-        batch_format="pyarrow")
+        SketchPartials("hll", "words", b=12), batch_format="pyarrow")
     sk, total = tree_merge_partials(partials, "hll")
     assert total == 4  # null element excluded
     assert sk.estimate() == 3  # a, b, c
@@ -690,56 +688,112 @@ def test_keyed_partials_schema_stable_with_all_null_batches(ray_session):
     assert got == {1: 1, 2: 1, 3: 0}
 
 
-def test_token_partials_keyed_paths_blob_identical():
-    """The few-keys L2 fast path (per-key filter + chunked hash/add) and
-    the many-keys path (hash-once + argsort segmentation) must emit
-    byte-identical partial blobs — the strategy switch is purely a
-    performance decision."""
-    import numpy as np
+_PARTIAL_KINDS = {
+    "hll": {"b": 11},
+    "theta": {"k": 64},
+    "countmin": {"depth": 3, "width": 256},
+    "bloom": {"num_bits": 1 << 12, "num_hashes": 3},
+    "tdigest": {"delta": 50},
+    "kll": {"k": 50, "seed": 3},
+    "reservoir": {"k": 40, "seed": 3},
+}
+_NUMERIC_ONLY = {"tdigest", "kll", "reservoir"}  # no string elements
+
+
+def _partials_batch():
+    """400 rows keyed a/b/c/None/ghost. Every value column has nulls, and
+    every ghost row holds no value: a null list, an empty list, a list of
+    nulls, or a null scalar."""
     import pyarrow as pa
 
+    rng = np.random.default_rng(41)
+    n = 400
+    keys = rng.choice(np.array(["a", "b", "c", None], dtype=object), size=n)
+    ghost = np.arange(n) % 37 == 5
+    keys[ghost] = "ghost"
+    ints, lists = [], []
+    for i in range(n):
+        if ghost[i]:
+            lists.append([None, [], [None, None]][i % 3])
+            ints.append(None)
+            continue
+        ints.append(None if rng.random() < 0.1 else int(rng.integers(500)))
+        if rng.random() < 0.05:
+            lists.append(None)
+            continue
+        vals = rng.integers(0, 3000, size=int(rng.integers(0, 60)))
+        lists.append([None if rng.random() < 0.03 else int(v)
+                      for v in vals])
+
+    def words(v):
+        return None if v is None else f"w{v}"
+
+    return pa.table({
+        "k": pa.array(keys.tolist(), type=pa.string()),
+        "list_int32": pa.array(lists, type=pa.list_(pa.int32())),
+        "list_string": pa.array(
+            [None if lst is None else [words(v) for v in lst]
+             for lst in lists], type=pa.list_(pa.string())),
+        "int64": pa.array(ints, type=pa.int64()),
+        "string": pa.array([words(v) for v in ints], type=pa.string()),
+    })
+
+
+@pytest.mark.parametrize("kind,column", [
+    (kind, column) for kind in _PARTIAL_KINDS
+    for column in ("list_int32", "list_string", "int64", "string")
+    if not (kind in _NUMERIC_ONLY and "string" in column)])
+def test_keyed_partials_match_global_partials(kind, column):
+    """SketchPartials' one keyed path (rows sorted by key, one flatten, one
+    value segment per key) against its global path, for every kind and
+    column shape: each key's row is the global stage over that key's rows
+    byte for byte (KLL and reservoir with a fixed seed), an all-null group
+    gives (empty sketch, 0), null keys are dropped, and a sliced batch gives
+    what a fresh copy of it gives."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
+        build_sketch,
     )
 
-    rng = np.random.default_rng(17)
-    n = 500
-    offsets = np.r_[0, np.cumsum(rng.integers(0, 30, size=n))]
-    vals = rng.integers(0, 5000, size=offsets[-1]).astype(np.int32)
-    batch = pa.table({
-        "tokens": pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()), pa.array(vals)),
-        "source": pa.array(rng.choice(["a", "b", "c", None], size=n)),
-    })
-    few = HllTokenPartials(b=11, key_column="source")
-    many = HllTokenPartials(b=11, key_column="source")
-    many.FILTER_KEYED_MAX_KEYS = 0  # force the argsort path
-    rf = few(batch)
-    rm = many(batch)
-    df = {rf["source"][i].as_py(): (rf["sketch"][i].as_py(),
-                                    rf["n_added"][i].as_py())
-          for i in range(len(rf))}
-    dm = {rm["source"][i].as_py(): (rm["sketch"][i].as_py(),
-                                    rm["n_added"][i].as_py())
-          for i in range(len(rm))}
-    assert df == dm
-    assert len(df) == 3  # null keys dropped, a/b/c present
+    params = _PARTIAL_KINDS[kind]
+    batch = _partials_batch()
+    keyed = SketchPartials(kind, column, key_column="k", **params)
+    glob = SketchPartials(kind, column, **params)
+    out = keyed(batch)
+    rows = dict(zip(out["k"].to_pylist(),
+                    zip(out["sketch"].to_pylist(),
+                        out["n_added"].to_pylist())))
+    assert sorted(rows) == ["a", "b", "c", "ghost"]
+    assert out.schema.field("k").type == pa.string()
+    for key, (blob, n) in rows.items():
+        g = glob(batch.filter(pc.equal(batch["k"], key)))
+        assert (blob, n) == (g["sketch"][0].as_py(), g["n_added"][0].as_py())
+    assert rows["ghost"] == (build_sketch(kind, params).to_bytes(), 0)
+    assert sum(n for _, n in rows.values()) < \
+        glob(batch)["n_added"][0].as_py()  # null-key rows hold values
+
+    sliced = batch.slice(13, 300)
+    copied = pa.Table.from_pylist(sliced.to_pylist(), schema=batch.schema)
+    assert keyed(sliced).equals(keyed(copied))
+    assert glob(sliced).equals(glob(copied))
 
 
 def test_token_partials_dedup_blob_identical():
     """The unique-before-hash token collapse must emit byte-identical
     partial blobs to the raw path — registers because duplicates are
-    register no-ops, count_additions because the stage restores the raw
-    count (reference CountAdditions semantics count every add)."""
-    import numpy as np
+    register no-ops, count_additions because HyperLogLog.add_values still
+    counts raw adds (reference CountAdditions semantics count every add).
+    The partial stage hands HLL whole segments, global and keyed."""
     import pyarrow as pa
 
-    from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
-    )
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+    from cardinalityestimation_ray.stages.sketch_stages import SketchPartials
 
     rng = np.random.default_rng(23)
-    n_docs, per_doc = 300, 400  # 120k tokens > TOKEN_DEDUP_THRESHOLD
+    n_docs, per_doc = 300, 400  # 120k tokens > the collapse threshold
     offsets = np.arange(0, (n_docs + 1) * per_doc, per_doc, dtype=np.int32)
     vals = (rng.zipf(1.3, n_docs * per_doc) % 2000).astype(np.int32)
     batch = pa.table({
@@ -747,26 +801,26 @@ def test_token_partials_dedup_blob_identical():
                                            pa.array(vals)),
         "source": pa.array(rng.choice(["a", "b"], size=n_docs)),
     })
+    assert len(vals) > HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
 
-    for key_column in (None, "source"):
-        dedup = HllTokenPartials(b=11, key_column=key_column)
-        raw = HllTokenPartials(b=11, key_column=key_column)
-        raw.TOKEN_DEDUP_THRESHOLD = 1 << 62  # force the raw path
-        rd, rr = dedup(batch), raw(batch)
-        assert rd.equals(rr), f"dedup != raw for key_column={key_column}"
+    stages = [SketchPartials(b=11), SketchPartials(key_column="source", b=11)]
+    dedup = HyperLogLog(b=11)
+    dedup.add_values(vals)
+    dedup_out = [stage(batch) for stage in stages]
+    old = HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
+    try:
+        HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62  # force raw
+        raw = HyperLogLog(b=11)
+        raw.add_values(vals)
+        raw_out = [stage(batch) for stage in stages]
+    finally:
+        HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = old
+    assert dedup.to_bytes() == raw.to_bytes()
+    assert dedup.count_additions == len(vals)
+    for key_column, d, r in zip((None, "source"), dedup_out, raw_out):
+        assert d.equals(r), f"dedup != raw for key_column={key_column}"
         # n_added is the RAW token count, not the unique count
-        assert sum(rd["n_added"].to_pylist()) == n_docs * per_doc
-
-    # many-keys argsort path: force it on BOTH sides; its dedup variant
-    # (one (key, value) lexsort) must also be blob-identical to raw
-    dedup = HllTokenPartials(b=11, key_column="source")
-    dedup.FILTER_KEYED_MAX_KEYS = 0
-    raw = HllTokenPartials(b=11, key_column="source")
-    raw.FILTER_KEYED_MAX_KEYS = 0
-    raw.TOKEN_DEDUP_THRESHOLD = 1 << 62
-    rd, rr = dedup(batch), raw(batch)
-    assert rd.equals(rr), "many-keys dedup != raw"
-    assert sum(rd["n_added"].to_pylist()) == n_docs * per_doc
+        assert sum(d["n_added"].to_pylist()) == n_docs * per_doc
 
 
 def test_bloom_unique_collapse_identical_to_raw():

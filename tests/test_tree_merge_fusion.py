@@ -25,7 +25,7 @@ def _partials(n_blocks: int, tokens_per_block: int = 40,
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
     )
 
     tokens = pa.array(
@@ -37,7 +37,7 @@ def _partials(n_blocks: int, tokens_per_block: int = 40,
             ["a" if i % 2 else "b" for i in range(n_blocks)])
     return (ray.data.from_arrow(pa.table(cols))
             .repartition(n_blocks)
-            .map_batches(HllTokenPartials(b=12, key_column=key_column),
+            .map_batches(SketchPartials(b=12, key_column=key_column),
                          batch_format="pyarrow"))
 
 
@@ -77,12 +77,12 @@ def _parquet_partials(directory, **read_args):
     import ray.data
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
     )
 
     return ray.data.read_parquet(str(directory), columns=["tokens"],
                                  **read_args).map_batches(
-        HllTokenPartials(b=12), batch_format="pyarrow")
+        SketchPartials(b=12), batch_format="pyarrow")
 
 
 def _assert_flat_fold(ds, n_tokens: int):
@@ -155,7 +155,7 @@ def test_combiner_tree_edge_cases(ray_session):
     from ray.data import ExecutionResources
 
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         _merge_block_fn,
         combine_partials,
         tree_merge_partials,
@@ -164,7 +164,7 @@ def test_combiner_tree_edge_cases(ray_session):
     tokens = pa.array([[i, i + 1] for i in range(40)],
                       type=pa.list_(pa.int32()))
     one_block = ray.data.from_arrow(pa.table({"tokens": tokens})).map_batches(
-        HllTokenPartials(b=12), batch_format="pyarrow", batch_size=10)
+        SketchPartials(b=12), batch_format="pyarrow", batch_size=10)
     table, n_tasks = combine_partials(one_block, _merge_block_fn("hll"))
     assert (table.num_rows, n_tasks) == (1, 1)
     assert table["n_added"][0].as_py() == 80
@@ -242,7 +242,7 @@ def test_keyed_merge_blocks_keep_input_key_type():
     assert merged.num_rows == 1 and merged["n_added"][0].as_py() == 2
 
 
-FUSED = "ReadParquet->MapBatches(HllTokenPartials)"
+FUSED = "ReadParquet->MapBatches(SketchPartials)"
 
 
 def test_parquet_read_fuses_into_partial_stage(ray_session, tmp_path):
@@ -275,7 +275,7 @@ def test_scan_copy_leaves_the_callers_plan_alone(ray_session, tmp_path):
         ExecutionResources.zero()
     names = _operator_names(ds.materialize().stats())
     assert names[0].startswith("ReadParquet->SplitBlocks("), names
-    assert names[1] == "MapBatches(HllTokenPartials)", names
+    assert names[1] == "MapBatches(SketchPartials)", names
 
 
 def test_explicit_override_num_blocks_is_honoured(ray_session, tmp_path):

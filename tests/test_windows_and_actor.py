@@ -178,12 +178,14 @@ def test_sliding_windows_match_pandas(sf_dir):
 def test_live_progress_actor_during_scan(_ray, sf_dir):
     """ConcurrentCardinalityEstimator's live-count use case end-to-end:
     partial blobs stream to a named SharedSketch during the scan; the final
-    polled estimate equals the pipeline's own result."""
+    polled estimate equals the pipeline's own result, for a global scan
+    and for a keyed one."""
     import ray
 
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.sources.corpus import read_tokens
     from cardinalityestimation_ray.stages.sketch_stages import (
-        HllTokenPartials,
+        SketchPartials,
         tree_merge_partials,
     )
     from cardinalityestimation_ray.stages.shared_actor import (
@@ -192,7 +194,7 @@ def test_live_progress_actor_during_scan(_ray, sf_dir):
 
     actor = create_shared_sketch("hll", {"b": 12}, name="scan-progress")
     partials = read_tokens(sf_dir).map_batches(
-        HllTokenPartials(b=12, progress_actor="scan-progress"),
+        SketchPartials(b=12, progress_actor="scan-progress"),
         batch_format="pyarrow")
     sketch, total = tree_merge_partials(partials, "hll")
     # fire-and-forget sends: poll until the actor has absorbed every partial
@@ -205,6 +207,26 @@ def test_live_progress_actor_during_scan(_ray, sf_dir):
         time.sleep(0.2)
     assert ray.get(actor.count_additions.remote()) == total
     assert ray.get(actor.estimate.remote()) == sketch.estimate()
+
+    # keyed scan: every per-key blob is pushed too, so the polled sketch is
+    # the union of the merged per-key sketches
+    ray.get(actor.reset.remote())
+    partials = read_tokens(sf_dir).map_batches(
+        SketchPartials(key_column="source", b=12,
+                       progress_actor="scan-progress"),
+        batch_format="pyarrow")
+    merged = tree_merge_partials(partials, "hll", key_column="source")
+    union = HyperLogLog.merge_many(sk for sk, _ in merged.values())
+    total = sum(n for _, n in merged.values())
+    deadline = time.time() + 30
+    while time.time() < deadline:
+        if ray.get(actor.count_additions.remote()) == total:
+            break
+        time.sleep(0.2)
+    assert ray.get(actor.count_additions.remote()) == total > 0
+    polled = HyperLogLog.from_bytes(ray.get(actor.to_bytes.remote()))
+    assert ray.get(actor.estimate.remote()) == union.estimate()
+    assert np.array_equal(polled.registers(), union.registers())
     ray.kill(actor)
 
 
