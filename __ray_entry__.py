@@ -34,12 +34,12 @@ def _tokens(sf_dir: str):
 
 def _assert_exact_regime(sf_dir: str, bound: int, what: str) -> None:
     """Guard the exact-regime oracle configs (review finding, round 5):
-    the KLL/t-digest/planted-corpus oracles are only value-exact while
-    the doc count stays under the regime bound (n <= k for KLL,
-    n < delta/pi for t-digest, group size <= identical_cap for the
-    all-pairs dedup controls). Past it they drift off the SQL oracle
-    with an opaque value mismatch — fail with the real reason instead.
-    Parquet-footer metadata only; no data is read."""
+    the KLL/t-digest oracles are only value-exact while the doc count
+    stays under the regime bound (n <= k for KLL, n < delta/pi for
+    t-digest). Past it they drift off the SQL oracle with an opaque value
+    mismatch — fail with the real reason instead. Parquet-footer metadata
+    only; no data is read. The all-pairs dedup controls check their real
+    group sizes instead (:func:`_assert_identical_groups`)."""
     import os
 
     import pyarrow.parquet as pq
@@ -54,6 +54,30 @@ def _assert_exact_regime(sf_dir: str, bound: int, what: str) -> None:
             f"but {sf_dir} has {n}; raise the sketch params (and re-derive "
             f"the bound) or run a smaller scale factor")
 
+
+
+def _assert_identical_groups(sf_dir: str, modulus: int, what: str,
+                             identical_cap: int = 64) -> None:
+    """Guard the planted all-pairs dedup oracles: ids sharing
+    ``doc_id % modulus`` carry identical text (:func:`_planted_docs`), and
+    the oracle's pair set holds only while every such group stays within
+    ``identical_cap`` (above it the pipeline emits a min-id star, not all
+    pairs). Counts the real residue classes of the ``doc_id`` column, so
+    sparse or clustered ids fail here, not as an opaque value mismatch."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    ids = pq.read_table(f"{sf_dir}/documents.parquet",
+                        columns=["doc_id"])["doc_id"].drop_null()
+    counts = np.bincount(
+        ids.to_numpy().astype(np.int64) % modulus, minlength=modulus)
+    largest = int(np.argmax(counts))
+    if counts[largest] > identical_cap:
+        raise ValueError(
+            f"{what}: the all-pairs oracle needs every doc_id % {modulus} "
+            f"class within identical_cap={identical_cap}, but class "
+            f"{largest} of {sf_dir} holds {counts[largest]} docs; use a "
+            f"larger modulus or a smaller scale factor")
 
 def _typed(df_or_ds, schema: dict):
     """to_pandas with a TYPED empty fallback: Ray returns a COLUMN-LESS
@@ -1657,9 +1681,7 @@ def _q_minhash_dedup_pairs(sf_dir: str):
 
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
 
-    _assert_exact_regime(sf_dir, 9_600, "minhash_dedup_pairs (all-pairs "
-                         "oracle needs ceil(n/150) <= identical_cap=64; "
-                         "ceil(n/150) assumes dense doc_ids 0..n-1)")
+    _assert_identical_groups(sf_dir, 150, "minhash_dedup_pairs")
     pairs = minhash_dedup_pairs(_planted_docs(sf_dir, M=150), threshold=0.7)
     if len(pairs) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
@@ -1812,9 +1834,7 @@ def _q_simhash_dedup_pairs(sf_dir: str):
 
     from cardinalityestimation_ray.pipelines.dedup import simhash_dedup_pairs
 
-    _assert_exact_regime(sf_dir, 9_600, "simhash_dedup_pairs (all-pairs "
-                         "oracle needs ceil(n/150) <= identical_cap=64; "
-                         "ceil(n/150) assumes dense doc_ids 0..n-1)")
+    _assert_identical_groups(sf_dir, 150, "simhash_dedup_pairs")
     pairs = simhash_dedup_pairs(_planted_docs(sf_dir, M=150), max_hamming=3)
     if len(pairs) == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
@@ -1919,8 +1939,7 @@ def _q_minhash_planted_dup_pairs(sf_dir: str):
 
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
 
-    _assert_exact_regime(sf_dir, 12_800, "minhash_planted_dup_pairs "
-                         "(all-pairs oracle needs ceil(n/200) <= 64)")
+    _assert_identical_groups(sf_dir, 200, "minhash_planted_dup_pairs")
     pairs = minhash_dedup_pairs(_planted_docs(sf_dir), threshold=1.0,
                                 verify="char_ngram")
     out = pairs[pairs["similarity"] >= 1.0][["id_a", "id_b"]]
@@ -1937,8 +1956,7 @@ def _q_simhash_planted_dup_pairs(sf_dir: str):
     seeds; the SQL oracle is id arithmetic."""
     from cardinalityestimation_ray.pipelines.dedup import simhash_dedup_pairs
 
-    _assert_exact_regime(sf_dir, 12_800, "simhash_planted_dup_pairs "
-                         "(all-pairs oracle needs ceil(n/200) <= 64)")
+    _assert_identical_groups(sf_dir, 200, "simhash_planted_dup_pairs")
     pairs = simhash_dedup_pairs(_planted_docs(sf_dir), max_hamming=0)
     return pairs[["id_a", "id_b", "hamming"]].astype("int64")
 

@@ -368,16 +368,22 @@ def profile_stats() -> None:
     map_batches -> combiner tree over the partial blocks' object refs) and
     prints its end-to-end wall time, the number of merge tasks, and the
     number of rows that reach the driver (one, by the tree's contract).
-    The read uses automatic parallelism, as the pipelines do. Then prints
-    Ray's stats() breakdown of the scan copy that ``combine_partials``
-    executes, and that scan's operator names on the merge-task line
+    The read uses automatic parallelism, as the pipelines do. The scan
+    that ``combine_partials`` ran is named on the merge-task line
     (``ReadParquet->MapBatches(SketchPartials)`` when the read fused into
-    the partial stage) — the per-stage
+    the partial stage); it is read from the package logger's DEBUG record.
+    When the scan ran as plain tasks, the next line gives their count and
+    the wall time split into planning (``read_parquet`` plus the scan's
+    own plan and input bundles), task submission and execution (the rest:
+    the tasks and the merges). When it ran on Ray Data's executor, Ray's
+    stats() breakdown of that scan copy is printed first — the per-stage
     wall/cpu/udf split used to decide where to iterate (e.g. the round-4
     finding that task-time SKEW, not kernel time, dominated the driver's
     medians came from exactly this view). Untimed warm-up first so the
     numbers are steady-state, not worker cold-start.
     """
+    import logging
+
     import ray
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
@@ -402,19 +408,46 @@ def profile_stats() -> None:
         ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"])
         return ds.map_batches(SketchPartials(b=14), batch_format="pyarrow")
 
+    class KeepRecords(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.DEBUG)
+            self.records = []
+
+        def emit(self, record):
+            self.records.append(record)
+
+    kept = KeepRecords()
+    log = logging.getLogger("cardinalityestimation_ray")
+    log.setLevel(logging.DEBUG)
+    log.addHandler(kept)
     combine_partials(partials(), _merge_block_fn("hll"))  # warm-up
     t0 = time.perf_counter()
-    merged, n_tasks = combine_partials(partials(), _merge_block_fn("hll"))
+    ds = partials()
+    read_plan = time.perf_counter() - t0
+    merged, n_tasks = combine_partials(ds, _merge_block_fn("hll"))
     wall = time.perf_counter() - t0
-    # the scan copy combine_partials executes (fused read, one CPU left to
-    # the merges), not the caller's dataset
-    scan_stats = _scan_copy(partials()).materialize().stats()
-    print(scan_stats)
-    scan_ops = " | ".join(re.findall(r"^Operator \d+ (.+?): ", scan_stats,
-                                     re.M))
+    log.removeHandler(kept)
+    scan = kept.records[-1].scan
+    if scan.reason is None:
+        scan_ops = scan.op_name
+        split = (f"[headline lineage] plain scan: {scan.n_tasks} tasks; "
+                 f"wall {wall:.3f}s = planning "
+                 f"{read_plan + scan.plan_s:.3f}s (read_parquet "
+                 f"{read_plan:.3f}s, scan plan {scan.plan_s:.3f}s) + "
+                 f"submit {scan.submit_s:.3f}s + execute "
+                 f"{wall - read_plan - scan.plan_s - scan.submit_s:.3f}s")
+    else:
+        # the scan copy combine_partials executed (fused read, one CPU
+        # left to the merges), not the caller's dataset
+        scan_stats = _scan_copy(partials()).materialize().stats()
+        print(scan_stats)
+        scan_ops = " | ".join(re.findall(r"^Operator \d+ (.+?): ",
+                                         scan_stats, re.M))
+        split = f"[headline lineage] executor scan ({scan.reason})"
     print(f"\n[headline lineage] end-to-end wall: {wall:.3f}s "
           f"({n_tasks} merge tasks, {merged.num_rows} rows reach the driver; "
           f"scan: {scan_ops})")
+    print(split)
 
     # --- heavy-hitters lineages (the costliest bench query): the two
     # passes of frequency.heavy_hitters, mirrored stage-for-stage (same

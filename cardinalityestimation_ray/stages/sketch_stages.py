@@ -12,28 +12,38 @@ list-vs-scalar from the column's Arrow type, and ``_flatten_list_column``
 business (``add_values`` / ``add_arrow``); the stage only decides whether a
 kind gets its segment whole or in slices.
 
-Over a Parquet read the reference's one partial estimator per partition
-holds literally: the scan that :func:`combine_partials` runs fuses the read
-into the partial stage, one ``ReadParquet->MapBatches(SketchPartials)`` task
-per read task, so the read output never enters the object store (unless the
-caller set ``override_num_blocks``). :func:`combine_partials` then merges
-those rows over the blocks' object refs: plain Ray tasks of ``fanout``
-blocks each, with exactly one merged row per key reaching the driver. Ray
-completes tasks in any order, which is safe because the merge is
-associative and, for the register-max kinds, commutative (reference
-CardinalityEstimator.cs:606-609; see :func:`sketch_merge_aggregate` for the
-order-dependent kinds). High-cardinality keys merge with
-``groupby(key).aggregate(sketch_merge_aggregate(...))`` instead.
+The reference's shape is partition-then-merge (Parallel.ForEach plus a
+batched PLINQ merge tree, CardinalityEstimatorExtensions.cs:224-280,
+ConcurrentCardinalityEstimator.cs:709-773), and :func:`combine_partials`
+runs it as plain Ray tasks when the plan is one fused map, else on Ray
+Data's streaming executor:
 
-This replaces the reference's Parallel.ForEach + batched PLINQ merge tree
-(CardinalityEstimatorExtensions.cs:224-280,
-ConcurrentCardinalityEstimator.cs:709-773): Ray's streaming executor runs the
-partial stage, and plain Ray tasks run the merge tree.
+- The scan. Over a Parquet read, :func:`_scan_copy` fuses the read into
+  the partial stage: one ``ReadParquet->MapBatches(SketchPartials)`` task
+  per read task, so the read output never enters the object store (unless
+  the caller set ``override_num_blocks``). When Ray plans that copy as one
+  fused map (every chain the pipelines build over Parquet or an in-memory
+  source), :class:`_PartialScan` runs it as plain tasks and no executor
+  starts; anything else streams from the executor.
+- The merge. Plain Ray tasks of ``fanout`` partial blocks each, over the
+  blocks' object refs, with exactly one merged row per key reaching the
+  driver. Ray completes tasks in any order, which is safe because the
+  merge is associative and, for the register-max kinds, commutative
+  (reference CardinalityEstimator.cs:606-609; see
+  :func:`sketch_merge_aggregate` for the order-dependent kinds).
+
+High-cardinality keys merge with
+``groupby(key).aggregate(sketch_merge_aggregate(...))`` instead.
+``combine_partials`` logs one DEBUG record per call to the package logger
+(``cardinalityestimation_ray``): the scan path, whether the read was
+pinned and whether a CPU was left to the merges.
 """
 
 from __future__ import annotations
 
 import copy
+import logging
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -43,6 +53,8 @@ import ray
 from ..functions.text import _as_array, _flatten_list_column
 from ..sketches.base import Sketch
 from ..sketches.hll import HyperLogLog
+
+logger = logging.getLogger("cardinalityestimation_ray")
 
 
 def build_sketch(kind: str, params: dict) -> Sketch:
@@ -251,9 +263,10 @@ def _merge_block_fn(kind: str, key_column: str | None = None,
 
 
 def _scan_copy(ds):
-    """The copy of ``ds`` that :func:`combine_partials` executes: its
-    executor runs one CPU short, and a Parquet read fuses into the partial
-    stage. The caller's Dataset and logical plan are never touched.
+    """The copy of ``ds`` that :func:`combine_partials` scans: a Parquet
+    read fuses into the partial stage, and when the scan runs on Ray
+    Data's executor (:class:`_PartialScan`), the executor runs one CPU
+    short. The caller's Dataset and logical plan are never touched.
 
     One CPU short: merge tasks run outside Ray Data, and each one waits for
     the one before, so at most one runs at a time. Excluding one CPU from
@@ -318,6 +331,162 @@ def _scan_copy(ds):
     return type(ds)(plan, LogicalPlan(dag, plan._context))
 
 
+def _scan_task(transformer, data_context, task_ctx, *blocks):
+    """The body of one plain scan task of :class:`_PartialScan`: the fused
+    map operator's transformer over one input bundle, set up as Ray Data's
+    own map task sets it up. Returns (its output rows as one table, or
+    None; their count)."""
+    from ray.data import DataContext
+    from ray.data._internal.execution.interfaces import TaskContext
+    from ray.data.block import BlockAccessor
+
+    DataContext._set_current(data_context)
+    TaskContext.set_current(task_ctx)
+    transformer.set_target_max_block_size(task_ctx.target_max_block_size)
+    try:
+        tables = [BlockAccessor.for_block(block).to_arrow() for block in
+                  transformer.apply_transform(iter(blocks), task_ctx)]
+    finally:
+        TaskContext.reset_current()
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return None, 0
+    table = pa.concat_tables(tables, promote_options="permissive")
+    return table, table.num_rows
+
+
+class _PartialScan:
+    """The scan :func:`combine_partials` runs: the output block refs of
+    :func:`_scan_copy` of ``ds``, with their row counts.
+
+    Plain tasks when Ray's optimized physical plan of the copy is exactly
+    ``InputDataBuffer -> TaskPoolMapOperator`` (one fused map): the input
+    bundles, grouped by the operator's own bundler, each go to one task
+    that runs the operator's map transformer (put in the object store once
+    per scan) with the operator's remote args. The task is made as Ray
+    Data makes its map tasks (``cached_remote_fn``: retried after a worker
+    death). At most 2x the cluster's CPUs of them are in flight. Every
+    other plan, and a caller that set resource limits, streams from Ray
+    Data's executor; ``reason`` says why.
+
+    ``get_execution_plan`` rewrites the ``LogicalPlan`` it is given, so
+    the scan plans a fresh one over the copy's operators, never the
+    caller's plan."""
+
+    def __init__(self, ds):
+        from ray.data._internal.execution.operators.input_data_buffer import (
+            InputDataBuffer,
+        )
+        from ray.data._internal.execution.operators.map_operator import (
+            MapOperator,
+        )
+        from ray.data._internal.execution.operators.task_pool_map_operator \
+            import TaskPoolMapOperator
+        from ray.data._internal.logical.interfaces import LogicalPlan
+        from ray.data._internal.logical.optimizers import get_execution_plan
+
+        t0 = time.perf_counter()
+        self.ds = _scan_copy(ds)
+        self.pinned = self.ds._logical_plan.dag is not ds._logical_plan.dag
+        self.op_name = self.reason = None
+        self.n_tasks = 0
+        self.submit_s = 0.0
+        if self.ds._plan.has_computed_output():
+            self.reason = "materialized"
+        elif not ds.context.execution_options.is_resource_limits_default():
+            self.reason = "resource limits"
+        else:
+            op = get_execution_plan(
+                LogicalPlan(self.ds._logical_plan.dag, self.ds.context)).dag
+            chain = [op]
+            while chain[-1].input_dependencies:
+                chain.append(chain[-1].input_dependencies[0])
+            maps = [o for o in chain if isinstance(o, MapOperator)]
+            if any(o.get_additional_split_factor() > 1 for o in maps):
+                self.reason = "split read"
+            elif not all(isinstance(o, TaskPoolMapOperator) for o in maps):
+                self.reason = "actor pool"
+            elif len(maps) + 1 < len(chain):
+                self.reason = "all-to-all"
+            elif len(chain) != 2 or not isinstance(chain[1], InputDataBuffer):
+                self.reason = "unfused"
+            else:
+                self.op_name = op.name
+                self._op, self._source = op, chain[1]
+        self.cpu_left = self.reason is not None and \
+            self.ds.context.execution_options.exclude_resources.cpu > \
+            ds.context.execution_options.exclude_resources.cpu
+        self.plan_s = time.perf_counter() - t0
+
+    def outputs(self):
+        """Yield (block ref, rows) for every output block: a table per
+        plain task in completion order, or the executor's blocks."""
+        if self.reason is not None:
+            for bundle in self.ds.iter_internal_ref_bundles():
+                for ref, meta in bundle.blocks:
+                    yield ref, meta.num_rows
+            return
+        from ray.data._internal.execution.interfaces import TaskContext
+        from ray.data._internal.remote_fn import cached_remote_fn
+
+        t0 = time.perf_counter()
+        op = self._op
+        bundles = self._bundles()
+        transformer = ray.put(op.get_map_transformer())
+        limit = 2 * int(ray.cluster_resources().get("CPU", 1))
+        limit = max(min(limit, op.get_concurrency() or limit), 1)
+        self.plan_s += time.perf_counter() - t0
+        self.n_tasks = len(bundles)
+        in_flight: dict = {}
+        for i, bundle in enumerate(bundles):
+            if len(in_flight) >= limit:
+                yield from self._first_done(in_flight)
+            t0 = time.perf_counter()
+            task_ctx = TaskContext(
+                task_idx=i, op_name=op.name,
+                target_max_block_size=op.actual_target_max_block_size,
+                kwargs=op.get_map_task_kwargs())
+            args = op._get_runtime_ray_remote_args(input_bundle=bundle)
+            table_ref, rows_ref = cached_remote_fn(_scan_task).options(
+                **args, name=op.name, num_returns=2).remote(
+                transformer, op.data_context, task_ctx, *bundle.block_refs)
+            in_flight[rows_ref] = table_ref
+            self.submit_s += time.perf_counter() - t0
+        while in_flight:
+            yield from self._first_done(in_flight)
+
+    def _bundles(self) -> list:
+        """The operator's input bundles, grouped as its own bundler groups
+        them (for a read, starting the source builds its read tasks)."""
+        op, source = self._op, self._source
+        source.start(self.ds.context.execution_options)
+        bundler = op._block_ref_bundler
+        bundles = []
+        while source.has_next():
+            bundler.add_bundle(source.get_next())
+            while bundler.has_bundle():
+                bundles.append(bundler.get_next_bundle()[1])
+        bundler.done_adding_bundles()
+        while bundler.has_bundle():
+            bundles.append(bundler.get_next_bundle()[1])
+        return bundles
+
+    @staticmethod
+    def _first_done(in_flight):
+        ready, _ = ray.wait(list(in_flight), num_returns=1)
+        for rows_ref in ready:
+            yield in_flight.pop(rows_ref), ray.get(rows_ref)
+
+    def describe(self) -> str:
+        if self.reason is None:
+            path = f"plain tasks ({self.op_name}, {self.n_tasks} tasks)"
+        else:
+            path = f"executor ({self.reason})"
+        return (f"scan: {path}; read pinned: "
+                f"{'yes' if self.pinned else 'no'}; CPU left to merges: "
+                f"{'yes' if self.cpu_left else 'no'}")
+
+
 @ray.remote(num_cpus=1)
 def _merge_task(merge_fn, *tables: pa.Table) -> pa.Table:
     """One node of the combiner tree: concatenate, then row-merge."""
@@ -330,45 +499,58 @@ def combine_partials(partials_ds, merge_fn, *,
     partial stage's output blocks (the reference's batched merge tree,
     ConcurrentCardinalityEstimator.cs:709-773, with a parameter fan-in).
 
-    The scan runs on :func:`_scan_copy` of ``partials_ds``: one CPU is left
-    to the merges, and a Parquet read with automatic parallelism fuses into
-    the partial stage (one partial block per read task instead of Ray's
-    split blocks). ``partials_ds`` and its plan are left as they are. The
-    block refs stream in as the executor produces them
-    (``iter_internal_ref_bundles``); blocks with no rows are skipped. Every
-    ``fanout`` pending refs go to one plain ``num_cpus=1`` merge task that
-    concatenates them and applies ``merge_fn`` (one row per key out), and
-    its output ref rejoins the pending list. When the stream ends, one last
-    merge task takes what is pending unless that is already a single merge
-    output. The merges are ordinary tasks, not Ray Data operators, so the
-    executor cannot fuse them onto the partial stage, and exactly one merged
-    table — one row per key — reaches the driver whatever the number of
-    blocks. Driver state is at most ``fanout`` refs plus that table.
+    The scan (:class:`_PartialScan`) runs :func:`_scan_copy` of
+    ``partials_ds``, where a Parquet read with automatic parallelism fuses
+    into the partial stage. Plain tasks when Ray's plan of that copy is one
+    fused map: one task per input bundle, at most 2x the cluster's CPUs in
+    flight, no streaming executor. Else the executor
+    (``iter_internal_ref_bundles``), with one CPU left to the merges.
+    ``partials_ds`` and its plan are left as they are. Either way the
+    output refs arrive in completion order and blocks with no rows are
+    skipped. Every ``fanout`` pending refs go to one plain ``num_cpus=1``
+    merge task that concatenates them and applies ``merge_fn`` (one row
+    per key out), and its output ref rejoins the pending list. When the
+    scan ends, one last merge task takes what is pending unless that is
+    already a single merge output. The merges are ordinary tasks, not Ray
+    Data operators, so nothing fuses them onto the partial stage, and
+    exactly one merged table — one row per key — reaches the driver
+    whatever the number of blocks. Driver state is at most ``fanout`` refs
+    plus that table, and the plain scan's in-flight refs.
 
-    Merge tasks are pure functions of their inputs, so Ray's task retry
-    after a worker death reproduces them exactly.
+    Scan and merge tasks are pure functions of their inputs, so Ray's task
+    retry after a worker death reproduces them exactly.
+
+    Logs one DEBUG record to the ``cardinalityestimation_ray`` logger,
+    whose ``scan`` attribute is the :class:`_PartialScan` (path, operator,
+    task count, planning and submit seconds).
 
     Returns (merged table, or None when no block had rows; merge tasks run).
     """
     if fanout < 2:
         raise ValueError(f"fanout must be >= 2, got {fanout}")
+    t0 = time.perf_counter()
     pending: list = []
     n_tasks = 0
-    partials_ds = _scan_copy(partials_ds)
-    for bundle in partials_ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            pending.append(ref)
-            if len(pending) == fanout:
-                pending = [_merge_task.remote(merge_fn, *pending)]
-                n_tasks += 1
-    if not pending:
-        return None, n_tasks
-    if len(pending) > 1 or n_tasks == 0:
-        pending = [_merge_task.remote(merge_fn, *pending)]
-        n_tasks += 1
-    return ray.get(pending[0]), n_tasks
+    scan = _PartialScan(partials_ds)
+    for ref, rows in scan.outputs():
+        if rows == 0:
+            continue
+        pending.append(ref)
+        if len(pending) == fanout:
+            pending = [_merge_task.remote(merge_fn, *pending)]
+            n_tasks += 1
+    table = None
+    if pending:
+        if len(pending) > 1 or n_tasks == 0:
+            pending = [_merge_task.remote(merge_fn, *pending)]
+            n_tasks += 1
+        table = ray.get(pending[0])
+    wall_s = time.perf_counter() - t0
+    logger.debug(
+        "combine_partials %s; %d merge tasks; %.3f s (plan %.3f, submit "
+        "%.3f)", scan.describe(), n_tasks, wall_s, scan.plan_s,
+        scan.submit_s, extra={"scan": scan})
+    return table, n_tasks
 
 
 def tree_merge_partials(partials_ds, kind: str, *,

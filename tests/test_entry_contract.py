@@ -254,3 +254,21 @@ def test_exact_regime_guard_rejects_oversized_corpus(entry_mod, tmp_path):
         entry_mod._assert_exact_regime(str(tmp_path), 16_384, "kll test")
     # under the bound: no-op
     entry_mod._assert_exact_regime(str(tmp_path), 30_000, "ok")
+
+
+@pytest.mark.parametrize("query", ["_q_minhash_dedup_pairs",
+                                   "_q_simhash_dedup_pairs"])
+def test_dedup_pair_guards_check_real_group_size(entry_mod, tmp_path, query):
+    """The all-pairs dedup oracles hold while every ``doc_id % 150`` group
+    stays within identical_cap=64. 300 docs are far under any doc-count
+    bound, but 100 of them share residue 7: the guard must count the real
+    classes and name the largest one."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    ids = np.concatenate([np.arange(200), 7 + 150 * np.arange(2, 102)])
+    pq.write_table(pa.table({"doc_id": ids.astype(np.int64)}),
+                   tmp_path / "documents.parquet")
+    with pytest.raises(ValueError,
+                       match=r"class 7 of .* holds 102 docs"):
+        getattr(entry_mod, query)(str(tmp_path))

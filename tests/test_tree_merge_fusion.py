@@ -297,3 +297,257 @@ def test_single_file_fuses_into_one_task(ray_session, tmp_path):
     ds = _parquet_partials(tmp_path)
     assert _executed_scan(ds) == ([FUSED], 1)
     _assert_flat_fold(ds, n_tokens)
+
+
+# --- the plain scan path: a plan that is one fused map runs as plain tasks
+
+def _write_keyed_parquet(directory, n_files: int = 4, rows: int = 300) -> None:
+    """Parquet files of list<int32> tokens plus a low-cardinality ``source``
+    key (with nulls), several row groups per file."""
+    import pyarrow.parquet as pq
+
+    for i in range(n_files):
+        base = i * rows * 10
+        tokens = pa.array(
+            [list(range(base + r * 10, base + r * 10 + r % 7))
+             for r in range(rows)], type=pa.list_(pa.int32()))
+        source = pa.array([None if r % 11 == 0 else "abc"[r % 3]
+                           for r in range(rows)])
+        pq.write_table(pa.table({"tokens": tokens, "source": source}),
+                       os.path.join(directory, f"part-{i}.parquet"),
+                       row_group_size=70)
+
+
+def _row_multiset(rows, key_column: str | None = None) -> list[tuple]:
+    """(key, blob, n_added) of each partial row, sorted: the rows with
+    their batch boundaries, not just a total."""
+    return sorted(((r[key_column] if key_column else None), r["sketch"],
+                   r["n_added"]) for r in rows)
+
+
+def _plain_scan_rows(ds, key_column: str | None = None):
+    """(scan, row multiset) of the plain path's output for ``ds``."""
+    import ray
+
+    from cardinalityestimation_ray.stages.sketch_stages import _PartialScan
+
+    scan = _PartialScan(ds)
+    assert scan.reason is None, scan.describe()
+    tables = [ray.get(ref) for ref, rows in scan.outputs() if rows]
+    rows = pa.concat_tables(tables).to_pylist() if tables else []
+    return scan, _row_multiset(rows, key_column)
+
+
+def _scan_cases(directory):
+    """name -> (partial stage Dataset, key column) for the multiset test."""
+    import ray.data
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+    )
+
+    def parquet(columns=("tokens",)):
+        return ray.data.read_parquet(str(directory), columns=list(columns))
+
+    arrow = pa.table({"tokens": pa.array(
+        [[i, i + 1, i * 7] for i in range(640)], type=pa.list_(pa.int32()))})
+    blocks = [arrow.slice(i, 10) for i in range(0, 640, 10)]
+    stage = SketchPartials(b=12)
+    return {
+        # Ray never fuses a map with a batch size onto a read (the read may
+        # change row counts), so over Parquet such a stage runs on the
+        # materialized read's blocks, grouped by the operator's bundler
+        "parquet_batch_size_100": (parquet().materialize().map_batches(
+            stage, batch_format="pyarrow", batch_size=100), None),
+        "arrow_64_blocks_batch_25": (ray.data.from_arrow(blocks).map_batches(
+            stage, batch_format="pyarrow", batch_size=25), None),
+        "filter_then_map": (parquet().filter(
+            lambda row: len(row["tokens"]) % 2 == 0).map_batches(
+            stage, batch_format="pyarrow"), None),
+        "keyed_source": (parquet(("tokens", "source")).map_batches(
+            SketchPartials(b=12, key_column="source"),
+            batch_format="pyarrow"), "source"),
+        "kll_seeded": (parquet().map_batches(
+            SketchPartials("kll", "tokens", k=40, seed=7),
+            batch_format="pyarrow"), None),
+        "reservoir_seeded": (parquet().map_batches(
+            SketchPartials("reservoir", "tokens", k=30, seed=3),
+            batch_format="pyarrow"), None),
+    }
+
+
+def test_plain_scan_runs_one_named_task_per_file(ray_session, tmp_path,
+                                                 caplog):
+    """4 Parquet files: the fused plan runs as 4 plain tasks named after
+    the fused operator (as Ray's timeline records them), and the registers
+    equal a flat fold."""
+    import logging
+    import time
+
+    import ray
+
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    ds = _parquet_partials(tmp_path)
+    caplog.set_level(logging.DEBUG, logger="cardinalityestimation_ray")
+    t0 = time.time()
+    _assert_flat_fold(ds, n_tokens)
+    (record,) = [r for r in caplog.records
+                 if r.name == "cardinalityestimation_ray"]
+    assert (record.scan.reason, record.scan.op_name,
+            record.scan.n_tasks) == (None, FUSED, 4)
+    for _ in range(50):  # task events reach the timeline about once a second
+        named = [e for e in ray.timeline()
+                 if e.get("cat") == f"task::{FUSED}" and e["ts"] / 1e6 >= t0]
+        if len(named) >= 4:
+            break
+        time.sleep(0.2)
+    assert len(named) == 4, named
+
+
+@pytest.mark.parametrize("case", [
+    "parquet_batch_size_100", "arrow_64_blocks_batch_25", "filter_then_map",
+    "keyed_source", "kll_seeded", "reservoir_seeded"])
+def test_plain_scan_rows_equal_ray_data(ray_session, tmp_path, case):
+    """The plain path emits the same multiset of partial rows — key, blob
+    and count of every batch — as Ray Data running the same scan copy."""
+    from cardinalityestimation_ray.stages.sketch_stages import _scan_copy
+
+    _write_keyed_parquet(tmp_path)
+    ds, key_column = _scan_cases(tmp_path)[case]
+    scan, plain = _plain_scan_rows(ds, key_column)
+    assert plain == _row_multiset(_scan_copy(ds).take_all(), key_column)
+    assert plain and scan.n_tasks >= 1
+    if case == "arrow_64_blocks_batch_25":
+        # batches of 25 over 10-row blocks: the bundler groups 3 blocks
+        assert scan.n_tasks == 22
+
+
+def test_batch_size_over_parquet_is_not_one_fused_map(ray_session, tmp_path):
+    """A stage with a batch size straight over a read is two operators in
+    Ray's plan, so it runs on the executor, with the same result."""
+    import ray.data
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+        _PartialScan,
+    )
+
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    ds = ray.data.read_parquet(str(tmp_path), columns=["tokens"]).map_batches(
+        SketchPartials(b=12), batch_format="pyarrow", batch_size=100)
+    assert _PartialScan(ds).reason == "unfused"
+    _assert_flat_fold(ds, n_tokens)
+
+
+@pytest.mark.parametrize("variant,reason", [
+    ("actor_pool", "actor pool"), ("override_num_blocks", "split read"),
+    ("repartition", "all-to-all"), ("cpu_limit", "resource limits")])
+def test_other_plans_take_the_executor(ray_session, tmp_path, variant,
+                                       reason):
+    """An actor pool, a split read and an all-to-all operator are not one
+    fused task-pool map, and plain tasks could not honour a caller's
+    resource limits: those scans stay on Ray Data's executor, and the
+    merged registers still equal a flat fold."""
+    import ray.data
+    from ray.data import ExecutionResources
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+        _PartialScan,
+    )
+
+    n_tokens = _write_parquet_files(tmp_path, 4)
+    read = ray.data.read_parquet(
+        str(tmp_path), columns=["tokens"],
+        **({"override_num_blocks": 8}
+           if variant == "override_num_blocks" else {}))
+    if variant == "actor_pool":
+        ds = read.map_batches(SketchPartials, fn_constructor_kwargs={"b": 12},
+                              batch_format="pyarrow", concurrency=2)
+    else:
+        if variant == "repartition":
+            read = read.repartition(4)
+        ds = read.map_batches(SketchPartials(b=12), batch_format="pyarrow")
+    if variant == "cpu_limit":
+        ds.context.execution_options.resource_limits = \
+            ExecutionResources(cpu=2)
+    assert _PartialScan(ds).reason == reason
+    _assert_flat_fold(ds, n_tokens)
+
+
+@pytest.mark.parametrize("source", ["arrow", "parquet"])
+def test_plain_scan_leaves_the_callers_plan_alone(ray_session, tmp_path,
+                                                  source):
+    """Planning rewrites the logical plan it is given: the plain path plans
+    a fresh one, so the caller's plan keeps its dag object, that dag its
+    input dependencies, and the Dataset its execution options."""
+    import ray.data
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+        _PartialScan,
+    )
+
+    if source == "parquet":
+        n_tokens = _write_parquet_files(tmp_path, 4)
+        read = ray.data.read_parquet(str(tmp_path), columns=["tokens"])
+    else:
+        n_tokens = 4000
+        read = ray.data.from_arrow(pa.table({"tokens": pa.array(
+            [list(range(i, i + 40)) for i in range(0, n_tokens, 40)],
+            type=pa.list_(pa.int32()))}))
+    ds = read.map_batches(SketchPartials(b=12), batch_format="pyarrow")
+    assert _PartialScan(ds).reason is None
+    plan, dag = ds._logical_plan, ds._logical_plan.dag
+    deps = list(dag.input_dependencies)
+    options = repr(ds.context.execution_options)
+    _assert_flat_fold(ds, n_tokens)
+    assert ds._logical_plan is plan and plan.dag is dag
+    assert len(dag.input_dependencies) == len(deps)
+    assert all(a is b for a, b in zip(dag.input_dependencies, deps))
+    assert repr(ds.context.execution_options) == options
+
+
+def _package_records(caplog):
+    return [r for r in caplog.records if r.name == "cardinalityestimation_ray"]
+
+
+def test_combine_partials_logs_the_plain_path(ray_session, tmp_path, caplog):
+    """One DEBUG record per combine_partials call names the plain path, its
+    operator and task count, the pinned read and no CPU held back."""
+    import logging
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        _merge_block_fn,
+        combine_partials,
+    )
+
+    _write_parquet_files(tmp_path, 4)
+    caplog.set_level(logging.DEBUG, logger="cardinalityestimation_ray")
+    combine_partials(_parquet_partials(tmp_path), _merge_block_fn("hll"))
+    (record,) = _package_records(caplog)
+    assert record.levelno == logging.DEBUG
+    assert f"scan: plain tasks ({FUSED}, 4 tasks); read pinned: yes; " \
+        "CPU left to merges: no; 1 merge tasks" in record.getMessage()
+
+
+def test_combine_partials_logs_the_executor_path(ray_session, tmp_path,
+                                                 caplog):
+    """On the executor path the record gives the reason (here a split
+    read), that the read was not pinned, and the CPU left to the merges;
+    nothing is logged at INFO or above."""
+    import logging
+
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        _merge_block_fn,
+        combine_partials,
+    )
+
+    _write_parquet_files(tmp_path, 4)
+    caplog.set_level(logging.DEBUG, logger="cardinalityestimation_ray")
+    combine_partials(_parquet_partials(tmp_path, override_num_blocks=8),
+                     _merge_block_fn("hll"))
+    (record,) = _package_records(caplog)
+    assert record.levelno == logging.DEBUG
+    assert "scan: executor (split read); read pinned: no; " \
+        "CPU left to merges: yes; 1 merge tasks" in record.getMessage()
