@@ -2994,7 +2994,7 @@ def oracle_sql() -> dict[str, str]:
                    -- TRY_CAST nulls out-of-range magnitudes exactly like
                    -- the engine's lexicographic int64 bound (in-range
                    -- 19-digit values are KEPT on both sides)
-                   CAST(sum(CASE WHEN regexp_matches(raw, '^-?\d+$')
+                   CAST(sum(CASE WHEN regexp_matches(raw, '^-?\\d+$')
                                  THEN TRY_CAST(raw AS BIGINT) END)
                         AS BIGINT) AS sum_k,
                    count(*) AS n_events

@@ -677,17 +677,6 @@ def pairs_to_clusters(pairs: pd.DataFrame, *, id_a: str = "id_a",
     return out
 
 
-def simhash_dedup_keep(docs_ds, **kwargs) -> pd.DataFrame:
-    """SimHash near-dup clustering: pairs -> union-find -> keep frame."""
-    return pairs_to_clusters(simhash_dedup_pairs(docs_ds, **kwargs))
-
-
-def embedding_dedup_keep(emb_ds, **kwargs) -> pd.DataFrame:
-    """Embedding-cosine near-dup clustering: pairs -> union-find -> keep
-    frame (doc_id column carries the vector id)."""
-    return pairs_to_clusters(embedding_dedup_pairs(emb_ds, **kwargs))
-
-
 def minhash_dedup_keep(docs_ds, **kwargs) -> pd.DataFrame:
     """Cluster near-duplicates (union-find over verified pairs) and report
     (doc_id, cluster_id, keep) — keep = min doc_id per cluster.

@@ -60,7 +60,7 @@ class BloomFilter(Sketch):
             raise ValueError(f"num_hashes must be in [1, 64], got {num_hashes}")
         self.num_bits = num_bits
         self.num_hashes = num_hashes
-        self.hash_name = hash_name
+        self.hash_name = hashing.check_hash_name(hash_name)
         self.bits = np.zeros(num_bits, dtype=bool)
         self.count_additions = 0
 

@@ -38,7 +38,7 @@ class CountMinSketch(Sketch):
             raise ValueError(f"width must be a power of two >= 2, got {width}")
         self.depth = depth
         self.width = width
-        self.hash_name = hash_name
+        self.hash_name = hashing.check_hash_name(hash_name)
         self.counts = np.zeros((depth, width), dtype=np.uint64)
         self.total = 0
 

@@ -7,12 +7,26 @@ hashed to a 64-bit value which is the canonical datum
 The reference pins that Add(123) and Add(LE-bytes(123)) collide
 (CardinalityEstimatorTests.cs:750-770) — the byte encoding IS the identity.
 
-FNV-1a 64 is implemented bit-exactly (golden vectors from
-CardinalityEstimation.Test/Hash/Fnv1ATests.cs:35-41) and is this library's
-default hash: it vectorizes to a handful of numpy passes per batch for
-fixed-width elements. Murmur3 x64-128 (low 64 bits) is provided for parity
-(golden vectors Hash/Murmur3Tests.cs:35-41). splitmix64 is a fast non-reference
-mixer option for int64 streams.
+``HASH_FUNCTIONS`` registers five hash names, and each stays for one reason:
+
+- ``fnv1a_mix`` (default) is FNV-1a plus a splitmix64 finalizer; it stays as
+  the throughput default, since it vectorizes to a few numpy passes per batch
+  and the finalizer fixes FNV's weak top bits, which HLL indexes on.
+- ``fnv1a`` stays for reference parity: bit-exact with Hash/Fnv1A.cs (golden
+  vectors CardinalityEstimation.Test/Hash/Fnv1ATests.cs:35-41).
+- ``murmur3`` stays for reference parity: Murmur3 x64-128, low 64 bits, as in
+  Hash/Murmur3.cs (golden vectors Hash/Murmur3Tests.cs:35-41).
+- ``xxhash128`` stays because it is the reference's own default
+  (XxHash128 -> low64, CardinalityEstimator.cs:212-213); the bit-exact port in
+  ``xxh3.py`` lets sketches merge with blobs from the C# library.
+- ``polars`` stays as the string-path throughput backend that ``bench.py``
+  measures: polars' native string hash, stable only within one polars version,
+  so not for persisted identity. Its fixed-width input uses ``fnv1a_mix``.
+
+``splitmix64()`` is a mixer, not a registered hash name: ``fnv1a_mix``,
+count-min/Bloom double hashing, dedup and priority sampling call it directly.
+Sketch constructors call :func:`check_hash_name`, so an unknown name fails at
+construction or decode rather than at the first add.
 
 All vectorized kernels are pure numpy over uint64 with wrap-around semantics —
 no Python per-element loops.
@@ -30,6 +44,7 @@ U64 = np.uint64
 _FNV_OFFSET = U64(14695981039346656037)
 _FNV_PRIME = U64(1099511628211)
 _BYTE_MASK = U64(0xFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 DEFAULT_HASH = "fnv1a_mix"
 
@@ -187,10 +202,6 @@ def hash_arrow_binary(arr: pa.Array, hash_name: str = DEFAULT_HASH) -> np.ndarra
     data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
     starts = offsets[:-1].astype(np.int64)
     lengths = (offsets[1:] - offsets[:-1]).astype(np.int64)
-    if hash_name == "wordfnv_mix":
-        return splitmix64_inplace(wordfnv64_bytes_array(data, starts, lengths))
-    if hash_name == "xxhash64":
-        return xxh64_bytes_array(data, starts, lengths)
     if hash_name == "xxhash128":
         from .xxh3 import xxh128_dotnet_bytes_array
 
@@ -213,94 +224,7 @@ def hash_arrow_binary(arr: pa.Array, hash_name: str = DEFAULT_HASH) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# word-wise FNV variant — numpy-only fast path for variable-length strings
-
-_WORD_TAIL_MASKS = np.array(
-    [(1 << (8 * r)) - 1 for r in range(1, 8)] + [0xFFFFFFFFFFFFFFFF],
-    dtype=np.uint64)  # index = remaining_bytes - 1
-
-
-def wordfnv64(data: bytes) -> int:
-    """Scalar word-wise FNV variant: fold little-endian 8-byte words (tail
-    zero-padded), then mix the length so trailing NUL bytes stay distinct.
-    Identity = exact bytes. ~8x fewer operations per byte than FNV-1a; not
-    byte-compatible with it (a different registered hash name)."""
-    h = 14695981039346656037
-    for j in range(0, len(data), 8):
-        w = int.from_bytes(data[j:j + 8].ljust(8, b"\0"), "little")
-        h = ((h ^ w) * 0x100000001B3) & _MASK64
-    h = ((h ^ len(data)) * 0x100000001B3) & _MASK64
-    return h
-
-
-def wordfnv64_mix(data: bytes) -> int:
-    return splitmix64_scalar(wordfnv64(data))
-
-
-def wordfnv64_bytes_array(data: np.ndarray, starts: np.ndarray,
-                          lengths: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wordfnv64` over n byte strings.
-
-    Trick: a string starting at byte offset o has all its 8-byte words at
-    offsets o+8j, which share the phase p = o mod 8 — so one u64 view per
-    phase turns word access into single vectorized u64 gathers (8 bytes per
-    gather op instead of 1). O(total_bytes / 8) gathers total.
-    """
-    n = len(starts)
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    if n == 0:
-        return h
-    starts = starts.astype(np.int64, copy=False)
-    lengths = lengths.astype(np.int64, copy=False)
-    dpad = np.concatenate([data, np.zeros(16, dtype=np.uint8)])
-    views = []
-    for p in range(8):
-        usable = (len(dpad) - p) // 8 * 8
-        views.append(dpad[p:p + usable].view(np.uint64))
-    n_words = (lengths + 7) >> 3
-    phases = (starts & 7).astype(np.int64)
-    for p in range(8):
-        sel = np.flatnonzero(phases == p)
-        if len(sel) == 0:
-            continue
-        view = views[p]
-        # sort by descending word count so "still active at word j" is a
-        # PREFIX — the inner loop is then pure in-place prefix arithmetic
-        nw_sel = n_words[sel]
-        order = np.argsort(-nw_sel, kind="stable")
-        sel = sel[order]
-        nw = nw_sel[order]
-        widx = (starts[sel] - p) >> 3
-        lens = lengths[sel]
-        hh = np.full(len(sel), _FNV_OFFSET, dtype=np.uint64)
-        max_w = int(nw[0]) if len(nw) else 0
-        # active-count per full-word index j (strings with nw-1 > j)
-        counts_full = np.searchsorted(-nw, -(np.arange(1, max_w + 1) + 1),
-                                      side="right") if max_w else np.empty(0)
-        for j in range(max_w - 1 if max_w else 0):
-            c = int(counts_full[j])
-            if c == 0:
-                continue
-            w = view[widx[:c] + j]
-            np.bitwise_xor(hh[:c], w, out=hh[:c])
-            np.multiply(hh[:c], _FNV_PRIME, out=hh[:c])
-        # fold each string's LAST word (tail-masked) — order-correct because
-        # all preceding full words were already folded
-        has_word = nw > 0
-        if has_word.any():
-            last_idx = widx + nw - 1
-            w_last = view[np.where(has_word, last_idx, 0)]
-            rem = np.clip(lens - 8 * (nw - 1), 1, 8)
-            w_last &= _WORD_TAIL_MASKS[rem - 1]
-            nh = (hh ^ w_last) * _FNV_PRIME
-            hh = np.where(has_word, nh, hh)
-        hh = (hh ^ lens.astype(np.uint64)) * _FNV_PRIME
-        h[sel] = hh
-    return h
-
-
-# ---------------------------------------------------------------------------
-# splitmix64 — fast alternative mixer (Steele/Lea/Flood, public domain)
+# splitmix64 finalizer (Steele/Lea/Flood, public domain)
 
 _SM_GAMMA = U64(0x9E3779B97F4A7C15)
 _SM_M1 = U64(0xBF58476D1CE4E5B9)
@@ -352,8 +276,6 @@ def fnv1a64_mix(data: bytes) -> int:
 
 # ---------------------------------------------------------------------------
 # Murmur3 x64-128 (low 64 bits) — scalar, for reference parity tests
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _rotl64(x: int, r: int) -> int:
@@ -498,201 +420,6 @@ def encode_str(x: str) -> bytes:
     return x.encode("utf-8")
 
 
-# ---------------------------------------------------------------------------
-# XXH64 — fills the reference's default-hash role (the reference defaults to
-# XxHash128→low64, CardinalityEstimator.cs:212-213; no xxhash wheel exists in
-# this environment, so the classic XXH64 — same family, published spec —
-# is implemented bit-exactly instead and registered as "xxhash64". Golden
-# vectors below are the published reference values (xxHash spec / python-
-# xxhash docs). Hash choice is pluggable exactly as in the reference
-# (GetHashCodeDelegate, CardinalityEstimator.cs:39-46).
-
-_XP1 = U64(0x9E3779B185EBCA87)
-_XP2 = U64(0xC2B2AE3D27D4EB4F)
-_XP3 = U64(0x165667B19E3779F9)
-_XP4 = U64(0x85EBCA77C2B2AE63)
-_XP5 = U64(0x27D4EB2F165667C5)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _vrotl64(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << U64(r)) | (x >> U64(64 - r))
-
-
-def _xxh_avalanche(h: np.ndarray) -> np.ndarray:
-    h ^= h >> U64(33)
-    h *= _XP2
-    h ^= h >> U64(29)
-    h *= _XP3
-    h ^= h >> U64(32)
-    return h
-
-
-def xxh64(data: bytes, seed: int = 0) -> int:
-    """Scalar XXH64 (spec-exact; golden-vector-tested)."""
-
-    def rotl(x, r):
-        return ((x << r) | (x >> (64 - r))) & _MASK64
-
-    P1, P2, P3, P4, P5 = (int(_XP1), int(_XP2), int(_XP3), int(_XP4), int(_XP5))
-    n = len(data)
-    i = 0
-    if n >= 32:
-        acc = [(seed + P1 + P2) & _MASK64, (seed + P2) & _MASK64,
-               seed & _MASK64, (seed - P1) & _MASK64]
-        while i + 32 <= n:
-            for j in range(4):
-                lane = int.from_bytes(data[i + 8 * j:i + 8 * j + 8], "little")
-                acc[j] = (rotl((acc[j] + lane * P2) & _MASK64, 31) * P1) & _MASK64
-            i += 32
-        h = (rotl(acc[0], 1) + rotl(acc[1], 7)
-             + rotl(acc[2], 12) + rotl(acc[3], 18)) & _MASK64
-        for a in acc:
-            h = (((h ^ ((rotl((a * P2) & _MASK64, 31) * P1) & _MASK64))
-                  * P1) + P4) & _MASK64
-    else:
-        h = (seed + P5) & _MASK64
-    h = (h + n) & _MASK64
-    while i + 8 <= n:
-        lane = int.from_bytes(data[i:i + 8], "little")
-        h = (rotl(h ^ ((rotl((lane * P2) & _MASK64, 31) * P1) & _MASK64), 27)
-             * P1 + P4) & _MASK64
-        i += 8
-    if i + 4 <= n:
-        lane = int.from_bytes(data[i:i + 4], "little")
-        h = (rotl(h ^ ((lane * P1) & _MASK64), 23) * P2 + P3) & _MASK64
-        i += 4
-    while i < n:
-        h = (rotl(h ^ ((data[i] * P5) & _MASK64), 11) * P1) & _MASK64
-        i += 1
-    h ^= h >> 33
-    h = (h * int(_XP2)) & _MASK64
-    h ^= h >> 29
-    h = (h * int(_XP3)) & _MASK64
-    h ^= h >> 32
-    return h
-
-
-def _xxh_step8(h: np.ndarray, lane: np.ndarray) -> np.ndarray:
-    return _vrotl64(h ^ (_vrotl64(lane * _XP2, 31) * _XP1), 27) * _XP1 + _XP4
-
-
-def _xxh_step4(h: np.ndarray, lane32: np.ndarray) -> np.ndarray:
-    return _vrotl64(h ^ (lane32 * _XP1), 23) * _XP2 + _XP3
-
-
-def _xxh_step1(h: np.ndarray, byte: np.ndarray) -> np.ndarray:
-    return _vrotl64(h ^ (byte * _XP5), 11) * _XP1
-
-
-def xxh64_fixed(values: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized XXH64 of fixed-width (4/8-byte LE image) elements.
-
-    Bit-identical to ``xxh64(struct.pack('<I'/'<Q', v))`` — preserves the
-    reference's Add(123) == Add(LE bytes) identity rule under xxhash64.
-    Pure numpy: two rotate-multiply passes + avalanche per batch.
-    """
-    values = np.ascontiguousarray(values)
-    if values.dtype == np.float32:
-        values = values.view(np.uint32)
-    elif values.dtype == np.float64:
-        values = values.view(np.uint64)
-    width = values.dtype.itemsize
-    n = len(values)
-    h = np.full(n, (seed + int(_XP5) + width) & _MASK64, dtype=np.uint64)
-    if width == 4:
-        lane = values.astype(np.uint32, copy=False).astype(np.uint64)
-        h = _xxh_step4(h, lane)
-    elif width == 8:
-        lane = values.view(np.uint64).astype(np.uint64, copy=False)
-        h = _xxh_step8(h, lane)
-    else:
-        raise TypeError(f"unsupported dtype for xxh64_fixed: {values.dtype}")
-    return _xxh_avalanche(h)
-
-
-def _gather_u64(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Unaligned little-endian u64 loads at arbitrary byte positions."""
-    out = data[pos].astype(np.uint64)
-    for j in range(1, 8):
-        out |= data[pos + j].astype(np.uint64) << U64(8 * j)
-    return out
-
-
-def _gather_u32(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    out = data[pos].astype(np.uint64)
-    for j in range(1, 4):
-        out |= data[pos + j].astype(np.uint64) << U64(8 * j)
-    return out
-
-
-def xxh64_bytes_array(data: np.ndarray, starts: np.ndarray,
-                      lengths: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized XXH64 over n variable-length byte strings (all lengths).
-
-    Strings are processed in parallel position-wise: the 32-byte block loop
-    iterates max(n_blocks) rounds over a shrinking active set; the ≤31-byte
-    tail is three masked 8-byte steps + one 4-byte + three 1-byte steps.
-    Bit-identical to :func:`xxh64` on every element.
-    """
-    n = len(starts)
-    starts = starts.astype(np.int64, copy=False)
-    lengths = lengths.astype(np.int64, copy=False)
-    h = np.empty(n, dtype=np.uint64)
-    nblocks = lengths >> 5
-    big = np.flatnonzero(nblocks > 0)
-    if len(big):
-        m = len(big)
-        acc = [np.full(m, (seed + int(_XP1) + int(_XP2)) & _MASK64, dtype=np.uint64),
-               np.full(m, (seed + int(_XP2)) & _MASK64, dtype=np.uint64),
-               np.full(m, seed & _MASK64, dtype=np.uint64),
-               np.full(m, (seed - int(_XP1)) & _MASK64, dtype=np.uint64)]
-        pos = starts[big].copy()
-        remaining = nblocks[big].copy()
-        act = np.arange(m)
-        while len(act):
-            p = pos[act]
-            for j in range(4):
-                lane = _gather_u64(data, p + 8 * j)
-                acc[j][act] = _vrotl64(acc[j][act] + lane * _XP2, 31) * _XP1
-            pos[act] += 32
-            remaining[act] -= 1
-            act = act[remaining[act] > 0]
-        hh = (_vrotl64(acc[0], 1) + _vrotl64(acc[1], 7)
-              + _vrotl64(acc[2], 12) + _vrotl64(acc[3], 18))
-        for a in acc:
-            hh = (hh ^ (_vrotl64(a * _XP2, 31) * _XP1)) * _XP1 + _XP4
-        h[big] = hh
-    small = nblocks == 0
-    h[small] = U64((seed + int(_XP5)) & _MASK64)
-    h += lengths.astype(np.uint64)
-    tail_start = starts + (nblocks << 5)
-    tail_len = lengths & 31
-    # up to three 8-byte tail steps
-    n8 = tail_len >> 3
-    for k in range(3):
-        i = np.flatnonzero(n8 > k)
-        if len(i) == 0:
-            break
-        lane = _gather_u64(data, tail_start[i] + 8 * k)
-        h[i] = _xxh_step8(h[i], lane)
-    # one optional 4-byte step
-    pos4 = tail_start + (n8 << 3)
-    has4 = (tail_len & 7) >= 4
-    i = np.flatnonzero(has4)
-    if len(i):
-        h[i] = _xxh_step4(h[i], _gather_u32(data, pos4[i]))
-    # up to three 1-byte steps
-    posb = pos4 + (has4.astype(np.int64) << 2)
-    rem = tail_len & 3
-    for t in range(3):
-        i = np.flatnonzero(rem > t)
-        if len(i) == 0:
-            break
-        h[i] = _xxh_step1(h[i], data[posb[i] + t].astype(np.uint64))
-    return _xxh_avalanche(h)
-
-
 def encode_element(x) -> bytes:
     """Normalize a scalar element to its identity bytes (reference rules).
 
@@ -732,25 +459,6 @@ def encode_element(x) -> bytes:
     raise TypeError(f"unsupported element type: {type(x)}")
 
 
-
-def wordfnv64_fixed(values: np.ndarray) -> np.ndarray:
-    """Vectorized wordfnv over fixed-width 4/8-byte values: the byte image
-    is a single (zero-padded) little-endian word, folded then length-mixed —
-    bit-identical to the scalar :func:`wordfnv64` on the same bytes."""
-    values = np.ascontiguousarray(values)
-    width = values.dtype.itemsize
-    if width == 4:
-        w = values.view(np.uint32).astype(np.uint64)
-    elif width == 8:
-        w = values.view(np.uint64)
-    else:
-        raise TypeError(
-            f"unsupported dtype for wordfnv64_fixed: {values.dtype}")
-    h = (_FNV_OFFSET ^ w) * _FNV_PRIME
-    return (h ^ U64(width)) * _FNV_PRIME
-
-
-
 def _xxh128_dotnet_scalar(data: bytes) -> int:
     from .xxh3 import xxh128_dotnet
 
@@ -761,23 +469,30 @@ def _polars_scalar_unsupported(data: bytes) -> int:
     raise ValueError(
         "the 'polars' hash backend is a batch string-path accelerator "
         "(hash_arrow_binary); it has no scalar byte-image rule — use "
-        "add_arrow/add_values, or pick fnv1a_mix/xxhash64 for scalar adds")
+        "add_arrow/add_values, or pick fnv1a_mix (the default) for scalar "
+        "adds")
 
 
 HASH_FUNCTIONS = {
     "fnv1a": fnv1a64,
     "fnv1a_mix": fnv1a64_mix,
-    "wordfnv_mix": wordfnv64_mix,
     "murmur3": murmur3_128_x64_low64,
-    "xxhash64": xxh64,
     # the reference DEFAULT: BitConverter.ToUInt64(XxHash128.Hash(x))
     # (CardinalityEstimator.cs:212-213) — bit-exact numpy port in xxh3.py
     "xxhash128": _xxh128_dotnet_scalar,
-    "splitmix64": lambda data: splitmix64_scalar(int.from_bytes(data[:8].ljust(8, b"\0"), "little")),
     # registered so a configured-but-unsupported path raises an actionable
     # error instead of a bare KeyError mid-pipeline (round-3 review fix)
     "polars": _polars_scalar_unsupported,
 }
+
+
+def check_hash_name(hash_name: str) -> str:
+    """Return ``hash_name`` if it is registered, else raise ``ValueError``
+    naming the supported hashes."""
+    if hash_name not in HASH_FUNCTIONS:
+        raise ValueError(f"unknown hash {hash_name!r}; supported hashes: "
+                         f"{', '.join(sorted(HASH_FUNCTIONS))}")
+    return hash_name
 
 
 def hash_scalar(data: bytes, hash_name: str = DEFAULT_HASH) -> int:
@@ -787,9 +502,10 @@ def hash_scalar(data: bytes, hash_name: str = DEFAULT_HASH) -> int:
 def hash_fixed_batch(values: np.ndarray, hash_name: str = DEFAULT_HASH) -> np.ndarray:
     """Vectorized hash of a fixed-width numeric array under `hash_name`.
 
-    fnv1a_mix (default) preserves the reference's byte-identity rule with a
-    well-avalanched finalizer; splitmix64 is a faster mixer whose identity
-    rule is the 64-bit integer value itself.
+    Every hash reads each element's little-endian byte image, so a batch
+    agrees with :func:`hash_scalar` of :func:`encode_element` of the same
+    typed value; ``polars`` has no numeric kernel of its own and uses
+    ``fnv1a_mix``'s.
     """
     values = np.ascontiguousarray(values)
     dt = values.dtype
@@ -804,19 +520,12 @@ def hash_fixed_batch(values: np.ndarray, hash_name: str = DEFAULT_HASH) -> np.nd
         values = values.astype(np.float32)
     if hash_name == "fnv1a":
         return fnv1a64_fixed(values)
-    if hash_name == "fnv1a_mix":
+    if hash_name in ("fnv1a_mix", "polars"):
         return splitmix64_inplace(fnv1a64_fixed(values))
-    if hash_name == "xxhash64":
-        return xxh64_fixed(values)
-    if hash_name == "wordfnv_mix":
-        return splitmix64_inplace(wordfnv64_fixed(values))
     if hash_name == "xxhash128":
         from .xxh3 import xxh128_dotnet_fixed
 
         return xxh128_dotnet_fixed(values)
-    if hash_name in ("splitmix64", "polars"):
-        # "polars" numeric identity rule: the 64-bit integer value (fast mixer)
-        return splitmix64(values.astype(np.uint64, copy=False))
     if hash_name == "murmur3":
         return murmur3_128_x64_low64_fixed(values)
     raise ValueError(f"unknown hash function: {hash_name}")

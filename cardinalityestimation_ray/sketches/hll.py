@@ -87,7 +87,7 @@ class HyperLogLog(Sketch):
         self.alpha_m = get_alpha_m(self.m)
         self.threshold = get_sub_algorithm_selection_threshold(b)
         self.sparse_max = sparse_max_elements(self.m)
-        self.hash_name = hash_name
+        self.hash_name = hashing.check_hash_name(hash_name)
         self.direct: set[int] | None = set() if use_direct_counting else None
         self.is_sparse = True
         self.sparse: dict[int, int] | None = {}
@@ -589,7 +589,7 @@ class HyperLogLog(Sketch):
         out.alpha_m = get_alpha_m(out.m)
         out.threshold = get_sub_algorithm_selection_threshold(b)
         out.sparse_max = sparse_max_elements(out.m)
-        out.hash_name = hash_name
+        out.hash_name = hashing.check_hash_name(hash_name)
         out.count_additions = count_additions
         out._scratch = None
         out.direct = set(direct) if direct is not None else None

@@ -53,7 +53,7 @@ class ThetaSketch(Sketch):
         # stored as 0 sentinel is ambiguous so keep python int
         self.theta64: int = 1 << 64
         self.retained = np.empty(0, dtype=np.uint64)
-        self.hash_name = hash_name
+        self.hash_name = hashing.check_hash_name(hash_name)
 
     # ------------------------------------------------------------------
 

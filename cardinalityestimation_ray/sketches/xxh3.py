@@ -313,11 +313,19 @@ _VPMX_1 = U64(_PMX_1)
 _VP32_2M1 = U64(_P32_2 - 1)
 
 
-# one copy of the unaligned-LE gather kernels (hashing.py owns them;
-# hashing imports this module only lazily inside function bodies, so the
-# top-level import is cycle-free)
-from .hashing import _gather_u32 as _vgather32  # noqa: E402
-from .hashing import _gather_u64 as _vgather64  # noqa: E402
+def _vgather64(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Unaligned little-endian u64 loads at arbitrary byte positions."""
+    out = data[pos].astype(np.uint64)
+    for j in range(1, 8):
+        out |= data[pos + j].astype(np.uint64) << U64(8 * j)
+    return out
+
+
+def _vgather32(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    out = data[pos].astype(np.uint64)
+    for j in range(1, 4):
+        out |= data[pos + j].astype(np.uint64) << U64(8 * j)
+    return out
 
 
 def _v_mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:

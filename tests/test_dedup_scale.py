@@ -316,7 +316,7 @@ def test_pairs_to_clusters_generic_and_mode_wrappers(ray_session):
 
     from cardinalityestimation_ray.pipelines.dedup import (
         pairs_to_clusters,
-        simhash_dedup_keep,
+        simhash_dedup_pairs,
     )
 
     # generic: custom pair frame with two clusters
@@ -329,7 +329,7 @@ def test_pairs_to_clusters_generic_and_mode_wrappers(ray_session):
     empty = pairs_to_clusters(pd.DataFrame({"id_a": [], "id_b": []}))
     assert len(empty) == 0
 
-    # simhash wrapper end-to-end on planted exact dups
+    # simhash pairs end-to-end on planted exact dups
     rng = np.random.default_rng(3)
     vocab = [f"word{i}" for i in range(300)]
     docs = [" ".join(rng.choice(vocab, size=50)) for _ in range(60)]
@@ -338,7 +338,7 @@ def test_pairs_to_clusters_generic_and_mode_wrappers(ray_session):
         docs.append(docs[j]); ids.append(100 + j)
     ds = ray.data.from_pandas(
         pd.DataFrame({"doc_id": ids, "text": docs})).repartition(4)
-    keep = simhash_dedup_keep(ds, max_hamming=3)
+    keep = pairs_to_clusters(simhash_dedup_pairs(ds, max_hamming=3))
     dup = keep[keep["doc_id"] >= 100]
     assert len(dup) == 4
     assert (~dup["keep"]).all()

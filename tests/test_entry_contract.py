@@ -272,3 +272,21 @@ def test_dedup_pair_guards_check_real_group_size(entry_mod, tmp_path, query):
     with pytest.raises(ValueError,
                        match=r"class 7 of .* holds 102 docs"):
         getattr(entry_mod, query)(str(tmp_path))
+
+
+def test_sources_compile_without_escape_warnings():
+    """Every source file compiles with SyntaxWarning/DeprecationWarning as
+    errors, so an invalid escape such as '\\d' in a non-raw string (which
+    newer Pythons reject) cannot slip into the SQL oracles or the package."""
+    import warnings
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    files = [root / "__ray_entry__.py",
+             *sorted((root / "cardinalityestimation_ray").rglob("*.py"))]
+    assert len(files) > 10
+    for path in files:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            compile(path.read_text(), str(path), "exec")

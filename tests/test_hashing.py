@@ -119,22 +119,6 @@ def test_polars_hash_backend():
     assert abs(merged.estimate() / 5000 - 1) < 10 * single.std_error
 
 
-def test_wordfnv_vectorized_matches_scalar():
-    """wordfnv_mix (word-wise numpy fast path): vectorized == scalar on edge
-    cases (empty, exact word multiples, tail bytes, trailing NULs, unicode)."""
-    strings = ["", "a", "12345678", "123456789", "x" * 70, "abc\0", "abc",
-               "héllo wörld", "q" * 8, "q" * 16, "q" * 17]
-    arr = pa.array(strings)
-    vec = hashing.hash_arrow_binary(arr, "wordfnv_mix")
-    for s, h in zip(strings, vec):
-        assert hashing.wordfnv64_mix(s.encode()) == int(h), repr(s)
-    # trailing NUL must stay distinct (length is mixed in)
-    assert vec[5] != vec[6]
-    # sliced (offset) arrays hash identically
-    assert list(hashing.hash_arrow_binary(arr.slice(2, 4), "wordfnv_mix")) == \
-        list(vec[2:6])
-
-
 class TestNullSemantics:
     """Nulls in Arrow columns are skipped by every sketch ingest path
     (SQL COUNT(DISTINCT) semantics) — ADVICE round-1 fix."""
@@ -186,90 +170,6 @@ class TestNullSemantics:
         assert h.count_additions == 3
 
 
-class TestXXH64:
-    """XXH64 fills the reference's default-hash role
-    (CardinalityEstimator.cs:212-213 defaults to the xxHash family; hash is
-    pluggable per GetHashCodeDelegate). Golden vectors are the published
-    XXH64 reference values."""
-
-    GOLDEN = [
-        (b"", 0, 0xEF46DB3751D8E999),
-        (b"a", 0, 0xD24EC4F1A98C6E5B),
-        (b"abc", 0, 0x44BC2CF5AD770999),
-        (b"xxhash", 20141025, 13067679811253438005),
-        (b"Nobody inspects the spammish repetition", 0, 0xFBCEA83C8A378BF1),
-    ]
-
-    def test_golden_vectors(self):
-        from cardinalityestimation_ray.sketches.hashing import xxh64
-
-        for data, seed, want in self.GOLDEN:
-            assert xxh64(data, seed) == want, data
-
-    def test_vectorized_bytes_equals_scalar_all_lengths(self):
-        import numpy as np
-
-        from cardinalityestimation_ray.sketches.hashing import (
-            xxh64, xxh64_bytes_array)
-
-        rng = np.random.default_rng(3)
-        blobs = [bytes(rng.integers(0, 256, size=ln, dtype=np.uint8))
-                 for ln in list(range(0, 40)) + [63, 64, 65, 100, 200, 1000]]
-        data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        lengths = np.array([len(b) for b in blobs], dtype=np.int64)
-        starts = np.r_[0, np.cumsum(lengths)[:-1]]
-        vec = xxh64_bytes_array(data, starts, lengths)
-        for i, b in enumerate(blobs):
-            assert int(vec[i]) == xxh64(b), (i, len(b))
-
-    def test_fixed_width_byte_identity(self):
-        """Add(123) == Add(LE bytes of 123) under xxhash64 — the reference's
-        element-identity invariant (CardinalityEstimatorTests.cs:750-770)."""
-        import struct
-
-        import numpy as np
-
-        from cardinalityestimation_ray.sketches.hashing import (
-            xxh64, xxh64_fixed)
-
-        vals32 = np.array([0, 1, 123, -1, 2**31 - 1], dtype=np.int32)
-        out32 = xxh64_fixed(vals32)
-        for i, v in enumerate(vals32):
-            assert int(out32[i]) == xxh64(struct.pack("<i", int(v)))
-
-        vals64 = np.array([0, 123, -5, 2**63 - 1], dtype=np.int64)
-        out64 = xxh64_fixed(vals64)
-        for i, v in enumerate(vals64):
-            assert int(out64[i]) == xxh64(struct.pack("<q", int(v)))
-
-        f64 = np.array([0.0, 1.5, -2.25], dtype=np.float64)
-        outf = xxh64_fixed(f64)
-        for i, v in enumerate(f64):
-            assert int(outf[i]) == xxh64(struct.pack("<d", float(v)))
-
-    def test_registered_in_dispatch(self):
-        import pyarrow as pa
-
-        import numpy as np
-
-        from cardinalityestimation_ray.sketches import hashing
-        from cardinalityestimation_ray.sketches.hll import HyperLogLog
-
-        assert hashing.hash_scalar(b"abc", "xxhash64") == 0x44BC2CF5AD770999
-        arr = pa.array(["abc", "", "a"])
-        out = hashing.hash_arrow_binary(arr, "xxhash64")
-        assert int(out[0]) == 0x44BC2CF5AD770999
-        assert int(out[1]) == 0xEF46DB3751D8E999
-
-        # end-to-end: HLL under xxhash64, exact regime + estimate regime
-        h = HyperLogLog(b=14, hash_name="xxhash64")
-        h.add_values(np.arange(50, dtype=np.int64))
-        assert h.estimate() == 50
-        h2 = HyperLogLog(b=14, hash_name="xxhash64")
-        h2.add_values(np.arange(200_000, dtype=np.int64))
-        assert abs(h2.estimate() / 200_000 - 1) < 3 * 1.04 / 2**7
-
-
 def test_murmur3_fixed_vectorized_bit_exact():
     """Vectorized murmur3 fixed-width path == scalar reference-parity
     implementation on every supported dtype's byte image."""
@@ -292,3 +192,64 @@ def test_murmur3_fixed_vectorized_bit_exact():
     out = hash_fixed_batch(vals64, "murmur3")
     for i, v in enumerate(vals64):
         assert int(out[i]) == murmur3_128_x64_low64(struct.pack("<q", int(v)))
+
+
+def test_registry_holds_default_reference_parity_and_polars():
+    assert set(hashing.HASH_FUNCTIONS) == {
+        "fnv1a_mix", "fnv1a", "murmur3", "xxhash128", "polars"}
+
+
+@pytest.mark.parametrize("name", sorted(hashing.HASH_FUNCTIONS))
+def test_distinct_floats_stay_distinct(name):
+    """Every hash, ``polars`` included, reads a float's byte image: a rule
+    that cast the value to uint64 collapsed these five floats to 2."""
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+
+    h = HyperLogLog(b=14, hash_name=name)
+    h.add_values(np.array([1.0, 1.5, 1.9, -0.5, 0.2]))
+    assert h.estimate() == 5
+
+
+_SUPPORTED = "supported hashes: fnv1a, fnv1a_mix, murmur3, polars, xxhash128"
+
+
+@pytest.mark.parametrize("make", ["hll", "hll_from_state", "countmin",
+                                  "bloom", "theta"])
+def test_constructors_reject_unknown_hash(make):
+    from cardinalityestimation_ray.sketches import (
+        BloomFilter, CountMinSketch, HyperLogLog, ThetaSketch)
+
+    build = {
+        "hll": lambda h: HyperLogLog(hash_name=h),
+        "hll_from_state": lambda h: HyperLogLog.from_state(
+            b=14, direct=set(), is_sparse=True, sparse={}, dense=None,
+            count_additions=0, hash_name=h),
+        "countmin": lambda h: CountMinSketch(hash_name=h),
+        "bloom": lambda h: BloomFilter(hash_name=h),
+        "theta": lambda h: ThetaSketch(hash_name=h),
+    }[make]
+    with pytest.raises(ValueError, match=_SUPPORTED):
+        build("xxhash64")
+
+
+@pytest.mark.parametrize("kind", ["bloom", "countmin", "theta"])
+def test_from_bytes_rejects_blob_naming_unknown_hash(kind):
+    """A BLM2/CMS2/THE2 blob embeds its hash name as a length byte plus the
+    name; one naming a retired hash fails at decode, not at its first add."""
+    from cardinalityestimation_ray.sketches import (
+        BloomFilter, CountMinSketch, ThetaSketch)
+
+    cls, sk = {
+        "bloom": (BloomFilter, BloomFilter(num_bits=1 << 10, num_hashes=3,
+                                           hash_name="murmur3")),
+        "countmin": (CountMinSketch, CountMinSketch(depth=2, width=1 << 6,
+                                                    hash_name="murmur3")),
+        "theta": (ThetaSketch, ThetaSketch(k=64, hash_name="murmur3")),
+    }[kind]
+    sk.add_values(np.arange(100, dtype=np.int64))
+    blob = sk.to_bytes()
+    assert cls.from_bytes(blob).hash_name == "murmur3"
+    renamed = blob.replace(b"\x07murmur3", b"\x08xxhash64", 1)
+    assert renamed != blob
+    with pytest.raises(ValueError, match=_SUPPORTED):
+        cls.from_bytes(renamed)

@@ -130,7 +130,7 @@ def test_merge_incompatible_b_raises():
 
 def test_merge_incompatible_hash_raises():
     a = HyperLogLog(b=12, hash_name="fnv1a")
-    b = HyperLogLog(b=12, hash_name="splitmix64")
+    b = HyperLogLog(b=12, hash_name="murmur3")
     with pytest.raises(ValueError):
         a.merge(b)
 

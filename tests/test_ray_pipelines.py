@@ -1422,7 +1422,7 @@ def test_bloom_semi_join_cross_width_and_custom_hash(_ray):
     )
     from cardinalityestimation_ray.sketches.bloom import BloomFilter
 
-    bf = BloomFilter(num_bits=1 << 16, num_hashes=5, hash_name="xxhash64")
+    bf = BloomFilter(num_bits=1 << 16, num_hashes=5, hash_name="murmur3")
     bf.add_values(np.arange(0, 50, dtype=np.int32))  # int32 build side
     ref = ray.put(bf.to_bytes())
     tbl = pa.table({"k": pa.array([1, 2, 40, 999, 12345], type=pa.int64())})
@@ -1464,9 +1464,9 @@ def test_incremental_update_custom_hash_roundtrip(tmp_path, _ray):
     df1 = pd.DataFrame({"source": ["a", "b"], "tokens": [[1, 2], [3]]})
     df2 = pd.DataFrame({"source": ["a"], "tokens": [[2, 4]]})
     incremental_distinct_update(path, ray.data.from_pandas(df1),
-                                hash_name="xxhash64")
+                                hash_name="xxhash128")
     out = incremental_distinct_update(path, ray.data.from_pandas(df2),
-                                      hash_name="xxhash64")
+                                      hash_name="xxhash128")
     got = dict(zip(out["source"], out["distinct_tokens"]))
     assert got == {"a": 3, "b": 1}  # {1,2,4} and {3}
 

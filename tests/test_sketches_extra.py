@@ -142,19 +142,19 @@ def test_bloom_scalar_api():
 def test_bloom_wire_preserves_hash_name():
     """Round-4 review fix: the BLM1 wire format dropped hash_name, so a
     custom-hash filter rebuilt from its own blob rejected every one of its
-    own keys (reproduced 0/100 self-membership under xxhash64)."""
+    own keys (reproduced 0/100 self-membership under a non-default hash)."""
     keys = np.arange(1000, dtype=np.int64)
-    bf = BloomFilter(num_bits=1 << 14, num_hashes=5, hash_name="xxhash64")
+    bf = BloomFilter(num_bits=1 << 14, num_hashes=5, hash_name="murmur3")
     bf.add_values(keys)
     rt = BloomFilter.from_bytes(bf.to_bytes())
-    assert rt.hash_name == "xxhash64"
+    assert rt.hash_name == "murmur3"
     assert rt == bf
     assert rt.contains_values(keys).all()  # zero false negatives survive wire
     # explicit mismatched rebuild hash is a loud error, not a silent mistag
     with pytest.raises(ValueError, match="built under hash"):
         BloomFilter.from_bytes(bf.to_bytes(), hash_name="fnv1a_mix")
     # matching explicit hash is fine
-    assert BloomFilter.from_bytes(bf.to_bytes(), hash_name="xxhash64") == bf
+    assert BloomFilter.from_bytes(bf.to_bytes(), hash_name="murmur3") == bf
 
 
 def test_bloom_legacy_blm1_blob_readable():
@@ -167,13 +167,13 @@ def test_bloom_legacy_blm1_blob_readable():
               + np.packbits(bf.bits, bitorder="little").tobytes())
     rt = BloomFilter.from_bytes(legacy)
     assert rt == bf  # BLM1 carries no hash field -> default hash assumed
-    rt2 = BloomFilter.from_bytes(legacy, hash_name="xxhash64")
-    assert rt2.hash_name == "xxhash64"
+    rt2 = BloomFilter.from_bytes(legacy, hash_name="murmur3")
+    assert rt2.hash_name == "murmur3"
 
 
 def test_bloom_eq_is_hash_sensitive():
     a = BloomFilter(num_bits=1 << 10, num_hashes=3, hash_name="fnv1a_mix")
-    b = BloomFilter(num_bits=1 << 10, num_hashes=3, hash_name="xxhash64")
+    b = BloomFilter(num_bits=1 << 10, num_hashes=3, hash_name="murmur3")
     assert a != b  # merge() treats them as incompatible; __eq__ must agree
     assert a == BloomFilter(num_bits=1 << 10, num_hashes=3)
 
@@ -198,10 +198,10 @@ def test_countmin_wire_preserves_hash_name():
     """Same bug class as the Bloom BLM1 fix: a custom-hash CMS rebuilt from
     its own blob under the default hash queried the wrong counters."""
     vals = np.arange(2000, dtype=np.int64) % 37
-    cms = CountMinSketch(depth=4, width=1 << 10, hash_name="xxhash64")
+    cms = CountMinSketch(depth=4, width=1 << 10, hash_name="murmur3")
     cms.add_values(vals)
     rt = CountMinSketch.from_bytes(cms.to_bytes())
-    assert rt.hash_name == "xxhash64"
+    assert rt.hash_name == "murmur3"
     assert rt == cms
     probe = np.arange(37, dtype=np.int64)
     assert (rt.query_values(probe) == cms.query_values(probe)).all()
@@ -220,7 +220,7 @@ def test_countmin_legacy_cms1_blob_readable():
     rt = CountMinSketch.from_bytes(legacy)
     assert rt == cms  # CMS1 carries no hash field -> default hash assumed
     assert CountMinSketch.from_bytes(
-        legacy, hash_name="xxhash64").hash_name == "xxhash64"
+        legacy, hash_name="murmur3").hash_name == "murmur3"
     # truncation inside the new header layout still raises loudly
     with pytest.raises(ValueError):
         CountMinSketch.from_bytes(cms.to_bytes()[:-5])
@@ -625,12 +625,6 @@ def test_hashing_registry_and_narrow_dtypes():
 
     from cardinalityestimation_ray.sketches import hashing
 
-    # wordfnv_mix now works on fixed-width numerics, matching the scalar
-    import struct
-    got = hashing.hash_fixed_batch(np.array([123], dtype=np.int32),
-                                   "wordfnv_mix")
-    exp = hashing.wordfnv64_mix(struct.pack("<i", 123))
-    assert int(got[0]) == exp
     # polars scalar path raises an actionable error, not a bare KeyError
     with pytest.raises(ValueError, match="polars"):
         hashing.hash_scalar(b"x", "polars")
@@ -875,7 +869,7 @@ def test_hll_eq_compares_hash_name():
     relabel (custom hash -> default on from_bytes) is now visible to ==."""
     from cardinalityestimation_ray.sketches import HyperLogLog
 
-    a = HyperLogLog(b=14, hash_name="xxhash64")
+    a = HyperLogLog(b=14, hash_name="xxhash128")
     a.add("x")
     rb = HyperLogLog.from_bytes(a.to_bytes())
     assert rb != a  # relabeled to the default hash

@@ -147,14 +147,14 @@ class TestHashTagging:
     set-expression helpers enforce compatibility like merge() does."""
 
     def test_wire_roundtrip_preserves_custom_hash(self):
-        s = ThetaSketch(k=64, hash_name="xxhash64")
+        s = ThetaSketch(k=64, hash_name="xxhash128")
         s.add_values(np.arange(500, dtype=np.int64))
         back = ThetaSketch.from_bytes(s.to_bytes())
-        assert back.hash_name == "xxhash64"
+        assert back.hash_name == "xxhash128"
         assert np.array_equal(back.retained, s.retained)
 
     def test_wire_rejects_conflicting_hash_request(self):
-        s = ThetaSketch(k=64, hash_name="xxhash64")
+        s = ThetaSketch(k=64, hash_name="xxhash128")
         s.add_values(np.arange(50, dtype=np.int64))
         with pytest.raises(ValueError, match="built under hash"):
             ThetaSketch.from_bytes(s.to_bytes(), hash_name="fnv1a_mix")
@@ -168,8 +168,8 @@ class TestHashTagging:
                                 0 if s.theta64 >= (1 << 64) else s.theta64,
                                 len(s.retained))
                   + s.retained.tobytes())
-        back = ThetaSketch.from_bytes(legacy, hash_name="xxhash64")
-        assert back.hash_name == "xxhash64"
+        back = ThetaSketch.from_bytes(legacy, hash_name="xxhash128")
+        assert back.hash_name == "xxhash128"
         assert np.array_equal(back.retained, s.retained)
         # default: library default hash
         assert ThetaSketch.from_bytes(legacy).hash_name == "fnv1a_mix"
@@ -189,7 +189,7 @@ class TestHashTagging:
                                     "jaccard_estimate"])
     def test_set_ops_reject_mismatched_sketches(self, op):
         a = ThetaSketch(k=64, hash_name="fnv1a_mix")
-        b_hash = ThetaSketch(k=64, hash_name="xxhash64")
+        b_hash = ThetaSketch(k=64, hash_name="xxhash128")
         b_k = ThetaSketch(k=128, hash_name="fnv1a_mix")
         for s in (a, b_hash, b_k):
             s.add_values(np.arange(100, dtype=np.int64))
