@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+from cardinalityestimation_ray.sources.io import typed_frame
+
 # DuckDB's regexp_split_to_array + list_filter mirror of the tokenizer in
 # cardinalityestimation_ray/sources/corpus.py:tokenize_documents_batch
 _TOK = r"list_filter(regexp_split_to_array(text, '\s+'), x -> x <> '')"
@@ -78,24 +80,6 @@ def _assert_identical_groups(sf_dir: str, modulus: int, what: str,
             f"class within identical_cap={identical_cap}, but class "
             f"{largest} of {sf_dir} holds {counts[largest]} docs; use a "
             f"larger modulus or a smaller scale factor")
-
-def _typed(df_or_ds, schema: dict):
-    """to_pandas with a TYPED empty fallback: Ray returns a COLUMN-LESS
-    frame for an empty dataset (zero blocks -> schema lost), so every
-    downstream ``df[col]`` raises KeyError and an empty engine result
-    can't schema-match its (typed) SQL oracle. ``schema`` maps column ->
-    pandas dtype string; non-empty frames pass through untouched, so the
-    real data path is byte-identical (round-4 empty-input hardening).
-    """
-    import pandas as pd
-
-    df = (df_or_ds if isinstance(df_or_ds, pd.DataFrame)
-          else df_or_ds.to_pandas())
-    if len(df) == 0:
-        return pd.DataFrame({c: pd.Series([], dtype=t)
-                             for c, t in schema.items()})
-    return df
-
 
 def _drop_null_key_batch(column: str):
     """Batch filter dropping null-key rows before a Ray ``groupby`` —
@@ -193,16 +177,13 @@ def _q_distinct_docs_error_bounds(sf_dir: str):
 
     exact = docs.map_batches(block_pairs, batch_format="pyarrow") \
         .groupby("source").map_groups(group_count, batch_format="pandas")
-    exact_df = _typed(exact, {"source": "object", "exact_docs": "int64"})
+    exact_df = typed_frame(exact, {"source": "object", "exact_docs": "int64"})
 
     # both sides count only sources with a non-null doc_id (the estimate
     # also keeps all-null groups, at n_docs = 0); a source on only one side
     # is a failure, so the merge is outer and such a row is not within bound
     est = est[est["n_docs"] > 0]
     merged = est.merge(exact_df, on="source", how="outer")
-    if len(merged) == 0:
-        return pd.DataFrame({"source": pd.Series([], dtype="object"),
-                             "within_bound": pd.Series([], dtype="bool")})
     rel_bound = 3 * 1.04 / np.sqrt(2.0 ** 14)
     err = (merged["distinct_docs"] - merged["exact_docs"]).abs()
     both = merged["distinct_docs"].notna() & merged["exact_docs"].notna()
@@ -257,10 +238,9 @@ def _q_cms_token_frequencies(sf_dir: str):
 
     width = 1 << 16  # the production default, restated for the bound
     top = token_topk_exact(_tokens(sf_dir), k=5)
-    if len(top) == 0:
-        return pd.DataFrame({"cnt": pd.Series([], dtype="int64"),
-                             "lower_ok": pd.Series([], dtype="bool"),
-                             "upper_ok": pd.Series([], dtype="bool")})
+    if len(top) == 0:  # no probes: skip the count-min pass
+        return typed_frame(None, {"cnt": "int64", "lower_ok": "bool",
+                                  "upper_ok": "bool"})
     est = token_frequencies_cms(_tokens(sf_dir), top["token"].values,
                                 width=width)
     merged = top.merge(est, on="token")
@@ -372,7 +352,7 @@ def _q_ntok_quantile_rank_errors(sf_dir: str):
 
         agg = _tokens(sf_dir).map_batches(
             partial, batch_format="pyarrow").to_pandas()
-        if "le" not in agg.columns:  # empty corpus: bound holds vacuously
+        if len(agg) == 0:  # empty corpus: bound holds vacuously
             for q in qs:
                 rows.append((kind, float(q), True))
             continue
@@ -492,9 +472,9 @@ def _q_asof_last_click(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_type"]).map_batches(
             only_clicks, batch_format="pyarrow")
-    out = _typed(asof_join(ev, clicks, by="user_id", on="ts",
-                           right_columns=["ts"], strict=True),
-                 {"event_id": "int64", "ts_r": "datetime64[us]"})
+    out = typed_frame(asof_join(ev, clicks, by="user_id", on="ts",
+                                right_columns=["ts"], strict=True),
+                      {"event_id": "int64", "ts_r": "datetime64[us]"})
     out = out[["event_id", "ts_r"]].rename(columns={"ts_r": "click_ts"})
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -539,10 +519,10 @@ def _q_interval_join_click_days(sf_dir: str):
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "ts", "user_id"])
-    out = _typed(interval_join(ev, windows, by="user_id", on="ts",
-                               lo="lo", hi="hi",
-                               right_columns=["lo", "hi"]),
-                 {"event_id": "int64", "lo": "datetime64[us]"})
+    out = typed_frame(interval_join(ev, windows, by="user_id", on="ts",
+                                    lo="lo", hi="hi",
+                                    right_columns=["lo", "hi"]),
+                      {"event_id": "int64", "lo": "datetime64[us]"})
     out = out[["event_id", "lo"]].rename(columns={"lo": "click_day"})
     return out.sort_values("event_id").reset_index(drop=True)
 
@@ -559,9 +539,9 @@ def _q_customer_nation_names(sf_dir: str):
                                  columns=["c_custkey", "c_nationkey"])
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
-    out = _typed(broadcast_join(cust, nation, "c_nationkey",
-                                right_key="n_nationkey"),
-                 {"c_custkey": "int64", "n_name": "object"})
+    out = typed_frame(broadcast_join(cust, nation, "c_nationkey",
+                                     right_key="n_nationkey"),
+                      {"c_custkey": "int64", "n_name": "object"})
     return (out[["c_custkey", "n_name"]]
             .sort_values("c_custkey").reset_index(drop=True))
 
@@ -576,10 +556,10 @@ def _q_top_orders_per_customer(sf_dir: str):
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    out = _typed(topk_per_group(orders, "o_custkey", "o_totalprice", 3,
-                                tie_col="o_orderkey"),
-                 {"o_custkey": "int64", "o_orderkey": "int64",
-                  "o_totalprice": "float64"})
+    out = typed_frame(topk_per_group(orders, "o_custkey", "o_totalprice", 3,
+                                     tie_col="o_orderkey"),
+                      {"o_custkey": "int64", "o_orderkey": "int64",
+                       "o_totalprice": "float64"})
     return (out.sort_values(["o_custkey", "o_orderkey"])
             .reset_index(drop=True))
 
@@ -656,11 +636,11 @@ def _q_pack_sequences_by_source(sf_dir: str):
 
     toks = _tokens(sf_dir).select_columns(["doc_id", "n_tok", "source"]) \
         .map_batches(int_ids, batch_format="pyarrow")
-    out = _typed(pack_sequences(toks, max_tokens=512,
-                                key_column="source", id_column="doc_id",
-                                count_column="n_tok"),
-                 {"source": "object", "doc_id": "int64", "n_tok": "int64",
-                  "seq_id": "int64", "seq_offset": "int64"})
+    out = typed_frame(pack_sequences(toks, max_tokens=512,
+                                     key_column="source", id_column="doc_id",
+                                     count_column="n_tok"),
+                      {"source": "object", "doc_id": "int64", "n_tok": "int64",
+                       "seq_id": "int64", "seq_offset": "int64"})
     out = out[["source", "doc_id", "n_tok", "seq_id", "seq_offset"]]
     for c in ("doc_id", "n_tok", "seq_id", "seq_offset"):
         out[c] = out[c].astype("int64")
@@ -688,9 +668,9 @@ def _q_token_budget_mix(sf_dir: str):
     toks = _tokens(sf_dir).select_columns(["doc_id", "n_tok", "source"]) \
         .map_batches(int_ids, batch_format="pyarrow")
     budgets = {"src0": 500, "src1": 1500}
-    out = _typed(select_token_budget(toks, budgets, default_budget=200),
-                 {"source": "object", "doc_id": "int64", "n_tok": "int64",
-                  "cum_prev": "int64"})
+    out = typed_frame(select_token_budget(toks, budgets, default_budget=200),
+                      {"source": "object", "doc_id": "int64", "n_tok": "int64",
+                       "cum_prev": "int64"})
     out = out[["source", "doc_id", "n_tok", "cum_prev"]]
     for c in ("doc_id", "n_tok", "cum_prev"):
         out[c] = out[c].astype("int64")
@@ -721,9 +701,9 @@ def _q_decontaminate_report(sf_dir: str):
     eval_rows = docs().map_batches(
         eval_mask, batch_format="pyarrow").take_all()
     eval_texts = [r["text"] for r in eval_rows]
-    out = _typed(decontaminate(docs(), eval_texts, n=3),
-                 {"doc_id": "int64", "n_grams": "int64",
-                  "n_matched": "int64", "contaminated": "bool"})
+    out = typed_frame(decontaminate(docs(), eval_texts, n=3),
+                      {"doc_id": "int64", "n_grams": "int64",
+                       "n_matched": "int64", "contaminated": "bool"})
     out["doc_id"] = out["doc_id"].astype("int64")
     out["contaminated"] = out["contaminated"].astype("bool")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -821,8 +801,8 @@ def _q_jpeg_channel_stats(sf_dir: str):
         })
 
     out = feats.map_batches(project, batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "mean_gray": "float64",
-                        "std_gray": "float64"}) \
+    return typed_frame(out, {"doc_id": "int64", "mean_gray": "float64",
+                             "std_gray": "float64"}) \
         .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -889,10 +869,10 @@ def _media_channel_stats(sf_dir: str, *, codec: str):
         })
 
     out = feats.map_batches(project, batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "mean_r": "float64",
-                        "mean_g": "float64", "mean_b": "float64",
-                        "std_r": "float64", "std_g": "float64",
-                        "std_b": "float64"}) \
+    return typed_frame(out, {"doc_id": "int64", "mean_r": "float64",
+                             "mean_g": "float64", "mean_b": "float64",
+                             "std_r": "float64", "std_g": "float64",
+                             "std_b": "float64"}) \
         .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -991,7 +971,7 @@ def _audio_rms_pipeline(sf_dir: str, synth, *, decoder: str = "flac"):
         })
 
     out = frames.map_batches(project, batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "rms": "float64"}) \
+    return typed_frame(out, {"doc_id": "int64", "rms": "float64"}) \
         .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1114,7 +1094,7 @@ def _q_mjpeg_frame_features(sf_dir: str):
         })
 
     out = sampled.map_batches(project, batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "pixel_value": "int64"}) \
+    return typed_frame(out, {"doc_id": "int64", "pixel_value": "int64"}) \
         .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1175,7 +1155,7 @@ def _q_mp4_frame_features(sf_dir: str):
         })
 
     out = sampled.map_batches(project, batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "pixel_value": "int64"}) \
+    return typed_frame(out, {"doc_id": "int64", "pixel_value": "int64"}) \
         .sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1201,7 +1181,8 @@ def _q_udaf_theta_distinct_users_by_type(sf_dir: str):
     out = partials.groupby("event_type").aggregate(
         sketch_merge_aggregate("theta", {"k": 4096},
                                finalize="estimate", name="distinct_users"))
-    df = _typed(out, {"event_type": "object", "distinct_users": "int64"}) \
+    df = typed_frame(out, {"event_type": "object",
+                           "distinct_users": "int64"}) \
         .sort_values("event_type").reset_index(drop=True)
     df["distinct_users"] = df["distinct_users"].astype("int64")
     return df
@@ -1273,9 +1254,9 @@ def _q_session_window_stats(sf_dir: str):
 
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["user_id", "ts"])
-    return _typed(session_window_stats(ev, gap_minutes=120),
-                  {"user_id": "int64", "n_sessions": "int64",
-                   "max_session_events": "int64"})
+    return typed_frame(session_window_stats(ev, gap_minutes=120),
+                       {"user_id": "int64", "n_sessions": "int64",
+                        "max_session_events": "int64"})
 
 
 def _q_exact_dedup_stats(sf_dir: str):
@@ -1297,7 +1278,7 @@ def _q_doc_length_stats(sf_dir: str):
                                  columns=["doc_id", "text"])
     feats = docs.map_batches(lambda b: quality_features(b),
                              batch_format="pyarrow")
-    return _typed(
+    return typed_frame(
         feats.select_columns(["doc_id", "n_chars", "n_tokens", "n_pieces"]),
         {"doc_id": "int64", "n_chars": "int64", "n_tokens": "int64",
          "n_pieces": "int64"})
@@ -1340,9 +1321,10 @@ def _q_doc_quality_counts(sf_dir: str):
                 .astype(np.int64)),
         })
 
-    out = _typed(feats.map_batches(project, batch_format="pyarrow"),
-                 {"doc_id": "int64", "n_punct": "int64", "n_digit": "int64",
-                  "n_upper": "int64", "n_stop": "int64"})
+    out = typed_frame(feats.map_batches(project, batch_format="pyarrow"),
+                      {"doc_id": "int64", "n_punct": "int64",
+                       "n_digit": "int64", "n_upper": "int64",
+                       "n_stop": "int64"})
     out["doc_id"] = out["doc_id"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -1358,7 +1340,7 @@ def _q_chunk_passages(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
-    out = _typed(docs.map_batches(
+    out = typed_frame(docs.map_batches(
         lambda b: chunk_passages(b, window=128, stride=64),
         batch_format="pyarrow"),
         {"doc_id": "int64", "passage_id": "int64", "n_tokens": "int64",
@@ -1382,7 +1364,7 @@ def _q_doc_repetition_stats(sf_dir: str):
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
     out = docs.map_batches(repetition_features, batch_format="pyarrow")
-    df = _typed(out.select_columns(
+    df = typed_frame(out.select_columns(
         ["doc_id", "n_bigrams", "top_bigram", "top_bigram_count",
          "top_bigram_char_frac", "dup_bigram_frac"]),
         {"doc_id": "int64", "n_bigrams": "int64", "top_bigram": "object",
@@ -1403,9 +1385,9 @@ def _q_doc_unigram_nll(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
-    df = _typed(doc_unigram_nll(docs),
-                {"doc_id": "int64", "n_tokens": "int64",
-                 "avg_nll": "float64"})
+    df = typed_frame(doc_unigram_nll(docs),
+                     {"doc_id": "int64", "n_tokens": "int64",
+                      "avg_nll": "float64"})
     df["doc_id"] = df["doc_id"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
 
@@ -1421,9 +1403,9 @@ def _q_top_tfidf_terms(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
-    df = _typed(top_tfidf_terms(docs, k=3),
-                {"doc_id": "int64", "term": "object", "tf": "int64",
-                 "df_docs": "int64", "tfidf": "float64"})
+    df = typed_frame(top_tfidf_terms(docs, k=3),
+                     {"doc_id": "int64", "term": "object", "tf": "int64",
+                      "df_docs": "int64", "tfidf": "float64"})
     df["doc_id"] = df["doc_id"].astype("int64")
     return df.sort_values(["doc_id", "term"]).reset_index(drop=True)
 
@@ -1440,9 +1422,9 @@ def _q_deterministic_shuffle(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
-    df = _typed(deterministic_shuffle(docs, seed=7, n_shards=8),
-                {"doc_id": "int64", "shuffle_pos": "int64",
-                 "shard": "int64"})
+    df = typed_frame(deterministic_shuffle(docs, seed=7, n_shards=8),
+                     {"doc_id": "int64", "shuffle_pos": "int64",
+                      "shard": "int64"})
     for c in df.columns:
         df[c] = df[c].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1502,9 +1484,9 @@ def _q_doc_chars_cume_dist(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "n_chars"])
-    df = _typed(percentile_ranks(docs, "n_chars", id_column="doc_id"),
-                {"doc_id": "int64", "n_chars": "int64",
-                 "cume_dist": "float64"})
+    df = typed_frame(percentile_ranks(docs, "n_chars", id_column="doc_id"),
+                     {"doc_id": "int64", "n_chars": "int64",
+                      "cume_dist": "float64"})
     df["doc_id"] = df["doc_id"].astype("int64")
     df["n_chars"] = df["n_chars"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1524,9 +1506,9 @@ def _q_embedding_nearest_centroid(sf_dir: str):
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                 columns=["vec_id", "embedding", "label"])
     cents = label_centroids(emb)
-    df = _typed(assign_nearest_centroid(emb, cents),
-                {"vec_id": "int64", "nearest_label": "int64",
-                 "dist": "float64"})
+    df = typed_frame(assign_nearest_centroid(emb, cents),
+                     {"vec_id": "int64", "nearest_label": "int64",
+                      "dist": "float64"})
     df["vec_id"] = df["vec_id"].astype("int64")
     df["nearest_label"] = df["nearest_label"].astype("int64")
     return df.sort_values("vec_id").reset_index(drop=True)
@@ -1555,10 +1537,10 @@ def _q_curated_corpus(sf_dir: str):
     eval_rows = docs().map_batches(
         eval_mask, batch_format="pyarrow").take_all()
     eval_texts = [r["text"] for r in eval_rows]
-    df = _typed(curate_corpus(docs(), eval_texts, q_low=0.05, q_high=0.95,
-                              ngram=3, seed=7, n_shards=8),
-                {"doc_id": "int64", "shuffle_pos": "int64",
-                 "shard": "int64"})
+    df = typed_frame(curate_corpus(docs(), eval_texts, q_low=0.05, q_high=0.95,
+                                   ngram=3, seed=7, n_shards=8),
+                     {"doc_id": "int64", "shuffle_pos": "int64",
+                      "shard": "int64"})
     for c in df.columns:
         df[c] = df[c].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1630,7 +1612,7 @@ def _q_docs_in_length_band(sf_dir: str):
                                  columns=["doc_id", "n_chars"])
     kept = filter_by_column_quantile(docs, "n_chars", q_low=0.10,
                                      q_high=0.90)
-    df = _typed(kept, {"doc_id": "int64", "n_chars": "int64"})
+    df = typed_frame(kept, {"doc_id": "int64", "n_chars": "int64"})
     df["doc_id"] = df["doc_id"].astype("int64")
     df["n_chars"] = df["n_chars"].astype("int64")
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1657,7 +1639,7 @@ def _q_doc_quality_scores(sf_dir: str):
                                  columns=["doc_id", "text"])
     out = docs.map_batches(lambda b: language_id(quality_features(b)),
                            batch_format="pyarrow")
-    return _typed(out.select_columns(
+    return typed_frame(out.select_columns(
         ["doc_id", "quality_score", "stopword_ratio", "punct_ratio",
          "avg_token_len", "lang_guess"]),
         {"doc_id": "int64", "quality_score": "float64",
@@ -1677,16 +1659,10 @@ def _q_minhash_dedup_pairs(sf_dir: str):
     M=150 keeps every identical group (<= 34 docs at sf0.1) under
     ``identical_cap``, so the all-pairs emission — not the star collapse —
     is the exercised regime."""
-    import pandas as pd
-
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
 
     _assert_identical_groups(sf_dir, 150, "minhash_dedup_pairs")
     pairs = minhash_dedup_pairs(_planted_docs(sf_dir, M=150), threshold=0.7)
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "similarity": pd.Series([], dtype="float64")})
     pairs["id_a"] = pairs["id_a"].astype("int64")
     pairs["id_b"] = pairs["id_b"].astype("int64")
     pairs["similarity"] = pairs["similarity"].astype("float64")
@@ -1748,11 +1724,7 @@ def _ann_query_vectors(sf_dir: str, ids=(0, 1, 2)):
     return qids, mat
 
 
-def _ann_empty_frame():
-    import pandas as pd
-
-    return pd.DataFrame({c: pd.Series([], dtype="int64")
-                         for c in ("query_id", "rank", "vec_id")})
+_ANN_TOPK = {"query_id": "int64", "rank": "int64", "vec_id": "int64"}
 
 
 def _q_ann_topk(sf_dir: str):
@@ -1768,7 +1740,7 @@ def _q_ann_topk(sf_dir: str):
 
     q = _ann_query_vectors(sf_dir)
     if q is None:  # empty embeddings table: no query vectors to take
-        return _ann_empty_frame()
+        return typed_frame(None, _ANN_TOPK)
     qids, queries_mat = q
     df = ann_topk_brute(emb(), queries_mat, k=5)
     df["query_id"] = df["query_id"].map(
@@ -1792,8 +1764,8 @@ def _q_event_props_sum(sf_dir: str):
                                 batch_format="pyarrow")
     out = parsed.groupby("event_type").aggregate(
         Sum("k", alias_name="sum_k"), Count(alias_name="n_events"))
-    df = _typed(out, {"event_type": "object", "sum_k": "int64",
-                      "n_events": "int64"}) \
+    df = typed_frame(out, {"event_type": "object", "sum_k": "int64",
+                           "n_events": "int64"}) \
         .sort_values("event_type").reset_index(drop=True)
     df["sum_k"] = df["sum_k"].astype("int64")
     return df
@@ -1807,7 +1779,6 @@ def _q_exact_dup_pairs(sf_dir: str):
     is raised to a test-scale value that keeps ALL-PAIRS semantics — the
     production capped/star configs are `minhash_dedup_pairs` /
     `minhash_dedup_keep*`)."""
-    import pandas as pd
     import ray.data
 
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
@@ -1817,9 +1788,7 @@ def _q_exact_dup_pairs(sf_dir: str):
     pairs = minhash_dedup_pairs(docs, threshold=1.0, verify="char_ngram",
                                 identical_cap=100_000)
     out = pairs[pairs["similarity"] >= 1.0][["id_a", "id_b"]]
-    return out.astype("int64") if len(out) else pd.DataFrame(
-        {"id_a": pd.Series([], dtype="int64"),
-         "id_b": pd.Series([], dtype="int64")})
+    return out.astype("int64")
 
 
 def _q_simhash_dedup_pairs(sf_dir: str):
@@ -1830,16 +1799,10 @@ def _q_simhash_dedup_pairs(sf_dir: str):
     deterministic, and empirically zero at every test scale), so the pair
     set is pure id arithmetic (round-4 VERDICT item #1). The real-corpus
     config stays exercised in tests/test_ray_pipelines.py."""
-    import pandas as pd
-
     from cardinalityestimation_ray.pipelines.dedup import simhash_dedup_pairs
 
     _assert_identical_groups(sf_dir, 150, "simhash_dedup_pairs")
     pairs = simhash_dedup_pairs(_planted_docs(sf_dir, M=150), max_hamming=3)
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "hamming": pd.Series([], dtype="int64")})
     return pairs.astype({"id_a": "int64", "id_b": "int64",
                          "hamming": "int64"})
 
@@ -1883,16 +1846,10 @@ def _q_embedding_dup_pairs(sf_dir: str):
     arithmetic and every pair's cosine is exactly 1.0 (round-4 VERDICT
     item #1). The real embeddings table stays exercised by ann_topk /
     embedding_norm_stats / embedding_label_centroids."""
-    import pandas as pd
-
     from cardinalityestimation_ray.pipelines.dedup import embedding_dedup_pairs
 
     pairs = embedding_dedup_pairs(_planted_vectors(sf_dir, 250, 91_000),
                                   threshold=0.95)
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "cosine": pd.Series([], dtype="float64")})
     return pairs.astype({"id_a": "int64", "id_b": "int64",
                          "cosine": "float64"})
 
@@ -1935,17 +1892,13 @@ def _q_minhash_planted_dup_pairs(sf_dir: str):
     collide in EVERY band, so recall is certain — and the exact char-ngram
     verify at threshold 1.0 keeps exactly the identical-text pairs. The
     SQL oracle predicts the pair set with id arithmetic."""
-    import pandas as pd
-
     from cardinalityestimation_ray.pipelines.dedup import minhash_dedup_pairs
 
     _assert_identical_groups(sf_dir, 200, "minhash_planted_dup_pairs")
     pairs = minhash_dedup_pairs(_planted_docs(sf_dir), threshold=1.0,
                                 verify="char_ngram")
     out = pairs[pairs["similarity"] >= 1.0][["id_a", "id_b"]]
-    return out.astype("int64") if len(out) else pd.DataFrame(
-        {"id_a": pd.Series([], dtype="int64"),
-         "id_b": pd.Series([], dtype="int64")})
+    return out.astype("int64")
 
 
 def _q_simhash_planted_dup_pairs(sf_dir: str):
@@ -1990,16 +1943,12 @@ def _q_fingerprint_planted_classes(sf_dir: str):
     closed form; none exists at any test scale — deterministic seeds).
     M=175 is a modulus no other planted query uses."""
     import pandas as pd
-    import pyarrow as pa
 
     from cardinalityestimation_ray.functions.text import document_fingerprint
 
-    fp = _planted_docs(sf_dir, M=175).map_batches(
+    fp = typed_frame(_planted_docs(sf_dir, M=175).map_batches(
         lambda b: document_fingerprint(b).drop_columns(["text"]),
-        batch_format="pyarrow").to_pandas()
-    if len(fp) == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "class_rep": pd.Series([], dtype="int64")})
+        batch_format="pyarrow"), {"doc_id": "int64", "fingerprint": "int64"})
     out = pd.DataFrame({
         "doc_id": fp["doc_id"].astype("int64"),
         "class_rep": fp.groupby("fingerprint")["doc_id"]
@@ -2047,7 +1996,7 @@ def _q_ann_topk_ivf(sf_dir: str):
     from cardinalityestimation_ray.pipelines.ann import ann_topk_ivf
 
     if pq.read_metadata(f"{sf_dir}/embeddings.parquet").num_rows == 0:
-        return _ann_empty_frame()
+        return typed_frame(None, _ANN_TOPK)
     queries_mat = np.stack([
         np.random.default_rng(92_000 + r).standard_normal(64)
         .astype(np.float32) for r in (0, 1, 2)])
@@ -2075,7 +2024,7 @@ def _q_ann_topk_ivf_exact(sf_dir: str):
 
     q = _ann_query_vectors(sf_dir)
     if q is None:  # empty embeddings table: no query vectors to take
-        return _ann_empty_frame()
+        return typed_frame(None, _ANN_TOPK)
     qids, queries_mat = q
     df = ann_topk_ivf(emb(), queries_mat, k=5, n_cells=8, nprobe=8)
     df["query_id"] = df["query_id"].map(
@@ -2110,8 +2059,8 @@ def _q_lineitem_qty_stats(sf_dir: str):
         Min("l_quantity", alias_name="min_qty"),
         Max("l_quantity", alias_name="max_qty"),
     )
-    return _typed(out, {"l_returnflag": "object", "n_items": "int64",
-                        "min_qty": "float64", "max_qty": "float64"}) \
+    return typed_frame(out, {"l_returnflag": "object", "n_items": "int64",
+                             "min_qty": "float64", "max_qty": "float64"}) \
         .sort_values("l_returnflag").reset_index(drop=True)
 
 
@@ -2139,10 +2088,10 @@ def _q_doc_vocab_stats(sf_dir: str):
 
     ds = _tokens(sf_dir).map_batches(distinct_tokens_per_row,
                                      batch_format="pyarrow")
-    return _typed(ds.select_columns(["doc_id", "n_tok",
-                                     "n_distinct_tokens"]),
-                  {"doc_id": "object", "n_tok": "int32",
-                   "n_distinct_tokens": "int64"})
+    return typed_frame(ds.select_columns(["doc_id", "n_tok",
+                                          "n_distinct_tokens"]),
+                       {"doc_id": "object", "n_tok": "int32",
+                        "n_distinct_tokens": "int64"})
 
 
 def _q_customer_order_counts(sf_dir: str):
@@ -2161,7 +2110,7 @@ def _q_customer_order_counts(sf_dir: str):
         batch_format="pyarrow")
     joined = bucketed_inner_join(orders, cust, "o_custkey", num_buckets=8)
     out = joined.groupby("c_name").aggregate(Count(alias_name="n_orders"))
-    return _typed(out, {"c_name": "object", "n_orders": "int64"}) \
+    return typed_frame(out, {"c_name": "object", "n_orders": "int64"}) \
         .sort_values("c_name").reset_index(drop=True)
 
 
@@ -2196,8 +2145,8 @@ def _q_salted_distinct_docs_by_source(sf_dir: str):
     out = salted_distinct_column_by_key(
         docs, "doc_id", "source", b=14, num_salts=8,
         estimate_name="distinct_docs", count_name="n_docs")
-    return _typed(out, {"source": "object", "distinct_docs": "int64",
-                        "n_docs": "int64"}) \
+    return typed_frame(out, {"source": "object", "distinct_docs": "int64",
+                             "n_docs": "int64"}) \
         .sort_values("source").reset_index(drop=True)
 
 
@@ -2226,7 +2175,7 @@ def _q_bloom_semi_join_orders(sf_dir: str):
                                 batch_format="pyarrow")
     out = joined.groupby("o_orderstatus").aggregate(
         Count(alias_name="n_orders"))
-    return _typed(out, {"o_orderstatus": "object", "n_orders": "int64"}) \
+    return typed_frame(out, {"o_orderstatus": "object", "n_orders": "int64"}) \
         .sort_values("o_orderstatus").reset_index(drop=True)
 
 
@@ -2234,7 +2183,6 @@ def _q_bloom_anti_join_customers(sf_dir: str):
     """Broadcast ANTI-join (negate=True): customers with NO urgent order —
     exercises the SQL NOT IN path incl. the null-probe-key drop (advice
     fix), grouped by market segment."""
-    import pandas as pd
     import ray.data
     from ray.data.aggregate import Count
 
@@ -2256,11 +2204,9 @@ def _q_bloom_anti_join_customers(sf_dir: str):
     loners = broadcast_semi_join(cust, keys, "c_custkey", negate=True)
     loners = loners.map_batches(_drop_null_key_batch("c_mktsegment"),
                                 batch_format="pyarrow")
-    out = loners.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_customers")).to_pandas()
-    if "c_mktsegment" not in out.columns:  # empty anti set
-        return pd.DataFrame({"c_mktsegment": pd.Series([], dtype="object"),
-                             "n_customers": pd.Series([], dtype="int64")})
+    out = typed_frame(loners.groupby("c_mktsegment").aggregate(
+        Count(alias_name="n_customers")),
+        {"c_mktsegment": "object", "n_customers": "int64"})
     return out.sort_values("c_mktsegment").reset_index(drop=True)
 
 
@@ -2293,9 +2239,9 @@ def _q_rolling_event_value_mean(sf_dir: str):
     ev = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "value"])
-    df = _typed(rolling_mean_by_key(ev, window=4),
-                {"event_id": "int64", "user_id": "int64",
-                 "rolling_mean": "float64"})
+    df = typed_frame(rolling_mean_by_key(ev, window=4),
+                     {"event_id": "int64", "user_id": "int64",
+                      "rolling_mean": "float64"})
     if "_bucket" in df.columns:
         df = df.drop(columns=["_bucket"])
     df["event_id"] = df["event_id"].astype("int64")
@@ -2465,7 +2411,7 @@ def _q_clean_doc_texts(sf_dir: str):
                                  columns=["doc_id", "text"])
     out = docs.map_batches(lambda b: clean_text(b).drop_columns(["text"]),
                            batch_format="pyarrow")
-    return _typed(out, {"doc_id": "int64", "clean_text": "object"})
+    return typed_frame(out, {"doc_id": "int64", "clean_text": "object"})
 
 
 def _q_lang_set_ops(sf_dir: str):

@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.io import typed_frame
+
 
 def _to_matrix(col) -> np.ndarray:
     """(n, d) matrix from a list<float> column via the zero-copy
@@ -101,10 +103,8 @@ def _finalize_topk(partials: pd.DataFrame, k: int,
     and IVF paths so the empty-frame schema and the (cosine desc, id asc)
     tie-break cannot diverge between them."""
     if len(partials) == 0:
-        return pd.DataFrame({"query_id": pd.Series([], dtype="int64"),
-                             "rank": pd.Series([], dtype="int64"),
-                             id_column: pd.Series([], dtype="int64"),
-                             "cosine": pd.Series([], dtype="float64")})
+        return typed_frame(None, {"query_id": "int64", "rank": "int64",
+                                  id_column: "int64", "cosine": "float64"})
     qid = partials["query_id"].to_numpy(np.int64)
     ids = partials[id_column].to_numpy(np.int64)
     cos = partials["cosine"].to_numpy(np.float64)

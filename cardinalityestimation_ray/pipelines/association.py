@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.text import doc_bigram_codes, flat_tokens
+from ..sources.io import typed_frame
 
 
 def _tagged_counts(docs_ds, *, text_column: str):
@@ -61,15 +62,11 @@ def _tagged_counts(docs_ds, *, text_column: str):
             "cnt": pa.array(np.r_[u_cnt, b_cnt].astype(np.int64)),
         })
 
-    out = (docs_ds.map_batches(batch_counts, batch_format="pyarrow")
-           .groupby(["is_bigram", "a", "b"])
-           .aggregate(Sum("cnt", alias_name="cnt"))
-           .to_pandas())
-    if "cnt" not in out.columns:  # empty corpus
-        out = pd.DataFrame({"is_bigram": pd.Series([], dtype="int8"),
-                            "a": pd.Series([], dtype="object"),
-                            "b": pd.Series([], dtype="object"),
-                            "cnt": pd.Series([], dtype="int64")})
+    out = typed_frame(docs_ds.map_batches(batch_counts, batch_format="pyarrow")
+                      .groupby(["is_bigram", "a", "b"])
+                      .aggregate(Sum("cnt", alias_name="cnt")),
+                      {"is_bigram": "int8", "a": "object", "b": "object",
+                       "cnt": "int64"})
     uni = (out[out["is_bigram"] == 0][["a", "cnt"]]
            .rename(columns={"a": "token"}).reset_index(drop=True))
     bg = out[out["is_bigram"] == 1][["a", "b", "cnt"]].reset_index(drop=True)
@@ -90,10 +87,6 @@ def pmi_top_pairs(docs_ds, k: int = 20, *, min_count: int = 5,
     ``pmi = ln((c_ab / N_bigrams) / ((c_a / N_tokens) * (c_b / N_tokens)))``.
     """
     uni, bg = _tagged_counts(docs_ds, text_column=text_column)
-    if len(bg) == 0 or len(uni) == 0:
-        return pd.DataFrame({c: pd.Series([], dtype=d) for c, d in [
-            ("a", "object"), ("b", "object"), ("c_ab", "int64"),
-            ("c_a", "int64"), ("c_b", "int64"), ("pmi", "float64")]})
     n_uni = float(uni["cnt"].sum())
     n_bg = float(bg["cnt"].sum())
     bg = bg[bg["cnt"] >= min_count]
@@ -114,4 +107,6 @@ def pmi_top_pairs(docs_ds, k: int = 20, *, min_count: int = 5,
     out = (out.sort_values(["_qs", "a", "b"],
                            ascending=[False, True, True], kind="stable")
            .head(k).drop(columns="_qs"))
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
+    return typed_frame(out.sort_values(["a", "b"]).reset_index(drop=True),
+                       {"a": "object", "b": "object", "c_ab": "int64",
+                        "c_a": "int64", "c_b": "int64", "pmi": "float64"})

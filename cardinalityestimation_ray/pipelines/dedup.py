@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.text import content_hash
+from ..sources.io import typed_frame
 from ..stages.dedup import (
     band_hashes,
     batched_pair_jaccard,
@@ -211,10 +212,9 @@ def _text_sim(text_a: str, text_b: str, verify: str, ngram: int) -> float:
     return word_ngram_jaccard(text_a, text_b)
 
 
-def _empty_pairs(value_col: str, dtype: str) -> pd.DataFrame:
-    return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                         "id_b": pd.Series([], dtype="int64"),
-                         value_col: pd.Series([], dtype=dtype)})
+_SIMILARITY_PAIRS = {"id_a": "int64", "id_b": "int64", "similarity": "float64"}
+_HAMMING_PAIRS = {"id_a": "int64", "id_b": "int64", "hamming": "int64"}
+_COSINE_PAIRS = {"id_a": "int64", "id_b": "int64", "cosine": "float64"}
 
 
 def _verify_minhash_bucket(ids: np.ndarray, sigs: np.ndarray, texts,
@@ -353,7 +353,7 @@ def _candidate_pairs_from_buckets(bucket_rows, id_column: str, num_perm: int,
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         dup = group[group.duplicated(["band", "band_hash"], keep=False)]
         if len(dup) < 2:
-            return _empty_pairs("similarity", "float64")
+            return typed_frame(None, _SIMILARITY_PAIRS)
         frames = []
         for (band, _), g in dup.groupby(["band", "band_hash"], sort=False):
             g = g.drop_duplicates(subset=[id_column]).sort_values(id_column)
@@ -371,7 +371,7 @@ def _candidate_pairs_from_buckets(bucket_rows, id_column: str, num_perm: int,
             if res is not None:
                 frames.append(res)
         if not frames:
-            return _empty_pairs("similarity", "float64")
+            return typed_frame(None, _SIMILARITY_PAIRS)
         return pd.concat(frames, ignore_index=True)
 
     return bucket_rows.groupby("part").map_groups(
@@ -484,8 +484,7 @@ def connected_components(pairs_ds, *, id_a: str = "id_a",
         (v, label_u) — the label lookup is a sorted searchsorted, no
         per-node dispatch."""
         if len(group) == 0:
-            return pd.DataFrame({"node": pd.Series([], dtype="int64"),
-                                 "label": pd.Series([], dtype="int64")})
+            return typed_frame(None, {"node": "int64", "label": "int64"})
         is_label = group["_is_label"].to_numpy(dtype=bool)
         labs = group[is_label]
         edges_g = group[~is_label]
@@ -556,12 +555,9 @@ def minhash_dedup_keep_distributed(docs_ds, *, num_buckets: int = 64,
     """Driver-frame convenience over :func:`minhash_dedup_keep_ds` (the
     clustering itself is identical and fully distributed; only this final
     collect is bounded by the near-dup-doc count, not the pair count)."""
-    out = minhash_dedup_keep_ds(docs_ds, num_buckets=num_buckets,
-                                **kwargs).to_pandas()
-    if len(out) == 0:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
-                             "cluster_id": pd.Series([], dtype="int64"),
-                             "keep": pd.Series([], dtype="bool")})
+    out = typed_frame(
+        minhash_dedup_keep_ds(docs_ds, num_buckets=num_buckets, **kwargs),
+        {"doc_id": "int64", "cluster_id": "int64", "keep": "bool"})
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -632,11 +628,8 @@ def minhash_dedup_pairs(docs_ds, **kwargs) -> pd.DataFrame:
     switch from the vectorized quadratic compare to a sorted sliding window
     of width ``window``.
     """
-    pairs = _minhash_pairs_ds(docs_ds, **kwargs).to_pandas()
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "similarity": pd.Series([], dtype="float64")})
+    pairs = typed_frame(_minhash_pairs_ds(docs_ds, **kwargs),
+                        _SIMILARITY_PAIRS)
     # cross-band dedup on the driver: this entry point materializes the
     # frame anyway, so a pandas groupby beats a distributed shuffle here;
     # the Dataset variant below keeps the dedup distributed for pair sets
@@ -803,7 +796,7 @@ def simhash_dedup_pairs(docs_ds, *, max_hamming: int = 3, num_bands: int = 4,
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         dup = group[group.duplicated(["band", "band_hash"], keep=False)]
         if len(dup) < 2:
-            return _empty_pairs("hamming", "int64")
+            return typed_frame(None, _HAMMING_PAIRS)
         frames = []
         for (band, _), g in dup.groupby(["band", "band_hash"], sort=False):
             g = g.drop_duplicates(subset=[id_column]).sort_values(id_column)
@@ -818,15 +811,11 @@ def simhash_dedup_pairs(docs_ds, *, max_hamming: int = 3, num_bands: int = 4,
             if res is not None:
                 frames.append(res)
         if not frames:
-            return _empty_pairs("hamming", "int64")
+            return typed_frame(None, _HAMMING_PAIRS)
         return pd.concat(frames, ignore_index=True)
 
-    pairs = rows.groupby("part").map_groups(
-        per_part, batch_format="pandas").to_pandas()
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "hamming": pd.Series([], dtype="int64")})
+    pairs = typed_frame(rows.groupby("part").map_groups(
+        per_part, batch_format="pandas"), _HAMMING_PAIRS)
     pairs = pairs.groupby(["id_a", "id_b"], as_index=False)["hamming"].min()
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
@@ -1015,16 +1004,10 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
                 if res is not None:
                     out.append(res)
         if not out:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "cosine": pd.Series([], dtype="float64")})
+            return typed_frame(None, _COSINE_PAIRS)
         return pd.concat(out, ignore_index=True)
 
-    pairs = rows.groupby("part").map_groups(
-        per_part, batch_format="pandas").to_pandas()
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "cosine": pd.Series([], dtype="float64")})
+    pairs = typed_frame(rows.groupby("part").map_groups(
+        per_part, batch_format="pandas"), _COSINE_PAIRS)
     pairs = pairs.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)

@@ -11,6 +11,7 @@ import pyarrow as pa
 
 from ..sketches import hashing
 from ..sketches.hll import HyperLogLog
+from ..sources.io import typed_frame
 from ..stages.sketch_stages import (
     SketchPartials,
     sketch_merge_aggregate,
@@ -20,22 +21,22 @@ from ..stages.sketch_stages import (
 _U64_SPAN = float(1 << 64)
 
 
+def _keyed_schema(key_column: str, estimate_name: str,
+                  count_name: str) -> dict:
+    return {key_column: "object", estimate_name: "int64",
+            count_name: "int64"}
+
+
 def _keyed_result_frame(merged: dict, key_column: str, estimate_name: str,
                         count_name: str) -> pd.DataFrame:
     keys = sorted(merged)
-    if not keys:  # typed empty (pandas would otherwise default to float64)
-        return pd.DataFrame({
-            key_column: pd.Series([], dtype="object"),
-            estimate_name: pd.Series([], dtype="int64"),
-            count_name: pd.Series([], dtype="int64"),
-        })
-    return pd.DataFrame(
+    return typed_frame(pd.DataFrame(
         {
             key_column: keys,
             estimate_name: [merged[k][0].estimate() for k in keys],
             count_name: [merged[k][1] for k in keys],
         }
-    )
+    ), _keyed_schema(key_column, estimate_name, count_name))
 
 
 def global_distinct_tokens(tokens_ds, b: int = 14,
@@ -107,11 +108,12 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
                                    "total_tokens")
     from ray.data.aggregate import Sum
 
-    return partials.groupby("source").aggregate(
+    return typed_frame(partials.groupby("source").aggregate(
         sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
                                finalize="estimate"),
         Sum("n_added", alias_name="total_tokens"),
-    ).rename_columns({"estimate": "distinct_tokens"}).to_pandas()
+    ).rename_columns({"estimate": "distinct_tokens"}),
+        _keyed_schema("source", "distinct_tokens", "total_tokens"))
 
 
 def distinct_column_by_key(ds, value_column: str, key_column: str,
@@ -135,11 +137,12 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
         return _keyed_result_frame(merged, key_column, estimate_name, count_name)
     from ray.data.aggregate import Sum
 
-    return partials.groupby(key_column).aggregate(
+    return typed_frame(partials.groupby(key_column).aggregate(
         sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
                                finalize="estimate"),
         Sum("n_added", alias_name=count_name),
-    ).rename_columns({"estimate": estimate_name}).to_pandas()
+    ).rename_columns({"estimate": estimate_name}),
+        _keyed_schema(key_column, estimate_name, count_name))
 
 
 def distinct_docs_by_source(tokens_ds, b: int = 14,
@@ -252,6 +255,12 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
     })
 
 
+_OVERLAP_SCHEMA = {
+    "key_a": "object", "key_b": "object", "n_a": "int64", "n_b": "int64",
+    "n_intersection": "int64", "jaccard": "float64",
+}
+
+
 def pairwise_overlap_matrix(tokens_ds, key_column: str, *, k: int = 4096,
                             token_column: str = "tokens") -> pd.DataFrame:
     """Pairwise token-set overlap between ALL keys (source-similarity
@@ -298,28 +307,8 @@ def pairwise_overlap_matrix(tokens_ds, key_column: str, *, k: int = 4096,
                 "n_intersection": int(inter),
                 "jaccard": float(jac),
             })
-    if not rows:
-        return pd.DataFrame({
-            "key_a": pd.Series([], dtype="object"),
-            "key_b": pd.Series([], dtype="object"),
-            "n_a": pd.Series([], dtype="int64"),
-            "n_b": pd.Series([], dtype="int64"),
-            "n_intersection": pd.Series([], dtype="int64"),
-            "jaccard": pd.Series([], dtype="float64"),
-        })
     # rows are generated in sorted (key_a, key_b) order from sorted(merged)
-    return pd.DataFrame(rows)
-
-
-_EMPTY_OVERLAP = {
-    "key_a": "object", "key_b": "object", "n_a": "int64", "n_b": "int64",
-    "n_intersection": "int64", "jaccard": "float64",
-}
-
-
-def _empty_overlap_frame() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=t)
-                         for c, t in _EMPTY_OVERLAP.items()})
+    return typed_frame(pd.DataFrame(rows), _OVERLAP_SCHEMA)
 
 
 def pairwise_overlap_matrix_distributed(
@@ -402,10 +391,8 @@ def pairwise_overlap_matrix_distributed(
         })
 
     meta = merged_ds.map_batches(meta_rows, batch_format="pyarrow").to_pandas()
-    # Ray returns a COLUMN-LESS frame for an empty dataset — treat it as
-    # zero keys rather than KeyError on the sort (round-4 empty-input fix)
-    if key_column not in meta.columns or len(meta) < 2:
-        return _empty_overlap_frame()
+    if len(meta) < 2:
+        return typed_frame(None, _OVERLAP_SCHEMA)
     meta = meta.sort_values(key_column).reset_index(drop=True)
     n = len(meta)
     keys = meta[key_column].tolist()

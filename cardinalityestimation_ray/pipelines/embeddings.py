@@ -32,6 +32,7 @@ from ..functions.detsum import (
     limbs_to_blobs,
     limbs_to_float,
 )
+from ..sources.io import typed_frame
 
 
 def _limb_col(limbs: np.ndarray, rows_per_blob: int = 1) -> pa.Array:
@@ -100,11 +101,9 @@ def label_centroids(ds, *, vector_column: str = "embedding",
                       detsum_aggregate("limbs", alias_name="s",
                                        finalize="blob"))
            .to_pandas())
-    if "n" not in agg.columns or len(agg) == 0:  # empty input
-        return pd.DataFrame({"label": pd.Series([], dtype="int64"),
-                             "dim": pd.Series([], dtype="int64"),
-                             "centroid": pd.Series([], dtype="float64"),
-                             "n": pd.Series([], dtype="int64")})
+    if len(agg) == 0:
+        return typed_frame(None, {"label": "int64", "dim": "int64",
+                                  "centroid": "float64", "n": "int64"})
     labels = agg["label"].to_numpy().astype(np.int64)
     counts = agg["n"].to_numpy().astype(np.int64)
     sums = [blob_to_limbs(blob) for blob in agg["s"]]
@@ -171,12 +170,10 @@ def norm_stats_by_label(ds, *, vector_column: str = "embedding",
                       Max("hi", alias_name="max_norm"),
                       detsum_aggregate("limbs", alias_name="norm_sum"))
            .to_pandas())
-    if "n" not in agg.columns:
-        return pd.DataFrame({"label": pd.Series([], dtype="int64"),
-                             "n": pd.Series([], dtype="int64"),
-                             "avg_norm": pd.Series([], dtype="float64"),
-                             "min_norm": pd.Series([], dtype="float64"),
-                             "max_norm": pd.Series([], dtype="float64")})
+    if len(agg) == 0:
+        return typed_frame(None, {"label": "int64", "n": "int64",
+                                  "avg_norm": "float64", "min_norm": "float64",
+                                  "max_norm": "float64"})
     agg["avg_norm"] = agg["norm_sum"].to_numpy() / agg["n"].to_numpy()
     agg["label"] = agg["label"].astype("int64")
     agg["n"] = agg["n"].astype("int64")

@@ -9,6 +9,8 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.io import typed_frame
+
 
 def _local_unique_pairs(batch: pa.Table, key_column: str,
                         value_column: str) -> pa.Table:
@@ -47,10 +49,7 @@ def exact_distinct_by_key(ds, value_column: str, key_column: str, *,
         batch_format="pyarrow")
     uniq = pairs.groupby([key_column, value_column]).count()
     out = uniq.groupby(key_column).aggregate(Count(alias_name=distinct_name))
-    df = out.to_pandas()
-    if len(df) == 0:  # empty input: Ray returns a column-less frame
-        return pd.DataFrame({key_column: pd.Series([], dtype="object"),
-                             distinct_name: pd.Series([], dtype="int64")})
+    df = typed_frame(out, {key_column: "object", distinct_name: "int64"})
     df = df[[key_column, distinct_name]]
     return df.sort_values(key_column).reset_index(drop=True)
 
@@ -93,9 +92,6 @@ def exact_count_by_key(ds, key_column: str, *,
 
     partial = ds.map_batches(local_counts, batch_format="pyarrow")
     out = partial.groupby(key_column).aggregate(Sum("cnt", alias_name=count_name))
-    df = out.to_pandas()
-    if len(df) == 0:
-        return pd.DataFrame({key_column: pd.Series([], dtype="object"),
-                             count_name: pd.Series([], dtype="int64")})
+    df = typed_frame(out, {key_column: "object", count_name: "int64"})
     df = df[[key_column, count_name]]
     return df.sort_values(key_column).reset_index(drop=True)

@@ -8,11 +8,15 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sketches.countmin import CountMinSketch
+from ..sources.io import typed_frame
 from ..stages.sketch_stages import (
     SketchPartials,
     _flatten_list_column,
     tree_merge_partials,
 )
+
+_TOKEN_COUNTS = {"token": "int32", "cnt": "int64"}
+_BIGRAM_COUNTS = {"token_a": "int32", "token_b": "int32", "cnt": "int64"}
 
 
 def _batch_token_counts(batch: pa.Table, token_column: str) -> pa.Table:
@@ -55,11 +59,7 @@ def token_topk_exact(tokens_ds, k: int = 100, token_column: str = "tokens"):
     pruned = agg.map_batches(block_topk, batch_format="pyarrow",
                              batch_size=None)
     top = pruned.sort(["cnt", "token"], descending=[True, False]).limit(k)
-    df = top.to_pandas()
-    if len(df) == 0:  # empty corpus: Ray returns a column-less frame
-        return pd.DataFrame({"token": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
-    return df
+    return typed_frame(top, _TOKEN_COUNTS)
 
 
 def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
@@ -94,8 +94,7 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
     )
     cms, total = tree_merge_partials(partials, "countmin")
     if cms is None or total == 0:
-        return pd.DataFrame({"token": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
+        return typed_frame(None, _TOKEN_COUNTS)
     threshold = phi * total
     cms_ref = ray.put(cms.to_bytes())  # broadcast once; plasma-cached per node
 
@@ -115,10 +114,7 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
     cand = make_tokens_ds().map_batches(candidate_counts,
                                         batch_format="pyarrow")
     agg = cand.groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
-    df = agg.to_pandas()
-    if len(df) == 0:  # zero candidates -> empty frame with stable schema
-        return pd.DataFrame({"token": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
+    df = typed_frame(agg, _TOKEN_COUNTS)
     df = df[df["cnt"] >= threshold]
     return df.sort_values(["cnt", "token"],
                           ascending=[False, True]).reset_index(drop=True)
@@ -144,8 +140,7 @@ def exact_token_counts(tokens_ds, probe_tokens, *,
     if len(np.unique(probes)) != len(probes):
         raise ValueError("probe_tokens must be unique")
     if len(probes) == 0:
-        return pd.DataFrame({"token": pd.Series([], dtype="int64"),
-                             "cnt": pd.Series([], dtype="int64")})
+        return typed_frame(None, {"token": "int64", "cnt": "int64"})
     sorted_probes = np.sort(probes)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -252,12 +247,7 @@ def token_bigram_topk(tokens_ds, k: int = 20,
                              batch_size=None)
     top = pruned.sort(["cnt", "token_a", "token_b"],
                       descending=[True, False, False]).limit(k)
-    df = top.to_pandas()
-    if len(df) == 0:  # empty corpus: typed empty frame, stable schema
-        return pd.DataFrame({"token_a": pd.Series([], dtype="int32"),
-                             "token_b": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
-    return df
+    return typed_frame(top, _BIGRAM_COUNTS)
 
 
 def _packed_bigrams(batch: pa.Table, token_column: str) -> np.ndarray:
@@ -307,9 +297,7 @@ def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
                                             batch_format="pyarrow")
     cms, total = tree_merge_partials(partials, "countmin")
     if cms is None or total == 0:
-        return pd.DataFrame({"token_a": pd.Series([], dtype="int32"),
-                             "token_b": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
+        return typed_frame(None, _BIGRAM_COUNTS)
     threshold = phi * total
     cms_ref = ray.put(cms.to_bytes())
 
@@ -328,11 +316,7 @@ def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
                                         batch_format="pyarrow")
 
     agg = cand.groupby("pair").aggregate(Sum("cnt", alias_name="cnt"))
-    df = agg.to_pandas()
-    if len(df) == 0:  # zero candidates -> empty frame with stable schema
-        return pd.DataFrame({"token_a": pd.Series([], dtype="int32"),
-                             "token_b": pd.Series([], dtype="int32"),
-                             "cnt": pd.Series([], dtype="int64")})
+    df = typed_frame(agg, {"pair": "int64", "cnt": "int64"})
     df = df[df["cnt"] >= threshold].copy()
     df["token_a"] = (df["pair"].to_numpy() >> 32).astype(np.int32)
     df["token_b"] = (df["pair"].to_numpy() & 0xFFFFFFFF).astype(np.uint32) \

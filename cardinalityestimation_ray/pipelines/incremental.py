@@ -16,6 +16,7 @@ import pandas as pd
 from ..sketches import hashing
 from ..sources.io import read_sketch_results, write_sketch_results
 from ..stages.sketch_stages import SketchPartials, tree_merge_partials
+from .distinct import _keyed_result_frame
 
 
 def incremental_distinct_update(results_path: str, new_tokens_ds, *,
@@ -52,15 +53,5 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
             merged[k] = prior.get(k) or fresh[k]
     write_sketch_results(merged, results_path, kind="hll",
                          key_name=key_column)
-    keys = sorted(merged)
-    if not keys:  # typed empty (pandas would default to float64)
-        return pd.DataFrame({
-            key_column: pd.Series([], dtype="object"),
-            "distinct_tokens": pd.Series([], dtype="int64"),
-            "total_tokens": pd.Series([], dtype="int64"),
-        })
-    return pd.DataFrame({
-        key_column: keys,
-        "distinct_tokens": [merged[k][0].estimate() for k in keys],
-        "total_tokens": [merged[k][1] for k in keys],
-    })
+    return _keyed_result_frame(merged, key_column, "distinct_tokens",
+                               "total_tokens")

@@ -31,6 +31,7 @@ import pyarrow as pa
 
 from ..functions.text import flat_tokens
 from ..sketches import hashing
+from ..sources.io import typed_frame
 
 
 # the single shared tokenize contract lives in functions/text.py
@@ -54,15 +55,11 @@ def unigram_counts(docs_ds, *, text_column: str = "text") -> pd.DataFrame:
                 .aggregate([([], "count_all")])
                 .rename_columns(["token", "cnt"]))
 
-    out = (docs_ds
-           .map_batches(batch_counts, batch_format="pyarrow")
-           .groupby("token")
-           .aggregate(Sum("cnt", alias_name="cnt"))
-           .to_pandas())
-    if "cnt" not in out.columns:  # empty corpus: Ray returns a column-less frame
-        return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                             "cnt": pd.Series([], dtype="int64")})
-    return out
+    return typed_frame(docs_ds
+                       .map_batches(batch_counts, batch_format="pyarrow")
+                       .groupby("token")
+                       .aggregate(Sum("cnt", alias_name="cnt")),
+                       {"token": "object", "cnt": "int64"})
 
 
 def prune_vocab(counts: pd.DataFrame, *, min_count: int = 1,

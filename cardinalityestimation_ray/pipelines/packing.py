@@ -35,6 +35,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.io import typed_frame
+
 
 def pack_sequences(tokens_ds, *, max_tokens: int,
                    key_column: str = "source",
@@ -144,7 +146,8 @@ def keyed_prefix_sums(ds, *, key_column: str, id_column: str,
     # phase 3: co-locate each (key, bucket), one vectorized pass per group
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) == 0:
-            return group.assign(cum_prev=pd.Series([], dtype="int64"))
+            return typed_frame(None, {**group.dtypes.to_dict(),
+                                      "cum_prev": "int64"})
         offs = ray.get(offsets_ref)
         group = group.sort_values(id_column, kind="mergesort")
         if unique_ids:

@@ -17,9 +17,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..sources.io import typed_frame
 from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 _DEFAULT_QS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+def _keyed_quantiles_schema(key_column: str) -> dict:
+    return {key_column: "object", "q": "float64", "value": "float64",
+            "n": "int64"}
 
 
 def column_quantiles(ds, column: str, *, kind: str = "tdigest",
@@ -126,10 +132,7 @@ def exact_quantiles_by_key(ds, column: str, key_column: str | None = None,
                                  "n": np.int64(0)})
         return _quantiles(vc).reset_index(drop=True)
     if len(vc) == 0:
-        return pd.DataFrame({key_column: pd.Series([], dtype="object"),
-                             "q": pd.Series([], dtype="float64"),
-                             "value": pd.Series([], dtype="float64"),
-                             "n": pd.Series([], dtype="int64")})
+        return typed_frame(None, _keyed_quantiles_schema(key_column))
     out = (vc.groupby(key_column, sort=True, group_keys=True)
            .apply(_quantiles, include_groups=False)
            .reset_index(level=0).reset_index(drop=True))
@@ -152,12 +155,7 @@ def column_quantiles_by_key(ds, column: str, key_column: str, *,
         for q in qs:
             rows.append({key_column: key, "q": q,
                          "value": sk.quantile(float(q)), "n": n})
-    if not rows:  # typed empty (empty input: no keys)
-        return pd.DataFrame({key_column: pd.Series([], dtype="object"),
-                             "q": pd.Series([], dtype="float64"),
-                             "value": pd.Series([], dtype="float64"),
-                             "n": pd.Series([], dtype="int64")})
-    return pd.DataFrame(rows)
+    return typed_frame(pd.DataFrame(rows), _keyed_quantiles_schema(key_column))
 
 
 def percentile_ranks(ds, column: str, *, id_column: str):
@@ -192,7 +190,7 @@ def percentile_ranks(ds, column: str, *, id_column: str):
     vc = (ds.map_batches(value_counts, batch_format="pyarrow")
           .groupby(column).aggregate(Sum("cnt", alias_name="cnt"))
           .to_pandas())
-    if "cnt" not in vc.columns or len(vc) == 0:
+    if len(vc) == 0:
         values = np.array([], dtype=np.float64)
         cum = np.array([], dtype=np.int64)
         n = 0

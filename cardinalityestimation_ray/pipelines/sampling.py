@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 
 from ..sketches.reservoir import ReservoirSample
+from ..sources.io import typed_frame
 from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 
@@ -85,15 +86,9 @@ def stratified_sample_summary(ds, column: str, key_column: str, *,
             "sample_min": float(samp.min()) if len(samp) else float("nan"),
             "sample_max": float(samp.max()) if len(samp) else float("nan"),
         })
-    if not rows:
-        return pd.DataFrame({
-            key_column: pd.Series([], dtype="object"),
-            "n_total": pd.Series([], dtype="int64"),
-            "n_sample": pd.Series([], dtype="int64"),
-            "sample_min": pd.Series([], dtype="float64"),
-            "sample_max": pd.Series([], dtype="float64"),
-        })
-    return pd.DataFrame(rows)
+    return typed_frame(pd.DataFrame(rows), {
+        key_column: "object", "n_total": "int64", "n_sample": "int64",
+        "sample_min": "float64", "sample_max": "float64"})
 
 
 def weighted_sample_column(ds, value_column: str, weight_column: str, *,

@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources.io import typed_frame
 from .windows import _drop_null_ts, _key_bucket, _ts_micros
 
 
@@ -93,9 +94,8 @@ def event_transition_counts(events_ds, *, key_column: str = "user_id",
             # emits the same schema (review fix: a hardcoded object dtype
             # mismatched int-typed event columns across blocks)
             tdt = group[type_column].dtype if len(group.columns) else "object"
-            return pd.DataFrame({"from_type": pd.Series([], dtype=tdt),
-                                 "to_type": pd.Series([], dtype=tdt),
-                                 "cnt": pd.Series([], dtype="int64")})
+            return typed_frame(None, {"from_type": tdt, "to_type": tdt,
+                                      "cnt": "int64"})
 
         if len(group) == 0:
             return empty()
@@ -117,12 +117,10 @@ def event_transition_counts(events_ds, *, key_column: str = "user_id",
 
     partial = (bucketed.groupby("_bucket")
                .map_groups(per_bucket, batch_format="pandas"))
-    agg = (partial.groupby(["from_type", "to_type"])
-           .aggregate(Sum("cnt", alias_name="cnt")).to_pandas())
-    if "cnt" not in agg.columns:
-        return pd.DataFrame({"from_type": pd.Series([], dtype="object"),
-                             "to_type": pd.Series([], dtype="object"),
-                             "cnt": pd.Series([], dtype="int64")})
+    agg = typed_frame(partial.groupby(["from_type", "to_type"])
+                      .aggregate(Sum("cnt", alias_name="cnt")),
+                      {"from_type": "object", "to_type": "object",
+                       "cnt": "int64"})
     if "_bucket" in agg.columns:
         agg = agg.drop(columns=["_bucket"])
     agg["cnt"] = agg["cnt"].astype("int64")
@@ -159,11 +157,9 @@ def rolling_mean_by_key(events_ds, *, value_column: str = "value",
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) == 0:
-            return pd.DataFrame({
-                id_column: pd.Series([], dtype="int64"),
-                key_column: pd.Series([], dtype=group[key_column].dtype),
-                "rolling_mean": pd.Series([], dtype="float64"),
-            })
+            return typed_frame(None, {id_column: "int64",
+                                      key_column: group[key_column].dtype,
+                                      "rolling_mean": "float64"})
         codes, _ = pd.factorize(group[key_column].to_numpy())
         ts = group["_ts_us"].to_numpy()
         ids = group[id_column].to_numpy()

@@ -49,6 +49,7 @@ import pyarrow.compute as pc
 
 from ..functions.text import row_ids, split_tokens
 from ..sketches import hashing
+from ..sources.io import typed_frame
 
 #: same super-bucket fanout as the LSH dedup pipelines
 NUM_PARTS = 256
@@ -132,14 +133,9 @@ def _part_pairs(group: pd.DataFrame, id_column: str,
     bounded by the largest segment (<= max_df under the cap). Within a
     segment doc ids are ascending, so id_a < id_b for free.
     """
-    empty = pd.DataFrame({
-        "id_a": pd.Series([], dtype="int64"),
-        "id_b": pd.Series([], dtype="int64"),
-        "na": pd.Series([], dtype="int64"),
-        "nb": pd.Series([], dtype="int64"),
-        "co": pd.Series([], dtype="int64"),
-        "pair_bucket": pd.Series([], dtype="int32"),
-    })
+    empty = typed_frame(None, {"id_a": "int64", "id_b": "int64",
+                               "na": "int64", "nb": "int64", "co": "int64",
+                               "pair_bucket": "int32"})
     if len(group) < 2:
         return empty
     g = group["gram"].to_numpy().astype(np.int64)
@@ -190,6 +186,9 @@ def _part_pairs(group: pd.DataFrame, id_column: str,
     return out
 
 
+_JACCARD_PAIRS = {"id_a": "int64", "id_b": "int64", "jaccard": "float64"}
+
+
 def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.2,
                         max_df: int | None = None,
                         text_column: str = "text",
@@ -217,9 +216,7 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.2,
         na/nb are functionally determined by the ids, so grouping on all
         four keys is still one group per pair."""
         if len(grp) == 0:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "jaccard": pd.Series([], dtype="float64")})
+            return typed_frame(None, _JACCARD_PAIRS)
         agg = (grp.groupby(["id_a", "id_b", "na", "nb"], as_index=False)
                ["co"].sum())
         co = agg["co"].to_numpy(np.float64)
@@ -232,13 +229,9 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.2,
             "jaccard": jac[keep],
         })
 
-    pairs = (partials.groupby("pair_bucket")
-             .map_groups(combine_and_score, batch_format="pandas")
-             .to_pandas())
-    if len(pairs) == 0:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                             "id_b": pd.Series([], dtype="int64"),
-                             "jaccard": pd.Series([], dtype="float64")})
+    pairs = typed_frame(partials.groupby("pair_bucket")
+                        .map_groups(combine_and_score, batch_format="pandas"),
+                        _JACCARD_PAIRS)
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ..sources.io import typed_frame
+
 
 def ntok_stats_by_source(tokens_ds) -> pd.DataFrame:
     """Per-source exact n_tok statistics (count/sum/min/max). Null sources
@@ -31,15 +33,9 @@ def ntok_stats_by_source(tokens_ds) -> pd.DataFrame:
         Min("n_tok", alias_name="min_tokens"),
         Max("n_tok", alias_name="max_tokens"),
     )
-    df = out.to_pandas()
-    if len(df) == 0:  # empty input: Ray returns a column-less frame
-        return pd.DataFrame({
-            "source": pd.Series([], dtype="object"),
-            "n_docs": pd.Series([], dtype="int64"),
-            "total_tokens": pd.Series([], dtype="int64"),
-            "min_tokens": pd.Series([], dtype="int64"),
-            "max_tokens": pd.Series([], dtype="int64"),
-        })
+    df = typed_frame(out, {"source": "object", "n_docs": "int64",
+                           "total_tokens": "int64", "min_tokens": "int64",
+                           "max_tokens": "int64"})
     return df.sort_values("source").reset_index(drop=True)
 
 
@@ -85,13 +81,9 @@ def column_histogram(ds, column: str, *, lo: float, hi: float,
         return pa.table({"bin": pa.array(nz.astype(np.int64)),
                          "cnt": pa.array(cnt[nz].astype(np.int64))})
 
-    out = (ds.map_batches(batch_bins, batch_format="pyarrow")
-           .groupby("bin").aggregate(Sum("cnt", alias_name="cnt"))
-           .to_pandas())
-    if "cnt" not in out.columns:  # empty input
-        return pd.DataFrame({"bin": pd.Series([], dtype="int64"),
-                             "bin_lo": pd.Series([], dtype="float64"),
-                             "cnt": pd.Series([], dtype="int64")})
+    out = typed_frame(ds.map_batches(batch_bins, batch_format="pyarrow")
+                      .groupby("bin").aggregate(Sum("cnt", alias_name="cnt")),
+                      {"bin": "int64", "bin_lo": "float64", "cnt": "int64"})
     out["bin"] = out["bin"].astype("int64")
     out["bin_lo"] = lo + out["bin"].to_numpy(dtype="float64") * width
     return (out[["bin", "bin_lo", "cnt"]]
@@ -137,15 +129,11 @@ def column_histogram_by_key(ds, column: str, key_column: str, *,
             "cnt": pa.array(cnt[nz].astype(np.int64)),
         })
 
-    out = (ds.map_batches(batch_bins, batch_format="pyarrow")
-           .groupby([key_column, "bin"])
-           .aggregate(Sum("cnt", alias_name="cnt"))
-           .to_pandas())
-    if "cnt" not in out.columns:
-        return pd.DataFrame({key_column: pd.Series([], dtype="object"),
-                             "bin": pd.Series([], dtype="int64"),
-                             "bin_lo": pd.Series([], dtype="float64"),
-                             "cnt": pd.Series([], dtype="int64")})
+    out = typed_frame(ds.map_batches(batch_bins, batch_format="pyarrow")
+                      .groupby([key_column, "bin"])
+                      .aggregate(Sum("cnt", alias_name="cnt")),
+                      {key_column: "object", "bin": "int64",
+                       "bin_lo": "float64", "cnt": "int64"})
     out["bin"] = out["bin"].astype("int64")
     out["bin_lo"] = lo + out["bin"].to_numpy(dtype="float64") * width
     return (out[[key_column, "bin", "bin_lo", "cnt"]]

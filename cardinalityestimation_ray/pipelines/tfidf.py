@@ -28,6 +28,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..sketches import hashing
+from ..sources.io import typed_frame
 from .lm_score import _flat_tokens
 
 
@@ -45,13 +46,9 @@ def document_frequencies(docs_ds, *, text_column: str = "text"
                 .aggregate([([], "count_all")])
                 .rename_columns(["token", "df"]))
 
-    out = (docs_ds.map_batches(batch_df, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("df", alias_name="df"))
-           .to_pandas())
-    if "df" not in out.columns:  # empty corpus
-        return pd.DataFrame({"token": pd.Series([], dtype="object"),
-                             "df": pd.Series([], dtype="int64")})
-    return out
+    return typed_frame(docs_ds.map_batches(batch_df, batch_format="pyarrow")
+                       .groupby("token").aggregate(Sum("df", alias_name="df")),
+                       {"token": "object", "df": "int64"})
 
 
 def top_tfidf_terms(docs_ds, k: int = 3, *, text_column: str = "text",

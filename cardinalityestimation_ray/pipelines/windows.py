@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.detsum import accumulate_limbs, detsum_aggregate, limbs_to_blobs
+from ..sources.io import typed_frame
 
 
 def _exact_window_partials(tbl: pa.Table, key_column: str,
@@ -137,9 +138,7 @@ def tumbling_window_agg(events_ds, *, window_minutes: int = 60,
         detsum_aggregate("limbs", alias_name="value_sum"),
         Sum("n_events", alias_name="n_events"),
     )
-    df = out.to_pandas()
-    if len(df) == 0:  # empty input: Ray returns a column-less frame
-        return _empty_window_frame(key_column)
+    df = typed_frame(out, _window_sum_schema(key_column))
     df = df[[key_column, "window_start", "value_sum", "n_events"]]
     return df.sort_values([key_column, "window_start"]).reset_index(drop=True)
 
@@ -211,12 +210,11 @@ def tumbling_distinct_agg(events_ds, *, window_minutes: int = 60,
                                name="distinct_ids"))
     df = out.to_pandas()
     if len(df) == 0:
-        key_empty = (pa.array([], type=ktype).to_pandas()
-                     if ktype is not None else pd.Series([], dtype="object"))
-        return pd.DataFrame({
-            key_column: key_empty,
-            "window_start": pd.Series([], dtype="datetime64[us]"),
-            "distinct_ids": pd.Series([], dtype="int64"),
+        return typed_frame(None, {
+            key_column: (pa.array([], type=ktype).to_pandas().dtype
+                         if ktype is not None else "object"),
+            "window_start": "datetime64[us]",
+            "distinct_ids": "int64",
         })
     split = df["wkey"].str.rsplit(sep, n=1, expand=True)
     key_vals = pa.array(split[0].to_numpy(dtype=object))
@@ -232,13 +230,9 @@ def tumbling_distinct_agg(events_ds, *, window_minutes: int = 60,
             .reset_index(drop=True))
 
 
-def _empty_window_frame(key_column: str) -> pd.DataFrame:
-    return pd.DataFrame({
-        key_column: pd.Series([], dtype="object"),
-        "window_start": pd.Series([], dtype="datetime64[us]"),
-        "value_sum": pd.Series([], dtype="float64"),
-        "n_events": pd.Series([], dtype="int64"),
-    })
+def _window_sum_schema(key_column: str) -> dict:
+    return {key_column: "object", "window_start": "datetime64[us]",
+            "value_sum": "float64", "n_events": "int64"}
 
 
 def sliding_window_agg(events_ds, *, window_minutes: int = 60,
@@ -286,9 +280,7 @@ def sliding_window_agg(events_ds, *, window_minutes: int = 60,
         detsum_aggregate("limbs", alias_name="value_sum"),
         Sum("n_events", alias_name="n_events"),
     )
-    df = out.to_pandas()
-    if len(df) == 0:
-        return _empty_window_frame(key_column)
+    df = typed_frame(out, _window_sum_schema(key_column))
     df = df[[key_column, "window_start", "value_sum", "n_events"]]
     return df.sort_values([key_column, "window_start"]).reset_index(drop=True)
 
@@ -349,11 +341,9 @@ def session_window_stats(events_ds, *, gap_minutes: int = 30,
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) == 0:
-            return pd.DataFrame({
-                key_column: pd.Series([], dtype=group[key_column].dtype),
-                "n_sessions": pd.Series([], dtype="int64"),
-                "max_session_events": pd.Series([], dtype="int64"),
-            })
+            return typed_frame(None, {key_column: group[key_column].dtype,
+                                      "n_sessions": "int64",
+                                      "max_session_events": "int64"})
         keys = group[key_column].to_numpy()
         ts = group["_ts_us"].to_numpy()
         codes, _ = pd.factorize(keys)
@@ -376,13 +366,8 @@ def session_window_stats(events_ds, *, gap_minutes: int = 30,
     out = (events_ds.map_batches(add_bucket, batch_format="pyarrow")
            .groupby("_bucket")
            .map_groups(per_bucket, batch_format="pandas"))
-    df = out.to_pandas()
+    df = typed_frame(out, {key_column: "object", "n_sessions": "int64",
+                           "max_session_events": "int64"})
     if "_bucket" in df.columns:
         df = df.drop(columns=["_bucket"])
-    if len(df) == 0:
-        return pd.DataFrame({
-            key_column: pd.Series([], dtype="object"),
-            "n_sessions": pd.Series([], dtype="int64"),
-            "max_session_events": pd.Series([], dtype="int64"),
-        })
     return df.sort_values(key_column).reset_index(drop=True)

@@ -101,6 +101,28 @@ def is_complete_output(path: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# result frames
+
+
+def typed_frame(result, schema: dict) -> pd.DataFrame:
+    """The package's one typed-result contract.
+
+    ``result`` is a Ray Dataset, a DataFrame or None; ``schema`` maps each
+    column name to a pandas dtype. A non-empty frame passes through
+    untouched. An empty result — ``len(df) == 0``, including the
+    COLUMN-LESS frame Ray's ``to_pandas()`` returns for an empty Dataset
+    (zero blocks -> schema lost) — or None becomes the typed empty frame
+    built from ``schema``, so an empty job is a normal typed state with
+    the same columns as a non-empty one.
+    """
+    if result is not None and not isinstance(result, pd.DataFrame):
+        result = result.to_pandas()
+    if result is not None and len(result):
+        return result
+    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in schema.items()})
+
+
+# ---------------------------------------------------------------------------
 # sketch-result tables
 
 

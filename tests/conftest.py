@@ -3,6 +3,7 @@ only tests that request the ``ray_session`` fixture pay the startup cost."""
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -27,6 +28,26 @@ def ray_session():
         )
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def _release_actor_handles():
+    """Collect garbage after a test that left some of Ray's CPUs in use.
+
+    Ray Data releases a finished actor pool by dropping its handles, and
+    Ray kills an actor once no handle is left. A Dataset that failed inside
+    an actor (a ``pytest.raises`` over an actor-pool stage) leaves those
+    handles in the exception's traceback cycle, so the actor keeps its CPU
+    until Python's collector next runs, and in the shared 4-CPU session a
+    later test's pool can starve the task that feeds it. Collecting here
+    frees those CPUs before the next test starts. Only tests that leave a
+    CPU in use pay for the collection."""
+    yield
+    ray = sys.modules.get("ray")
+    if ray is not None and ray.is_initialized() and \
+            ray.available_resources().get("CPU", 0) < \
+            ray.cluster_resources().get("CPU", 0):
+        gc.collect()
 
 
 @pytest.fixture(scope="session")

@@ -4,10 +4,13 @@ A 100 TB job can legitimately see an empty partition selection (a day
 with no data, a filter that drops everything, a fresh incremental root).
 Ray loses the schema on empty datasets — ``to_pandas()`` returns a
 COLUMN-LESS frame and ``ds.schema()`` can be None — which crashed 45 of
-the 91 queries before the round-4 empty-input pass. Every query wrapper
-now imposes its typed schema on empty frames (``__ray_entry__._typed``),
-the join library short-circuits unrecoverable-schema inputs, and the
-keyed result frames type their empty columns.
+the 91 queries before the round-4 empty-input pass. One function owns the
+typed-result contract: ``sources.io.typed_frame(result, schema)`` passes a
+non-empty frame through and turns an empty one (``len(df) == 0``, column-
+less or not) or None into the typed empty frame of ``schema``. Every
+pipeline's driver-side return, every per-group empty inside a
+``map_groups`` UDF and every query wrapper goes through it; the join
+library short-circuits unrecoverable-schema inputs.
 
 The standalone probe runs ALL queries (`scripts/check_oracles.py
 --sf /tmp/sf_empty`, 79/79 oracle-eligible matched at round 4); this
@@ -62,7 +65,7 @@ def oracle_con(empty_dir, harness):
 
 
 #: one per fix class:
-#: - doc_length_stats: column-less to_pandas -> typed empty (_typed)
+#: - doc_length_stats: column-less to_pandas -> typed empty (typed_frame)
 #: - hll_distinct_docs_by_source: keyed result frame float64 -> int64 empty
 #: - asof_last_click: ds.schema() is None inside the join library
 #: - top_orders_per_customer: map_groups output loses schema
@@ -70,6 +73,10 @@ def oracle_con(empty_dir, harness):
 #: - cms_error_bounds: driver-side iloc[0] on an empty probe merge
 #: - ntok_quantiles_by_source: sketch-tree keyed frame typed empty
 #: - chunk_passages: flat-map expansion of zero docs
+#: and one per pipeline module whose result goes through typed_frame
+#: (frequency, tfidf, association, sequences, distinct overlap, windows,
+#: dedup, similarity, stats, lm_score, embeddings, exact, sampling,
+#: packing, incremental)
 EMPTY_QUERIES = [
     "doc_length_stats",
     "hll_distinct_docs_by_source",
@@ -79,6 +86,22 @@ EMPTY_QUERIES = [
     "cms_error_bounds",
     "ntok_quantiles_by_source",
     "chunk_passages",
+    "token_topk_counts",
+    "top_tfidf_terms",
+    "pmi_top_pairs",
+    "event_transition_counts",
+    "source_overlap_matrix",
+    "tumbling_event_windows",
+    "session_window_stats",
+    "simhash_dedup_pairs",
+    "ngram_jaccard_pairs",
+    "ntok_stats_by_source",
+    "doc_unigram_nll",
+    "embedding_norm_stats",
+    "exact_distinct_users_by_type",
+    "stratified_sample_by_source",
+    "pack_sequences_by_source",
+    "incremental_distinct_docs",
 ]
 
 
@@ -137,15 +160,44 @@ def test_asof_left_join_empty_right_keeps_left(ray_session):
     assert out["ts_r"].isna().all()
 
 
-def test_keyed_result_frames_typed_when_empty(ray_session, empty_dir):
-    import ray.data
-
+@pytest.mark.parametrize("strategy", ["tree", "groupby"])
+@pytest.mark.parametrize("pipeline", ["tokens_by_source", "column_by_key"])
+def test_keyed_result_frames_typed_when_empty(ray_session, empty_dir,
+                                              pipeline, strategy):
     from cardinalityestimation_ray.pipelines.distinct import (
-        distinct_docs_by_source,
+        distinct_column_by_key,
+        distinct_tokens_by_source,
     )
     from cardinalityestimation_ray.sources.corpus import read_tokens
 
-    df = distinct_docs_by_source(read_tokens(empty_dir), b=14)
+    if pipeline == "tokens_by_source":
+        df = distinct_tokens_by_source(read_tokens(empty_dir), b=14,
+                                       strategy=strategy)
+        cols = ["source", "distinct_tokens", "total_tokens"]
+    else:
+        df = distinct_column_by_key(read_tokens(empty_dir), "doc_id",
+                                    "source", b=14, strategy=strategy,
+                                    estimate_name="distinct_docs",
+                                    count_name="n_docs")
+        cols = ["source", "distinct_docs", "n_docs"]
     assert len(df) == 0
-    assert str(df["distinct_docs"].dtype) == "int64"
-    assert str(df["n_docs"].dtype) == "int64"
+    assert sorted(df.columns) == sorted(cols)
+    assert str(df[cols[1]].dtype) == "int64"
+    assert str(df[cols[2]].dtype) == "int64"
+
+
+def test_typed_frame_contract():
+    """Non-empty frames pass through untouched; empty (column-less or
+    not) and None become the typed empty frame of the schema."""
+    import pandas as pd
+
+    from cardinalityestimation_ray.sources.io import typed_frame
+
+    schema = {"key": "object", "n": "int64", "x": "float64"}
+    full = pd.DataFrame({"key": ["a"], "n": [1], "x": [0.5]})
+    assert typed_frame(full, schema) is full
+    for empty in (None, pd.DataFrame(), full.iloc[:0].astype(str)):
+        out = typed_frame(empty, schema)
+        assert len(out) == 0
+        assert list(out.columns) == list(schema)
+        assert {c: str(t) for c, t in out.dtypes.items()} == schema

@@ -3,9 +3,12 @@ run inside an existing Ray session (as the driver does) — no ray.init calls
 anywhere in the import or execution path."""
 
 import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +17,7 @@ def entry_mod(ray_session):
 
     ray.data.DataContext.get_current().enable_progress_bars = False
     spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py")
+        "__ray_entry__", REPO / "__ray_entry__.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod

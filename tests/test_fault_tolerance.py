@@ -89,7 +89,11 @@ def test_actor_pool_worker_death_retry_yields_exact_result(ray_session,
     tokens = pa.array([list(range(i, i + 50)) for i in range(0, 2000, 50)],
                       type=pa.list_(pa.int32()))
     tbl = pa.table({"tokens": tokens})
-    ds = ray.data.from_arrow(tbl).repartition(8).map_batches(
+    # the 8 input blocks exist before the pool starts, so its two actors
+    # are the scan's only CPU users: a fixed-size pool that takes the last
+    # free CPUs of a shared session must not starve a repartition task
+    # feeding it
+    ds = ray.data.from_arrow(tbl).repartition(8).materialize().map_batches(
         FlakyStage, batch_format="pyarrow", concurrency=2)
     sketch, total = tree_merge_partials(ds, "hll")
     assert total == 40 * 50

@@ -5,6 +5,7 @@ bit-identity across block layouts."""
 
 import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -16,10 +17,12 @@ from cardinalityestimation_ray.sketches.priority_sample import (
     priorities_for_ids,
 )
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def _entry():
     spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py")
+        "__ray_entry__", REPO / "__ray_entry__.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod

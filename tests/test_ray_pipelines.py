@@ -6,10 +6,14 @@ Covers: distinct pipelines vs exact answers, block-split invariance
 registers), dedup with planted duplicates, ANN self-match, text analysis,
 multimodal plumbing."""
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -607,7 +611,7 @@ def test_cli_driver_subprocess():
         [sys.executable, "-m", "cardinalityestimation_ray", "distinct",
          "--input", "/root/testdata/sf0.001", "--num-cpus", "4"],
         capture_output=True, text=True, timeout=300,
-        cwd="/root/repo")
+        cwd=REPO)
     assert out.returncode == 0, out.stderr[-500:]
     res = json.loads(out.stdout.strip().splitlines()[-1])
     assert res["distinct_tokens"] == 31  # exact (direct regime)
