@@ -84,19 +84,16 @@ class BloomFilter(Sketch):
             self.bits[((h + _U64(i) * h2) & mask).astype(np.int64)] = True
 
     #: above this many elements, collapse integer batches to unique values
-    #: before hashing — bit sets are idempotent, so duplicates are no-ops
-    #: and only uniques pay the hash + scatter passes (same shape as the
-    #: count-min / theta collapses). count_additions keeps counting RAW
-    #: adds (it is on the wire). Integer dtypes only (np.unique equates
-    #: NaNs that hash apart).
+    #: before hashing (:meth:`Sketch._collapse_ints`) — bit sets are
+    #: idempotent, so duplicates are no-ops and only uniques pay the hash +
+    #: scatter passes. count_additions keeps counting RAW adds (it is on
+    #: the wire).
     UNIQUE_COLLAPSE_THRESHOLD = 1 << 15
 
     def add_values(self, values: np.ndarray) -> None:
         values = np.asarray(values)
         n_raw = len(values)
-        if (n_raw > self.UNIQUE_COLLAPSE_THRESHOLD
-                and np.issubdtype(values.dtype, np.integer)):
-            values = np.unique(values)
+        values = self._collapse_ints(values)
         self.add_hashes(hashing.hash_fixed_batch(_canon_values(values),
                                                  self.hash_name))
         self.count_additions += n_raw - len(values)

@@ -157,12 +157,13 @@ class HyperLogLog(Sketch):
         self.add_hash(hashing.hash_scalar(data, self.hash_name))
 
     #: above this many values, collapse integer batches to their unique
-    #: values before hashing: duplicates are register no-ops, and the unique
-    #: sort on the narrow value dtype is cheaper than hashing and scattering
-    #: the raw stream (measured 43-88 ms -> 12 ms on a 958k-token Zipf int32
-    #: block). count_additions still counts every raw add (reference
-    #: CountAdditions semantics), so the blob equals the raw path's. Integer
-    #: dtypes only (np.unique equates NaNs that hash apart).
+    #: values before hashing (:meth:`Sketch._collapse_ints`): duplicates are
+    #: register no-ops, and deduplicating the narrow value dtype is cheaper
+    #: than hashing and scattering the raw stream (a sort measured 43-88 ms
+    #: -> 12 ms on a 958k-token Zipf int32 block; the dense-id bitmap
+    #: 10.3 -> 6.2 ms against the sort on a 1.25M-token int32 file, 4-vCPU
+    #: VM). count_additions still counts every raw add (reference
+    #: CountAdditions semantics), so the blob equals the raw path's.
     UNIQUE_COLLAPSE_THRESHOLD = 1 << 15
 
     #: values hashed per add_hashes call: keeps every temporary in L1/L2, so
@@ -179,9 +180,7 @@ class HyperLogLog(Sketch):
         :meth:`reserve_dense`); hashing runs ``CHUNK`` values at a time."""
         values = np.asarray(values)
         n_raw = len(values)
-        if (n_raw > self.UNIQUE_COLLAPSE_THRESHOLD
-                and np.issubdtype(values.dtype, np.integer)):
-            values = np.unique(values)
+        values = self._collapse_ints(values)
         if len(values) >= self.m:
             self.reserve_dense()
         for lo in range(0, len(values), self.CHUNK):

@@ -77,19 +77,16 @@ class ThetaSketch(Sketch):
         self._trim(np.concatenate([self.retained, h]))
 
     #: above this many elements, collapse integer batches to unique values
-    #: before hashing: KMV keeps distinct hashes only, so duplicates are
-    #: no-ops, the unique sort on the narrow value dtype is cheaper than
-    #: _trim's u64 unique over the raw hash stream, and only uniques pay
-    #: the hash pass. Integer dtypes only (np.unique equates NaNs that
-    #: hash apart). Worst case (all-unique input) adds one narrow sort of
-    #: the same order as the u64 sort it shrinks — a wash.
+    #: before hashing (:meth:`Sketch._collapse_ints`): KMV keeps distinct
+    #: hashes only, so duplicates are no-ops, deduplicating the narrow value
+    #: dtype is cheaper than _trim's u64 unique over the raw hash stream,
+    #: and only uniques pay the hash pass. Worst case (all-unique input)
+    #: adds one narrow pass of the same order as the u64 sort it shrinks —
+    #: a wash.
     UNIQUE_COLLAPSE_THRESHOLD = 1 << 15
 
     def add_values(self, values: np.ndarray) -> None:
-        values = np.asarray(values)
-        if (len(values) > self.UNIQUE_COLLAPSE_THRESHOLD
-                and np.issubdtype(values.dtype, np.integer)):
-            values = np.unique(values)
+        values = self._collapse_ints(np.asarray(values))
         self.add_hashes(hashing.hash_fixed_batch(values, self.hash_name))
 
     # add_arrow: inherited from Sketch (one copy of the

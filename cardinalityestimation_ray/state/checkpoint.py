@@ -27,6 +27,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import pyarrow.parquet as pq
+import ray
 
 from ..sketches.hll import HyperLogLog
 from ..stages.sketch_stages import SketchPartials
@@ -92,8 +93,11 @@ class CheckpointStore:
                 out[rec.partition_id] = rec
         return out
 
-    def manifest(self) -> dict:
-        recs = self.completed()
+    def manifest(self, recs: dict[str, LineageRecord] | None = None) -> dict:
+        """Totals over ``recs`` (default: every completed record in the
+        store, read afresh)."""
+        if recs is None:
+            recs = self.completed()
         return {
             "n_partitions": len(recs),
             "rows": sum(r.row_count for r in recs.values()),
@@ -116,6 +120,7 @@ def _partition_id_for(path: str) -> str:
     return f"{base}_{digest}"
 
 
+@ray.remote(num_cpus=1)
 def _process_partition(input_file: str, partition_id: str,
                        checkpoint_root: str, b: int,
                        token_column: str, hash_name: str) -> str:
@@ -127,6 +132,8 @@ def _process_partition(input_file: str, partition_id: str,
     it in the worker via os.path.abspath resolves relative paths against the
     worker's cwd, which differs across nodes — fresh records then fell
     outside the driver's 'wanted' set and were silently dropped).
+    Registered once at import, like ``_merge_task``, so a job call does not
+    pickle and export the function to the GCS again.
     """
     t0 = time.perf_counter()
     # use_threads=False: the TASK is the parallelism unit here — letting
@@ -170,8 +177,6 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
     loop after N fresh completions (test hook simulating a crash —
     completed partitions keep their records, so the next call resumes).
     """
-    import ray
-
     from ..sketches import hashing as _hashing
 
     hash_name = hash_name or _hashing.DEFAULT_HASH
@@ -191,7 +196,6 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
             continue
         pending.append(path)
 
-    task = ray.remote(num_cpus=1)(_process_partition)
     fresh_done = 0
     in_flight: dict = {}
     queue = list(pending)
@@ -199,8 +203,9 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
     while queue or in_flight:
         while queue and len(in_flight) < max_in_flight:
             path = queue.pop()
-            ref = task.remote(path, _partition_id_for(path), checkpoint_root,
-                              b, token_column, hash_name)
+            ref = _process_partition.remote(
+                path, _partition_id_for(path), checkpoint_root, b,
+                token_column, hash_name)
             in_flight[ref] = path
         ready, _ = ray.wait(list(in_flight), num_returns=1)
         for ref in ready:
@@ -217,8 +222,11 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
                 break
 
     wanted = {_partition_id_for(p) for p in input_files}
+    # one closing read serves the merge AND the manifest, which still
+    # counts every completed record in the store, stale ones included
+    all_recs = store.completed()
     recs = {
-        pid: r for pid, r in store.completed().items()
+        pid: r for pid, r in all_recs.items()
         if pid in wanted
         and r.metrics.get("b") == b
         and r.metrics.get("hash") == hash_name
@@ -251,5 +259,5 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
         "n_skipped": len(input_files) - len(pending),
         "aborted": aborted,
         "sketch": merged,
-        "manifest": store.manifest(),
+        "manifest": store.manifest(all_recs),
     }

@@ -114,3 +114,31 @@ def shuffled_dir(tmp_path_factory) -> str:
     out = tmp_path_factory.mktemp("sf_shuffled")
     gen.generate("/root/testdata/sf0.001", out)
     return str(out)
+
+
+@pytest.fixture(scope="session")
+def int_collapse_cases():
+    """``cases(z)`` -> ``[(name, values, takes_bitmap)]``: one integer batch
+    per branch of ``Sketch._collapse_ints``, built from a non-negative
+    duplicate-heavy base ``z`` with ``0 < max(z) <= 8 * len(z)``. The bitmap
+    takes non-negative values with ``max <= 8 * len``; every other batch
+    sorts. Each case asserts the branch it is named for."""
+    import numpy as np
+
+    def cases(z):
+        n = len(z)
+        out = [
+            ("dense int32", z.astype(np.int32), True),
+            ("int64 with negatives", z.astype(np.int64) - n, False),
+            ("sparse span int64", z.astype(np.int64) * (8 * n + 1), False),
+            ("uint64 above 2^63", z.astype(np.uint64) + np.uint64(1 << 63),
+             False),
+            ("uint8", (z % 256).astype(np.uint8), True),
+            ("int8", ((z % 256) - 128).astype(np.int8), False),
+        ]
+        for name, vals, bitmap in out:
+            assert (int(vals.min()) >= 0
+                    and int(vals.max()) <= 8 * n) == bitmap, name
+        return out
+
+    return cases

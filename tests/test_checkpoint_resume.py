@@ -236,3 +236,57 @@ def test_relative_paths_resolve_on_driver(corpus_files, tmp_path, monkeypatch):
     assert second["n_fresh"] == 0
     assert second["n_skipped"] == 1
     assert second["distinct_tokens"] == first["distinct_tokens"]
+
+
+def test_records_read_twice_and_manifest_counts_stale(corpus_files, tmp_path,
+                                                      monkeypatch):
+    """One call reads every lineage record twice — once to plan, once to
+    merge — and builds the manifest from the closing read. The manifest
+    still counts every completed record in the store, stale records of
+    inputs dropped from the job included, so it equals a fresh read."""
+    from cardinalityestimation_ray.state.checkpoint import (
+        CheckpointStore,
+        resumable_distinct_tokens,
+    )
+
+    ckpt = str(tmp_path / "reads")
+    resumable_distinct_tokens(corpus_files, ckpt, b=14)
+    subset = corpus_files[:-2]
+    reads = []
+    original = CheckpointStore.read
+
+    def counting_read(self, partition_id):
+        reads.append(partition_id)
+        return original(self, partition_id)
+
+    monkeypatch.setattr(CheckpointStore, "read", counting_read)
+    res = resumable_distinct_tokens(subset, ckpt, b=14)
+    assert len(reads) == 2 * len(corpus_files)
+    assert res["n_partitions"] == len(subset)
+    monkeypatch.undo()
+    assert res["manifest"] == CheckpointStore(ckpt).manifest()
+    assert res["manifest"]["n_partitions"] == len(corpus_files)
+    assert res["manifest"]["rows"] > res["rows"]
+
+
+def test_task_function_registered_once(corpus_files, tmp_path, monkeypatch):
+    """The per-partition task is a module-level remote function: a second
+    job call registers nothing (``ray.remote`` raising does not stop it)
+    and gives the same registers."""
+    import ray
+
+    from cardinalityestimation_ray.state.checkpoint import (
+        resumable_distinct_tokens,
+    )
+
+    first = resumable_distinct_tokens(corpus_files, str(tmp_path / "a"), b=14)
+
+    def no_remote(*args, **kwargs):
+        raise AssertionError("ray.remote called during a job")
+
+    monkeypatch.setattr(ray, "remote", no_remote)
+    second = resumable_distinct_tokens(corpus_files, str(tmp_path / "b"),
+                                       b=14)
+    assert second["n_fresh"] == len(corpus_files)
+    assert np.array_equal(second["sketch"].registers(),
+                          first["sketch"].registers())

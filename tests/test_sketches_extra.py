@@ -775,12 +775,13 @@ def test_keyed_partials_match_global_partials(kind, column):
     assert glob(sliced).equals(glob(copied))
 
 
-def test_token_partials_dedup_blob_identical():
+def test_token_partials_dedup_blob_identical(int_collapse_cases):
     """The unique-before-hash token collapse must emit byte-identical
     partial blobs to the raw path — registers because duplicates are
     register no-ops, count_additions because HyperLogLog.add_values still
     counts raw adds (reference CountAdditions semantics count every add).
-    The partial stage hands HLL whole segments, global and keyed."""
+    The partial stage hands HLL whole segments, global and keyed; every
+    branch of the collapse (bitmap and sort) is covered."""
     import pyarrow as pa
 
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
@@ -789,51 +790,92 @@ def test_token_partials_dedup_blob_identical():
     rng = np.random.default_rng(23)
     n_docs, per_doc = 300, 400  # 120k tokens > the collapse threshold
     offsets = np.arange(0, (n_docs + 1) * per_doc, per_doc, dtype=np.int32)
-    vals = (rng.zipf(1.3, n_docs * per_doc) % 2000).astype(np.int32)
-    batch = pa.table({
-        "tokens": pa.ListArray.from_arrays(pa.array(offsets),
-                                           pa.array(vals)),
-        "source": pa.array(rng.choice(["a", "b"], size=n_docs)),
-    })
-    assert len(vals) > HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
-
+    z = rng.zipf(1.3, n_docs * per_doc) % 2000
+    source = pa.array(rng.choice(["a", "b"], size=n_docs))
     stages = [SketchPartials(b=11), SketchPartials(key_column="source", b=11)]
-    dedup = HyperLogLog(b=11)
-    dedup.add_values(vals)
-    dedup_out = [stage(batch) for stage in stages]
-    old = HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
-    try:
-        HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62  # force raw
-        raw = HyperLogLog(b=11)
-        raw.add_values(vals)
-        raw_out = [stage(batch) for stage in stages]
-    finally:
-        HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = old
-    assert dedup.to_bytes() == raw.to_bytes()
-    assert dedup.count_additions == len(vals)
-    for key_column, d, r in zip((None, "source"), dedup_out, raw_out):
-        assert d.equals(r), f"dedup != raw for key_column={key_column}"
-        # n_added is the RAW token count, not the unique count
-        assert sum(d["n_added"].to_pylist()) == n_docs * per_doc
+    for name, vals, _ in int_collapse_cases(z):
+        batch = pa.table({
+            "tokens": pa.ListArray.from_arrays(pa.array(offsets),
+                                               pa.array(vals)),
+            "source": source,
+        })
+        assert len(vals) > HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
+
+        dedup = HyperLogLog(b=11)
+        dedup.add_values(vals)
+        dedup_out = [stage(batch) for stage in stages]
+        old = HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD
+        try:
+            HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62  # force raw
+            raw = HyperLogLog(b=11)
+            raw.add_values(vals)
+            raw_out = [stage(batch) for stage in stages]
+        finally:
+            HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD = old
+        assert dedup.to_bytes() == raw.to_bytes(), name
+        assert dedup.count_additions == len(vals), name
+        for key_column, d, r in zip((None, "source"), dedup_out, raw_out):
+            assert d.equals(r), \
+                f"{name}: dedup != raw for key_column={key_column}"
+            # n_added is the RAW token count, not the unique count
+            assert sum(d["n_added"].to_pylist()) == n_docs * per_doc, name
 
 
-def test_bloom_unique_collapse_identical_to_raw():
+def test_bloom_unique_collapse_identical_to_raw(int_collapse_cases):
     """The large-batch unique-before-hash collapse must leave bits AND
     count_additions identical to the raw path (bit sets are idempotent;
-    count_additions counts raw adds and rides the wire)."""
+    count_additions counts raw adds and rides the wire), on every branch
+    of the collapse."""
     rng = np.random.default_rng(9)
-    vals = (rng.zipf(1.2, 200_000) % 10_000).astype(np.int32)
-    collapsed = BloomFilter(num_bits=1 << 14, num_hashes=5)
-    collapsed.add_values(vals)
-    raw = BloomFilter(num_bits=1 << 14, num_hashes=5)
-    old = BloomFilter.UNIQUE_COLLAPSE_THRESHOLD
-    try:
-        BloomFilter.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62
-        raw.add_values(vals)
-    finally:
-        BloomFilter.UNIQUE_COLLAPSE_THRESHOLD = old
-    assert collapsed == raw
-    assert collapsed.count_additions == raw.count_additions == len(vals)
+    for name, vals, _ in int_collapse_cases(
+            rng.zipf(1.2, 200_000) % 10_000):
+        collapsed = BloomFilter(num_bits=1 << 14, num_hashes=5)
+        collapsed.add_values(vals)
+        raw = BloomFilter(num_bits=1 << 14, num_hashes=5)
+        old = BloomFilter.UNIQUE_COLLAPSE_THRESHOLD
+        try:
+            BloomFilter.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62
+            raw.add_values(vals)
+        finally:
+            BloomFilter.UNIQUE_COLLAPSE_THRESHOLD = old
+        assert collapsed == raw, name
+        assert collapsed.count_additions == raw.count_additions \
+            == len(vals), name
+
+
+def test_collapse_ints_equals_np_unique(int_collapse_cases):
+    """``Sketch._collapse_ints`` returns exactly ``np.unique``'s output —
+    values, sorted order and dtype — for every integer dtype, on both
+    branches (dense non-negative -> bitmap, anything else -> sort), and
+    passes short or non-integer batches through untouched."""
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
+
+    sk = HyperLogLog(b=11)
+    n = HyperLogLog.UNIQUE_COLLAPSE_THRESHOLD + 1
+    rng = np.random.default_rng(31)
+    z = rng.zipf(1.3, n) % 1000
+    checked = set()
+    for name, vals, bitmap in int_collapse_cases(z):
+        got = sk._collapse_ints(vals)
+        want = np.unique(vals)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        checked.add(bitmap)
+    assert checked == {True, False}
+    for dt in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+               np.int64, np.uint64):
+        info = np.iinfo(dt)
+        small = min(info.max, 1000)
+        for lo, hi in ((0, small), (max(info.min, -small), small),
+                       (0, info.max)):
+            vals = rng.integers(lo, hi, n, dtype=dt, endpoint=True)
+            got = sk._collapse_ints(vals)
+            want = np.unique(vals)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (dt, lo, hi)
+    short = z[:100].astype(np.int32)
+    assert sk._collapse_ints(short) is short
+    floats = z.astype(np.float64)
+    assert sk._collapse_ints(floats) is floats
 
 
 def test_numpy_scalar_identity_matches_batch():

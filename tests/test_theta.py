@@ -297,28 +297,30 @@ def test_pairwise_overlap_matrix_distributed_edges(ray_session):
         pairwise_overlap_matrix_distributed(one, "source", n_buckets=1)
 
 
-def test_theta_unique_collapse_identical_to_raw():
+def test_theta_unique_collapse_identical_to_raw(int_collapse_cases):
     """The large-batch unique-before-hash collapse must leave the sketch
     state identical (KMV keeps distinct hashes only, so duplicates are
-    no-ops) in both the exact and trimmed regimes."""
+    no-ops) in both the exact and trimmed regimes, on every branch of the
+    collapse."""
     import numpy as np
 
     from cardinalityestimation_ray.sketches.theta import ThetaSketch
 
     rng = np.random.default_rng(5)
-    vals = (rng.zipf(1.2, 200_000) % 30_000).astype(np.int32)
-    for k in (256, 1 << 16):  # trimmed and exact regimes
-        collapsed = ThetaSketch(k=k)
-        collapsed.add_values(vals)
-        raw = ThetaSketch(k=k)
-        old = ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD
-        try:
-            ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62
-            raw.add_values(vals)
-        finally:
-            ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD = old
-        assert collapsed.theta64 == raw.theta64
-        assert np.array_equal(collapsed.retained, raw.retained)
+    for name, vals, _ in int_collapse_cases(
+            rng.zipf(1.2, 200_000) % 30_000):
+        for k in (256, 1 << 16):  # trimmed and exact regimes
+            collapsed = ThetaSketch(k=k)
+            collapsed.add_values(vals)
+            raw = ThetaSketch(k=k)
+            old = ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD
+            try:
+                ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62
+                raw.add_values(vals)
+            finally:
+                ThetaSketch.UNIQUE_COLLAPSE_THRESHOLD = old
+            assert collapsed.theta64 == raw.theta64, (name, k)
+            assert np.array_equal(collapsed.retained, raw.retained), (name, k)
 
 
 def test_theta_batching_invariant():
