@@ -2250,16 +2250,29 @@ def _q_rolling_event_value_mean(sf_dir: str):
 
 
 def _q_stratified_sample_by_source(sf_dir: str):
-    """Stratified (per-source) uniform sampling via keyed mergeable
-    reservoirs. The returned columns are the DETERMINISTIC projections of
-    the sample (per-key population and sample sizes: n_sample =
-    least(k, n)) so the query is oracle-checkable; the random sample
-    values themselves are distribution-tested in pytest."""
+    """Stratified (per-source) uniform sampling: keyed hash-priority
+    bottom-k (PrioritySample, one per source) over the tokens corpus,
+    priorities from the integer doc id. The sample is a pure function of
+    the row set; the query returns the per-key population and sample sizes
+    (n_sample = least(k, n)), which the oracle states directly."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
     from cardinalityestimation_ray.pipelines.sampling import (
         stratified_sample_summary,
     )
 
-    df = stratified_sample_summary(_tokens(sf_dir), "n_tok", "source", k=10)
+    def doc_num(batch):
+        # the tokens corpus names documents "doc-<doc_id>"; priorities
+        # hash the integer id
+        return pa.table({
+            "doc_id": pc.cast(pc.utf8_slice_codeunits(batch["doc_id"], 4),
+                              pa.int64()),
+            "n_tok": batch["n_tok"], "source": batch["source"]})
+
+    toks = _tokens(sf_dir).map_batches(doc_num, batch_format="pyarrow")
+    df = stratified_sample_summary(toks, "n_tok", "doc_id", "source", k=10,
+                                   seed=_SAMPLE_SEED)
     return df[["source", "n_total", "n_sample"]].astype(
         {"n_total": "int64", "n_sample": "int64"})
 
@@ -2345,8 +2358,7 @@ def _q_weighted_sample_nchars(sf_dir: str):
     hash-derived u, so — unlike the E&S log() key — every float the
     selection and the per-row estimator touch is exactly-rounded IEEE
     arithmetic the SQL oracle reproduces bit-for-bit (splitmix64 chain via
-    ``_mix64_tag_sql``, power-of-two scaling, one division, one max). The
-    E&S variant stays pytest-covered in tests/test_priority_sampling.py."""
+    ``_mix64_tag_sql``, power-of-two scaling, one division, one max)."""
     import ray.data
 
     from cardinalityestimation_ray.pipelines.sampling import (

@@ -10,8 +10,7 @@ from .bloom import BloomFilter
 from .countmin import CountMinSketch
 from .hll import HyperLogLog
 from .kll import KLLSketch
-from .priority_sample import PrioritySample, WeightedPrioritySample
-from .reservoir import ReservoirSample, WeightedReservoirSample
+from .priority_sample import PrioritySample, WeightedDLTSample
 from .tdigest import TDigest
 from .theta import ThetaSketch
 from . import constants, hashing, bias
@@ -25,10 +24,8 @@ __all__ = [
     "TDigest",
     "KLLSketch",
     "PrioritySample",
-    "ReservoirSample",
     "ThetaSketch",
-    "WeightedPrioritySample",
-    "WeightedReservoirSample",
+    "WeightedDLTSample",
     "constants",
     "hashing",
     "bias",

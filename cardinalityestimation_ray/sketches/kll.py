@@ -35,9 +35,8 @@ class KLLSketch(Sketch):
         self.k = k
         # seed=None (default) draws per-instance entropy — every distributed
         # partial must flip INDEPENDENT compaction coins or per-level rank
-        # errors correlate across the merge tree instead of cancelling (the
-        # same round-1 ADVICE finding fixed for ReservoirSample; round-3
-        # review found KLL still shared seed 42 everywhere)
+        # errors correlate across the merge tree instead of cancelling
+        # (round-3 review found KLL sharing seed 42 everywhere)
         self.seed = (int.from_bytes(os.urandom(8), "little")
                      if seed is None else seed)
         self.compactors: list[np.ndarray] = [np.empty(0, dtype=np.float64)]

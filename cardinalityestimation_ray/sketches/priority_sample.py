@@ -1,31 +1,31 @@
 """Deterministic (layout-invariant) sampling via hash-derived priorities.
 
-The RNG reservoirs in :mod:`.reservoir` are uniform but LAYOUT-SENSITIVE:
-tags come from per-partial RNG streams, so the selected sample changes with
-block boundaries / parallelism (documented in COVERAGE.md's determinism
-matrix). These variants replace the RNG tag with a PURE FUNCTION of the
-row's identity — ``priority = splitmix64(id XOR splitmix64(seed))`` — so the
-sample is a deterministic function of the ROW SET: bit-identical at any
-block layout, parallelism level, or merge order, and reproducible across
-reruns for free (the property ``deterministic_shuffle`` already provides
-for ordering, extended here to sampling).
+Each row's priority is a PURE FUNCTION of its identity —
+``priority = splitmix64(id XOR splitmix64(seed))`` — so the sample is a
+deterministic function of the ROW SET: bit-identical at any block layout,
+parallelism level, or merge order, and reproducible across reruns for free
+(the property ``deterministic_shuffle`` already provides for ordering,
+extended here to sampling).
+
+Two samplers, one per question:
+
+- :class:`PrioritySample` — uniform: the bottom-k by priority is a uniform
+  k-subset (classic bottom-k sampling, Cohen & Kaplan 2007).
+- :class:`WeightedDLTSample` — weight-proportional: Duffield–Lund–Thorup
+  priority sampling (JACM 2007), priority ``w / u`` with
+  ``u = (priority + 0.5) / 2**64``, plus an unbiased subset-sum estimator.
 
 Statistics: splitmix64 is a bijective finalizer with good avalanche
 (Steele/Lea/Flood 2014, public domain), so over the choice of ``seed`` the
-priorities of distinct ids behave as i.i.d. uniform u64 — bottom-k by
-priority is a uniform k-subset (classic bottom-k sampling, Cohen & Kaplan
-2007), and the Efraimidis–Spirakis key ``-log(u)/w`` with
-``u = (priority + 0.5) / 2**64`` gives weight-proportional sampling without
-replacement (E&S, IPL 2006) — same estimator as the RNG version, with the
-randomness moved into the seed. Ids must be UNIQUE for exact uniformity:
-duplicate ids share one priority, so their inclusions are perfectly
-correlated (they enter/leave the sample together; nothing crashes).
+priorities of distinct ids behave as i.i.d. uniform u64 — the randomness
+lives in the seed. Ids must be UNIQUE for exact uniformity: duplicate ids
+share one priority, so their inclusions are perfectly correlated (they
+enter/leave the sample together; nothing crashes).
 
-The uniform variant is SQL-expressible (the splitmix64 chain runs in DuckDB
-via 32-bit-split modular multiplication on HUGEINT), so its query carries a
-real value-level oracle — see ``__ray_entry__._mix64_sql``. The weighted
-variant stays rows-only: selection crosses ``log``, whose last-bit behavior
-differs between numpy's vectorized kernel and DuckDB's libm.
+Both are SQL-expressible (the splitmix64 chain runs in DuckDB via 32-bit-
+split modular multiplication on HUGEINT, and DLT adds only a power-of-two
+scaling and one division), so their queries carry real value-level oracles
+— see ``__ray_entry__._mix64_tag_sql``.
 
 Reference scope note: sampling is beyond the reference library (a C# HLL
 estimator); this module exists for the training-data-pipeline surface
@@ -38,12 +38,11 @@ import struct
 
 import numpy as np
 
-from ..functions import detsum
 from .base import Sketch
 from .hashing import splitmix64_inplace, splitmix64_scalar
 
 _PSM_MAGIC = b"PSM1"
-_WPS_MAGIC = b"WPS1"
+_WDL_MAGIC = b"WDL1"
 
 #: 2**-64 as float64 — maps a u64 priority into (0, 1) via (p + 0.5) * 2**-64
 _INV_2_64 = float(np.ldexp(1.0, -64))
@@ -171,145 +170,6 @@ class PrioritySample(Sketch):
         return out
 
 
-class WeightedPrioritySample(Sketch):
-    """Deterministic Efraimidis–Spirakis weighted sample without
-    replacement: key ``-log(u)/w`` with hash-derived ``u``; bottom-k by
-    (key, value, weight) kept canonical. ``total_weight`` accumulates on
-    the exact superaccumulator (:mod:`..functions.detsum`), so it too is
-    bit-identical across layouts — a plain float sum would drift in the
-    low bits with merge order.
-    """
-
-    kind = "weighted_priority_sample"
-
-    __slots__ = ("k", "seed", "keys", "values", "weights", "n", "_limbs")
-
-    def __init__(self, k: int = 1024, seed: int = 0):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self.seed = _check_seed(seed)
-        self.keys = np.empty(0, dtype=np.float64)
-        self.values = np.empty(0, dtype=np.float64)
-        self.weights = np.empty(0, dtype=np.float64)
-        self.n = 0
-        self._limbs = np.zeros(detsum.N_LIMBS, dtype=np.int64)
-
-    @property
-    def total_weight(self) -> float:
-        return detsum.limbs_to_float(self._limbs)
-
-    def _canonicalize(self, keys, values, weights) -> None:
-        order = np.lexsort((weights, values, keys))[:self.k]
-        self.keys = np.ascontiguousarray(keys[order])
-        self.values = np.ascontiguousarray(values[order])
-        self.weights = np.ascontiguousarray(weights[order])
-
-    def add_weighted(self, ids: np.ndarray, values: np.ndarray,
-                     weights: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        ids = np.asarray(ids)
-        if not (len(ids) == len(values) == len(weights)):
-            raise ValueError("ids, values and weights must align")
-        if not np.all(weights >= 0) or not np.isfinite(weights).all():
-            raise ValueError("weights must be finite, >= 0 and non-NaN")
-        if len(values) == 0:
-            return
-        self.n += len(values)
-        self._limbs = detsum.normalize_limbs(
-            self._limbs + detsum.accumulate_limbs(weights).reshape(-1))
-        pos = weights > 0
-        if not pos.all():
-            ids, values, weights = ids[pos], values[pos], weights[pos]
-        if len(values) == 0:
-            return
-        u = (priorities_for_ids(ids, self.seed).astype(np.float64)
-             + 0.5) * _INV_2_64
-        keys = -np.log(u) / weights
-        self._canonicalize(np.concatenate([self.keys, keys]),
-                           np.concatenate([self.values, values]),
-                           np.concatenate([self.weights, weights]))
-
-    def add_values(self, values: np.ndarray) -> None:
-        raise TypeError(
-            "WeightedPrioritySample needs row identities and weights: use "
-            "add_weighted(ids, values, weights)")
-
-    def sample(self) -> np.ndarray:
-        return self.values.copy()
-
-    def sample_weights(self) -> np.ndarray:
-        return self.weights.copy()
-
-    def merge(self, other: "WeightedPrioritySample") -> "WeightedPrioritySample":
-        if other.k != self.k:
-            raise ValueError(
-                "cannot merge weighted priority samples with different k")
-        if other.seed != self.seed:
-            raise ValueError(
-                f"cannot merge weighted priority samples with different "
-                f"seeds ({self.seed} != {other.seed})")
-        self.n += other.n
-        self._limbs = detsum.normalize_limbs(self._limbs + other._limbs)
-        self._canonicalize(np.concatenate([self.keys, other.keys]),
-                           np.concatenate([self.values, other.values]),
-                           np.concatenate([self.weights, other.weights]))
-        return self
-
-    def copy(self) -> "WeightedPrioritySample":
-        out = WeightedPrioritySample(self.k, self.seed)
-        out.keys = self.keys.copy()
-        out.values = self.values.copy()
-        out.weights = self.weights.copy()
-        out.n = self.n
-        out._limbs = self._limbs.copy()
-        return out
-
-    def to_bytes(self) -> bytes:
-        header = _WPS_MAGIC + struct.pack("<IQQQ", self.k, self.seed,
-                                          self.n, len(self.keys))
-        return (header + self._limbs.astype("<i8").tobytes()
-                + self.keys.astype("<f8").tobytes()
-                + self.values.astype("<f8").tobytes()
-                + self.weights.astype("<f8").tobytes())
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "WeightedPrioritySample":
-        if blob[:4] != _WPS_MAGIC:
-            raise ValueError("invalid weighted-priority-sample blob: bad magic")
-        try:
-            k, seed, n, cnt = struct.unpack_from("<IQQQ", blob, 4)
-        except struct.error as e:
-            raise ValueError(
-                f"truncated weighted-priority-sample blob: {e}") from None
-        if k < 1 or cnt > k:
-            raise ValueError(
-                f"invalid weighted-priority-sample blob: k={k} cnt={cnt}")
-        off = 4 + struct.calcsize("<IQQQ")
-        limb_bytes = detsum.N_LIMBS * 8
-        if len(blob) - off != limb_bytes + cnt * 24:
-            raise ValueError(
-                f"invalid weighted-priority-sample blob: expected "
-                f"{limb_bytes + cnt * 24} payload bytes, "
-                f"got {len(blob) - off}")
-        out = cls(k, seed)
-        out._limbs = np.frombuffer(blob, dtype="<i8", count=detsum.N_LIMBS,
-                                   offset=off).astype(np.int64)
-        off += limb_bytes
-        out.keys = np.frombuffer(blob, dtype="<f8", count=cnt,
-                                 offset=off).astype(np.float64)
-        out.values = np.frombuffer(blob, dtype="<f8", count=cnt,
-                                   offset=off + cnt * 8).astype(np.float64)
-        out.weights = np.frombuffer(blob, dtype="<f8", count=cnt,
-                                    offset=off + cnt * 16).astype(np.float64)
-        out.n = n
-        return out
-
-
-_WDL_MAGIC = b"WDL1"
-
-
 class WeightedDLTSample(Sketch):
     """Deterministic Duffield–Lund–Thorup priority sample (JACM 2007,
     "Priority sampling for estimation of arbitrary subset sums"): priority
@@ -318,20 +178,18 @@ class WeightedDLTSample(Sketch):
     at most k weighted rows exist); per-row subset-sum estimator
     ``max(w_i, tau)`` (unbiased, DLT Theorem 1).
 
-    Why this variant exists alongside :class:`WeightedPrioritySample`
-    (Efraimidis–Spirakis): the E&S key crosses ``log``, whose last-bit
-    behavior differs between numpy's vectorized kernel and a SQL engine's
-    libm, so its selection has no value-level SQL oracle. The DLT priority
-    crosses ONLY exactly-rounded IEEE operations — ``u`` is a power-of-two
-    scaling of the splitmix64 tag and the priority a single division — so
-    selection, threshold and estimator are bit-reproducible in DuckDB
-    (``__ray_entry__`` reproduces the splitmix64 chain via
-    ``_mix64_tag_sql`` and the division verbatim).
+    The priority crosses ONLY exactly-rounded IEEE operations — ``u`` is a
+    power-of-two scaling of the splitmix64 tag and the priority a single
+    division — so selection, threshold and estimator are bit-reproducible
+    in DuckDB (``__ray_entry__`` reproduces the splitmix64 chain via
+    ``_mix64_tag_sql`` and the division verbatim). An Efraimidis–Spirakis
+    key ``-log(u)/w`` would cross ``log``, whose last bit differs between
+    numpy's vectorized kernel and a SQL engine's libm.
 
     State keeps k+1 entries canonical (priority desc, value asc, weight
     asc): the global top-(k+1) is contained in the union of partial
     top-(k+1)s, so ``tau`` is exact under ANY merge topology — the same
-    layout-invariance contract as the sibling samplers.
+    layout-invariance contract as :class:`PrioritySample`.
     """
 
     kind = "weighted_dlt_sample"
@@ -357,8 +215,7 @@ class WeightedDLTSample(Sketch):
 
     def add_weighted(self, ids: np.ndarray, values: np.ndarray,
                      weights: np.ndarray) -> None:
-        """Same row contract as WeightedPrioritySample.add_weighted:
-        weights must be finite and >= 0; zero-weight rows count toward
+        """Weights must be finite and >= 0; zero-weight rows count toward
         ``n`` but can never be sampled (priority 0 == the tau floor)."""
         values = np.asarray(values, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)

@@ -68,6 +68,22 @@ def sketch_from_blob(kind: str, blob: bytes) -> Sketch:
     return sketch_from_bytes(kind, blob)
 
 
+def segment_rows_by_key(keys) -> tuple[pa.Array, np.ndarray, np.ndarray]:
+    """Group a batch's rows by key without sorting any values: returns (the
+    distinct non-null keys, typed like the input's values; a row order;
+    row bounds) such that key ``i``'s rows, in batch order, are
+    ``order[bounds[i]:bounds[i + 1]]``. Null-key rows come last, at
+    ``order[bounds[-1]:]``, so ``order[:bounds[-1]]`` drops them."""
+    codes = pc.dictionary_encode(_as_array(keys))
+    n_keys = len(codes.dictionary)
+    # null keys take code n_keys: they sort after every key's rows
+    row_codes = pc.fill_null(codes.indices, n_keys) \
+        .to_numpy(zero_copy_only=False)
+    order = np.argsort(row_codes, kind="stable")
+    bounds = np.searchsorted(row_codes[order], np.arange(n_keys + 1))
+    return codes.dictionary, order, bounds
+
+
 class SketchPartials:
     """map_batches stage: a batch in, partial-sketch rows out, for any
     registered sketch kind over a list or scalar column.
@@ -91,8 +107,8 @@ class SketchPartials:
     """
 
     #: values per add call for kinds whose state depends on how the stream
-    #: is sliced (KLL compaction coins, t-digest buffers, reservoir tags), so
-    #: their blobs stay what they were. A kind that defines
+    #: is sliced (KLL compaction coins, t-digest buffers), so their blobs
+    #: stay what they were. A kind that defines
     #: ``UNIQUE_COLLAPSE_THRESHOLD`` owns its add policy and gets each
     #: segment whole.
     CHUNK = 8192
@@ -130,18 +146,12 @@ class SketchPartials:
                 "sketch": pa.array([self._blob(values)], type=pa.binary()),
                 "n_added": pa.array([len(values)], type=pa.int64()),
             })
-        codes = pc.dictionary_encode(_as_array(batch[self.key_column]))
-        n_keys = len(codes.dictionary)
-        # null keys take code n_keys: they sort after every key's rows
-        row_codes = pc.fill_null(codes.indices, n_keys) \
-            .to_numpy(zero_copy_only=False)
-        order = np.argsort(row_codes, kind="stable")
-        row_bounds = np.searchsorted(row_codes[order], np.arange(n_keys + 1))
+        keys, order, row_bounds = segment_rows_by_key(batch[self.key_column])
         values, offsets = _flatten_list_column(
             col.take(order[:row_bounds[-1]]))
         cuts = offsets[row_bounds]
         return pa.table({
-            self.key_column: codes.dictionary,
+            self.key_column: keys,
             "sketch": pa.array([self._blob(values[lo:hi])
                                 for lo, hi in zip(cuts[:-1], cuts[1:])],
                                type=pa.binary()),
@@ -182,10 +192,10 @@ def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
     or any callable ``sk -> scalar`` (cloudpickled into the reduce tasks).
     The output column is ``name``; by default the kind for ``"sketch"``
     and ``"estimate"`` otherwise.
-    Merge-order caveat: hll/theta/countmin/bloom merges are exactly
-    order-invariant; tdigest/kll/reservoir are order- or coin-dependent,
-    so finalize those to values with published error bounds, not to blobs
-    expected to be bit-stable across runs.
+    Merge-order caveat: hll/theta/countmin/bloom and the two hash-priority
+    samplers merge exactly order-invariantly; tdigest/kll are order- or
+    coin-dependent, so finalize those to values with published error
+    bounds, not to blobs expected to be bit-stable across runs.
     """
     from ray.data.aggregate import AggregateFn
 

@@ -1,10 +1,10 @@
-"""Deterministic hash-priority sampling (sketches/priority_sample.py):
-canonical layout-invariant state, E&S weighted inclusion, exact
-total_weight, the SQL oracle's splitmix64 chain, and Ray end-to-end
-bit-identity across block layouts."""
+"""Deterministic hash-priority sampling (sketches/priority_sample.py,
+pipelines/sampling.py): canonical layout-invariant state, DLT weighted
+inclusion and threshold, the SQL oracle's splitmix64 chain, the shared
+partial's row contract, and Ray end-to-end bit-identity across block
+layouts for the uniform, stratified and weighted pipelines."""
 
 import importlib.util
-import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 
 from cardinalityestimation_ray.sketches.priority_sample import (
     PrioritySample,
-    WeightedPrioritySample,
     priorities_for_ids,
 )
 
@@ -55,28 +54,6 @@ def test_priority_sample_layout_invariant_blobs():
     assert len(whole.sample()) == 64
 
 
-def test_weighted_priority_sample_layout_invariant_and_exact_weight():
-    rng = np.random.default_rng(4)
-    ids = np.arange(10_000, dtype=np.int64)
-    vals = ids.astype(np.float64)
-    # mixed magnitudes so a float-ordered sum WOULD drift
-    wts = np.where(ids % 100 == 0, 1e12, 1e-6) + (ids % 7)
-    whole = WeightedPrioritySample(k=32, seed=9)
-    whole.add_weighted(ids, vals, wts)
-    parts = []
-    for chunk in np.array_split(rng.permutation(len(ids)), 11):
-        q = WeightedPrioritySample(k=32, seed=9)
-        q.add_weighted(ids[chunk], vals[chunk], wts[chunk])
-        parts.append(q)
-    rng.shuffle(parts)
-    acc = parts[0]
-    for q in parts[1:]:
-        acc = acc.merge(q)
-    assert acc.to_bytes() == whole.to_bytes()
-    # superaccumulator: correctly-rounded true sum, any order
-    assert acc.total_weight == math.fsum(wts)
-
-
 def test_priority_sample_wire_roundtrip_and_validation():
     s = PrioritySample(k=16, seed=5)
     s.add_tagged(np.arange(100), np.arange(100.0))
@@ -93,26 +70,6 @@ def test_priority_sample_wire_roundtrip_and_validation():
         PrioritySample(k=8, seed=1).merge(PrioritySample(k=8, seed=2))
     with pytest.raises(TypeError, match="add_tagged"):
         s.add_values(np.arange(3.0))
-
-
-def test_weighted_priority_sample_wire_and_edges():
-    s = WeightedPrioritySample(k=8, seed=1)
-    s.add_weighted(np.arange(5), np.arange(5.0),
-                   np.array([0.0, 1.0, 1.0, 0.0, 1.0]))
-    # weight-0 rows count toward n / total_weight, never sampled
-    assert s.n == 5 and s.total_weight == 3.0 and len(s.sample()) == 3
-    blob = s.to_bytes()
-    rt = WeightedPrioritySample.from_bytes(blob)
-    assert rt.to_bytes() == blob and rt.total_weight == 3.0
-    with pytest.raises(ValueError, match="bad magic"):
-        WeightedPrioritySample.from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError, match="finite"):
-        s.add_weighted(np.array([1]), np.array([1.0]), np.array([np.nan]))
-    with pytest.raises(ValueError, match="finite"):
-        s.add_weighted(np.array([1]), np.array([1.0]), np.array([-1.0]))
-    with pytest.raises(ValueError, match="different seeds"):
-        WeightedPrioritySample(k=8, seed=1).merge(
-            WeightedPrioritySample(k=8, seed=2))
 
 
 def test_negative_ids_reinterpret_twos_complement():
@@ -138,23 +95,6 @@ def test_priority_sample_uniform_over_seeds():
     p = k / n
     sigma = np.sqrt(trials * p * (1 - p))
     assert np.all(np.abs(counts - trials * p) < 5 * sigma), counts
-
-
-def test_weighted_priority_sample_inclusion_tracks_weight():
-    # two weight classes, 10x apart; E&S first-draw inclusion ratio for
-    # k << n approaches the weight ratio
-    n, k, trials = 200, 10, 400
-    ids = np.arange(n, dtype=np.int64)
-    vals = ids.astype(np.float64)
-    wts = np.where(ids < n // 2, 1.0, 10.0)
-    counts = np.zeros(n)
-    for seed in range(trials):
-        s = WeightedPrioritySample(k=k, seed=seed)
-        s.add_weighted(ids, vals, wts)
-        counts[s.sample().astype(int)] += 1
-    lo = counts[: n // 2].mean()
-    hi = counts[n // 2:].mean()
-    assert hi > 5 * lo, (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -187,48 +127,190 @@ def test_priority_sampling_ray_layout_invariance(ray_session):
 
     from cardinalityestimation_ray.pipelines.sampling import (
         priority_sample_summary,
-        weighted_priority_sample_summary,
     )
 
     n = 5_000
     df = pd.DataFrame({
         "id": np.arange(n, dtype=np.int64),
         "x": (np.arange(n) * 17 % 1009).astype(np.float64),
-        "w": (np.arange(n) % 13 + 1).astype(np.float64),
     })
-    frames_u, frames_w = [], []
+    frames = []
     for blocks in (1, 7):
         ds = ray.data.from_pandas(df).repartition(blocks)
-        frames_u.append(priority_sample_summary(ds, "x", "id", k=128, seed=7))
-        ds = ray.data.from_pandas(df).repartition(blocks)
-        frames_w.append(weighted_priority_sample_summary(
-            ds, "x", "w", "id", k=64, seed=7))
-    pd.testing.assert_frame_equal(frames_u[0], frames_u[1])
-    pd.testing.assert_frame_equal(frames_w[0], frames_w[1])
-    assert frames_u[0]["n_sample"].iloc[0] == 128
+        frames.append(priority_sample_summary(ds, "x", "id", k=128, seed=7))
+    pd.testing.assert_frame_equal(frames[0], frames[1])
+    assert frames[0]["n_sample"].iloc[0] == 128
     # the uniform selection equals the brute-force bottom-k by priority
     tags = priorities_for_ids(df["id"].to_numpy(), 7)
     sel = df["x"].to_numpy()[np.argsort(tags)[:128]]
-    assert frames_u[0]["sample_min"].iloc[0] == sel.min()
-    assert frames_u[0]["sample_max"].iloc[0] == sel.max()
+    assert frames[0]["sample_min"].iloc[0] == sel.min()
+    assert frames[0]["sample_max"].iloc[0] == sel.max()
 
 
-def test_priority_sampling_null_rows_dropped(ray_session):
+#: (id, x, w, kept by the uniform sampler, kept by DLT), one row per case
+_ROW_CASES = [
+    (1, 10.0, 1.0, True, True),
+    (2, None, 1.0, False, False),          # null value
+    (None, 30.0, 1.0, False, False),       # null id
+    (4, 40.0, None, True, False),          # null weight
+    (5, 50.0, float("nan"), True, False),  # NaN weight
+    (6, 60.0, -5.0, True, False),          # negative weight
+    (7, 70.0, 0.0, True, True),            # zero weight: counted, not sampled
+    (8, 80.0, 2.0, True, True),
+]
+
+
+@pytest.mark.parametrize("pipeline", ["uniform", "dlt"])
+def test_priority_sampling_null_rows_dropped(ray_session, pipeline):
+    """The shared partial's row exclusion on both pipelines: a null id or
+    value drops the row; for DLT so does a null, NaN or negative weight,
+    and a zero weight is counted in n_total but never sampled."""
+    import pyarrow as pa
     import ray.data
 
     from cardinalityestimation_ray.pipelines.sampling import (
+        _sample_partial,
+        priority_sample_column,
         priority_sample_summary,
+        weighted_dlt_sample_rows,
     )
 
-    df = pd.DataFrame({
-        "id": pd.array([1, 2, None, 4], dtype="Int64"),
-        "x": pd.array([10.0, None, 30.0, 40.0], dtype="Float64"),
+    ids, xs, ws, kept_u, kept_w = zip(*_ROW_CASES)
+    tbl = pa.table({"id": pa.array(ids, pa.int64()),
+                    "x": pa.array(xs, pa.float64()),
+                    "w": pa.array(ws, pa.float64())})
+    assert tbl["w"].null_count == 1  # NaN stays a value, not a null
+    kept = kept_u if pipeline == "uniform" else kept_w
+    weight_column = None if pipeline == "uniform" else "w"
+    part = _sample_partial("x", "id", k=8, seed=1,
+                           weight_column=weight_column)(tbl)
+    assert part["n_added"].to_pylist() == [sum(kept)]
+
+    def ds():
+        return ray.data.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+
+    if pipeline == "uniform":
+        out = priority_sample_summary(ds(), "x", "id", k=8, seed=1)
+        assert out["n_total"].iloc[0] == out["n_sample"].iloc[0] == 6
+        s, total = priority_sample_column(ds(), "x", "id", k=8, seed=1)
+        assert total == 6
+        assert sorted(s.sample()) == [x for x, k in zip(xs, kept) if k]
+    else:
+        out = weighted_dlt_sample_rows(ds(), "x", "w", "id", k=8, seed=1)
+        assert sorted(out["x"]) == [10.0, 80.0]
+        assert sorted(out["w"]) == [1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# stratified sampling: keyed PrioritySample
+
+_K = 16
+
+
+def _stratified_table():
+    """Skewed keys (web ~84 %, books ~16 %, a 5-row key), null keys, and a
+    key ("ghost") whose values are all null; ids shuffled, some values
+    null, weights with zeros and NaNs."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(17)
+    n = 4000
+    src = rng.choice(np.array(["web", "books"], dtype=object), size=n,
+                     p=[0.84, 0.16])
+    src[rng.random(n) < 0.04] = None
+    src[:5] = "wiki"
+    src[5:40:7] = "ghost"
+    x_null = (rng.random(n) < 0.02) | (src == "ghost")
+    w = (np.arange(n) % 9).astype(np.float64)
+    w[rng.random(n) < 0.02] = np.nan
+    return pa.table({
+        "id": pa.array(rng.permutation(n).astype(np.int64) + 10**6),
+        "x": pa.array((np.arange(n) * 31 % 2003).astype(np.float64),
+                      mask=x_null),
+        "w": pa.array(w),
+        "src": pa.array(src.tolist(), pa.string()),
     })
-    ds = ray.data.from_pandas(df)
-    out = priority_sample_summary(ds, "x", "id", k=8, seed=1)
-    # rows 2 (null x) and 3 (null id) drop -> n_total counts 2 valid rows
-    assert out["n_total"].iloc[0] == 2
-    assert out["n_sample"].iloc[0] == 2
+
+
+def test_stratified_sample_pinned_across_layouts(ray_session):
+    """The stratified summary is bit-identical at 1, 7 and 17 blocks, and
+    each key's selection is the brute-force bottom-k by priority over that
+    key's rows (null-key rows dropped, the all-null key kept empty)."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.sampling import (
+        priority_sample_column,
+        stratified_sample_summary,
+    )
+
+    tbl = _stratified_table()
+    frames = [stratified_sample_summary(
+        ray.data.from_arrow(tbl).repartition(blocks), "x", "id", "src",
+        k=_K, seed=7) for blocks in (1, 7, 17)]
+    for f in frames[1:]:
+        pd.testing.assert_frame_equal(frames[0], f, check_exact=True)
+    out = frames[0].set_index("src")
+    assert out.index.tolist() == ["books", "ghost", "web", "wiki"]
+    merged = priority_sample_column(
+        ray.data.from_arrow(tbl).repartition(7), "x", "id", k=_K, seed=7,
+        key_column="src")
+    assert sorted(merged) == out.index.tolist()
+    df = tbl.to_pandas()
+    for key, row in out.iterrows():
+        rows = df[(df["src"] == key) & df["x"].notna()]
+        tags = priorities_for_ids(rows["id"].to_numpy(), 7)
+        sel = rows["x"].to_numpy()[np.argsort(tags)[:_K]]
+        s, n = merged[key]
+        assert n == row["n_total"] == len(rows)
+        assert np.array_equal(s.sample(), sel)
+        assert row["n_sample"] == len(sel) == min(_K, len(rows))
+        if len(sel):
+            assert (row["sample_min"], row["sample_max"]) == \
+                (sel.min(), sel.max())
+        else:
+            assert np.isnan(row["sample_min"]) and np.isnan(row["sample_max"])
+    assert out.loc["ghost", "n_total"] == 0
+    assert out.loc["wiki", "n_sample"] == 5
+
+
+@pytest.mark.parametrize("weight_column", [None, "w"])
+def test_keyed_sample_partials_match_global(weight_column):
+    """The shared partial's keyed path against its global path, uniform
+    and DLT: each key's row is the global partial over that key's rows byte
+    for byte, the all-null key gives (empty sample, 0), null keys are
+    dropped, and a sliced batch gives what a fresh copy of it gives."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from cardinalityestimation_ray.pipelines.sampling import _sample_partial
+    from cardinalityestimation_ray.sketches.priority_sample import (
+        WeightedDLTSample,
+    )
+
+    tbl = _stratified_table()
+    keyed = _sample_partial("x", "id", k=_K, seed=7,
+                            weight_column=weight_column, key_column="src")
+    glob = _sample_partial("x", "id", k=_K, seed=7,
+                           weight_column=weight_column)
+    out = keyed(tbl)
+    assert out.column_names == ["src", "sketch", "n_added"]
+    assert out.schema.field("src").type == pa.string()
+    rows = dict(zip(out["src"].to_pylist(),
+                    zip(out["sketch"].to_pylist(),
+                        out["n_added"].to_pylist())))
+    assert sorted(rows) == ["books", "ghost", "web", "wiki"]
+    for key, (blob, n) in rows.items():
+        g = glob(tbl.filter(pc.equal(tbl["src"], key)))
+        assert (blob, n) == (g["sketch"][0].as_py(), g["n_added"][0].as_py())
+    cls = PrioritySample if weight_column is None else WeightedDLTSample
+    assert rows["ghost"] == (cls(k=_K, seed=7).to_bytes(), 0)
+    assert sum(n for _, n in rows.values()) < \
+        glob(tbl)["n_added"][0].as_py()  # null-key rows hold values
+
+    sliced = tbl.slice(13, 3000)
+    copied = pa.Table.from_pylist(sliced.to_pylist(), schema=tbl.schema)
+    assert keyed(sliced).equals(keyed(copied))
+    assert glob(sliced).equals(glob(copied))
 
 
 # ---------------------------------------------------------------------------

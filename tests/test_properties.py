@@ -185,27 +185,6 @@ def test_binary_hash_vectorized_matches_scalar(data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(xs=st.lists(st.floats(min_value=-1e9, max_value=1e9,
-                             allow_nan=False), min_size=0, max_size=300),
-       k=st.integers(1, 64), cut=st.integers(0, 300))
-def test_reservoir_properties(xs, k, cut):
-    from cardinalityestimation_ray.sketches.reservoir import ReservoirSample
-
-    cut = min(cut, len(xs))
-    a = ReservoirSample(k=k, seed=1)
-    a.add_values(np.asarray(xs[:cut]))
-    b = ReservoirSample(k=k, seed=2)
-    b.add_values(np.asarray(xs[cut:]))
-    merged = a.merge(b)
-    assert merged.n == len(xs)
-    s = merged.sample()
-    assert len(s) == min(k, len(xs))
-    assert set(s) <= set(xs)
-    rt = ReservoirSample.from_bytes(merged.to_bytes())
-    assert rt.n == merged.n and sorted(rt.sample()) == sorted(s)
-
-
-@settings(max_examples=20, deadline=None)
 @given(xs=_elements, ys=_elements, probe=st.integers(-2**31, 2**31 - 1))
 def test_countmin_merge_monotone(xs, ys, probe):
     from cardinalityestimation_ray.sketches.countmin import CountMinSketch
@@ -223,50 +202,45 @@ def test_countmin_merge_monotone(xs, ys, probe):
     assert em <= ea + eb  # counters add exactly
 
 
+def _registry():
+    import cardinalityestimation_ray.sketches  # noqa: F401  registers kinds
+    from cardinalityestimation_ray.sketches.base import Sketch
+
+    return Sketch.REGISTRY
+
+
+def test_registry_holds_one_sketch_per_question():
+    assert set(_registry()) == {
+        "bloom", "countmin", "hll", "kll", "priority_sample", "tdigest",
+        "theta", "weighted_dlt_sample"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(blob=st.binary(min_size=0, max_size=200))
 def test_from_bytes_fuzz_never_crashes(blob):
     """Adversarial robustness: arbitrary blobs either parse or raise
-    ValueError — no other exception type escapes any deserializer."""
-    from cardinalityestimation_ray.sketches import (
-        BloomFilter,
-        CountMinSketch,
-        HyperLogLog,
-        KLLSketch,
-        ReservoirSample,
-        TDigest,
-    )
-
-    for cls in (HyperLogLog, CountMinSketch, BloomFilter, TDigest,
-                KLLSketch, ReservoirSample):
+    ValueError — no other exception type escapes any registered kind's
+    deserializer."""
+    for cls in _registry().values():
         try:
             cls.from_bytes(blob)
         except ValueError:
             pass
 
 
+#: every header a registered decoder accepts: legacy and current magics,
+#: and HLL's wire major versions 1-3
+_MAGICS = [b"CMS1", b"CMS2", b"BLM1", b"BLM2", b"TDG1", b"KLL1", b"THE1",
+           b"THE2", b"PSM1", b"WDL1", b"\x03\x00", b"\x02\x00", b"\x01\x00"]
+
+
 @settings(max_examples=100, deadline=None)
-@given(magic=st.sampled_from([b"CMS1", b"BLM1", b"TDG1", b"KLL1", b"RSV1",
-                              b"\x03\x00", b"\x02\x00", b"\x01\x00"]),
-       tail=st.binary(min_size=0, max_size=120))
+@given(magic=st.sampled_from(_MAGICS), tail=st.binary(min_size=0, max_size=120))
 def test_from_bytes_fuzz_with_valid_magic(magic, tail):
     """Blobs that pass the magic/version check but carry garbage payloads
-    must still fail with ValueError only."""
-    import struct as _struct
-
-    from cardinalityestimation_ray.sketches import (
-        BloomFilter,
-        CountMinSketch,
-        HyperLogLog,
-        KLLSketch,
-        ReservoirSample,
-        TDigest,
-    )
-
-    del _struct
+    must still fail with ValueError only, for every registered kind."""
     blob = magic + tail
-    for cls in (HyperLogLog, CountMinSketch, BloomFilter, TDigest,
-                KLLSketch, ReservoirSample):
+    for cls in _registry().values():
         try:
             cls.from_bytes(blob)
         except ValueError:
@@ -314,22 +288,6 @@ def test_theta_exact_regime_matches_set(vals, k):
     back = ThetaSketch.from_bytes(s.to_bytes())
     assert back.estimate() == s.estimate()
     assert back.theta64 == s.theta64
-
-
-@settings(max_examples=40, deadline=None)
-@given(magic=st.sampled_from([b"THE1", b"WRS1"]),
-       tail=st.binary(min_size=0, max_size=120))
-def test_theta_wrs_fuzz(magic, tail):
-    from cardinalityestimation_ray.sketches.reservoir import (
-        WeightedReservoirSample,
-    )
-    from cardinalityestimation_ray.sketches.theta import ThetaSketch
-
-    for cls in (ThetaSketch, WeightedReservoirSample):
-        try:
-            cls.from_bytes(magic + tail)
-        except ValueError:
-            pass
 
 
 @given(st.lists(st.text(alphabet=st.characters(min_codepoint=32,

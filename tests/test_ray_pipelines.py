@@ -825,26 +825,6 @@ def test_salted_distinct_column_matches_unsalted(_ray):
     assert salted["n_rows"].tolist() == plain["n_rows"].tolist()
 
 
-def test_reservoir_sample_pipeline_uniform(_ray):
-    import ray.data
-
-    from cardinalityestimation_ray.pipelines.sampling import (
-        reservoir_sample_column,
-    )
-
-    n = 40_000
-    df = pd.DataFrame({"x": np.arange(n, dtype=np.float64)})
-    ds = ray.data.from_pandas(df).repartition(8)
-    rs, total = reservoir_sample_column(ds, "x", k=2000)
-    assert total == n
-    samp = rs.sample()
-    assert len(samp) == 2000
-    # uniformity: decile occupancy within binomial 4-sigma
-    counts = np.bincount((samp // (n // 10)).astype(int), minlength=10)
-    sigma = np.sqrt(2000 * 0.1 * 0.9)
-    assert np.all(np.abs(counts - 200) < 4 * sigma), counts
-
-
 def test_token_bigram_topk_exact(_ray):
     """Bigram counts match a per-document brute-force count."""
     import collections
@@ -888,29 +868,6 @@ def test_clean_text_redaction():
     assert out[0] == "see <URL> and mail <EMAIL> now"
     assert out[1] == "messy spacing here"
     assert out[2] == "<URL> stays one URL"
-
-
-def test_weighted_sample_pipeline(_ray):
-    import ray.data
-
-    from cardinalityestimation_ray.pipelines.sampling import (
-        weighted_sample_column,
-    )
-
-    n = 30_000
-    rng = np.random.default_rng(11)
-    vals = rng.integers(0, 10, size=n).astype(np.float64)
-    df = pd.DataFrame({"x": vals, "w": vals + 1.0})
-    ds = ray.data.from_pandas(df).repartition(6)
-    rs, total = weighted_sample_column(ds, "x", "w", k=2000)
-    assert total == n
-    samp = rs.sample()
-    assert len(samp) == 2000
-    counts = np.bincount(samp.astype(int), minlength=10)
-    totals = np.bincount(vals.astype(int), weights=vals + 1.0, minlength=10)
-    expect = 2000 * totals / totals.sum()
-    sigma = np.sqrt(np.maximum(expect, 1))
-    assert np.all(np.abs(counts - expect) < 6 * sigma), (counts, expect)
 
 
 def test_bigram_heavy_hitters_exact(_ray):
@@ -967,28 +924,12 @@ def test_bigram_negative_ids_distinct(_ray):
 
 
 def test_review_fixes_null_and_empty_paths(_ray):
-    """Round-2 self-review regressions: null weights don't poison sampling,
-    empty corpus doesn't crash exact_dedup_stats, nullable numeric columns
-    don't leak NaN into generic sketch partials."""
+    """Round-2 self-review regression: an empty corpus doesn't crash
+    exact_dedup_stats."""
     import pyarrow as pa
     import ray.data
 
     from cardinalityestimation_ray.pipelines.dedup import exact_dedup_stats
-    from cardinalityestimation_ray.pipelines.sampling import (
-        reservoir_sample_summary,
-        weighted_sample_summary,
-    )
-
-    # null weight / null value rows are excluded, not NaN-poisoned
-    tbl = pa.table({
-        "x": pa.array([1.0, 2.0, None, 4.0]),
-        "w": pa.array([1.0, None, 3.0, 4.0]),
-    })
-    ds = ray.data.from_arrow(tbl)
-    out = weighted_sample_summary(ds, "x", "w", k=10)
-    assert out["total_weight"][0] == 5.0  # rows (1,1) and (4,4) only
-    assert out["n_sample"][0] == 2
-    assert np.isfinite(out["sample_mean"][0])
 
     # empty corpus -> zeros, not TypeError
     empty = ray.data.from_arrow(pa.table({
@@ -997,12 +938,6 @@ def test_review_fixes_null_and_empty_paths(_ray):
     }))
     stats = exact_dedup_stats(empty)
     assert stats["n_docs"][0] == 0 and stats["n_distinct"][0] == 0
-
-    # nullable numeric column: nulls skipped by the reservoir pipeline
-    tbl2 = pa.table({"v": pa.array([1.0, None, 3.0, None, 5.0])})
-    summ = reservoir_sample_summary(ray.data.from_arrow(tbl2), "v", k=10)
-    assert summ["n_total"][0] == 3
-    assert summ["sample_min"][0] == 1.0 and summ["sample_max"][0] == 5.0
 
 
 def test_empty_inputs_typed_frames(_ray):
@@ -1483,22 +1418,6 @@ def test_probe_membership_out_of_range_probe_is_false(tokens_small):
     probes = np.array([5, 2**40], dtype=np.int64)  # 2nd can't be int32
     out = probe_token_membership(tokens_small(), probes)
     assert bool(out.loc[out["token"] == 2**40, "member"].iloc[0]) is False
-
-
-def test_weighted_sample_nan_weight_row_excluded(_ray):
-    import ray.data
-
-    from cardinalityestimation_ray.pipelines.sampling import (
-        weighted_sample_column,
-    )
-
-    df = pd.DataFrame({"v": [1.0, 2.0, 3.0, 4.0],
-                       "w": [1.0, float("nan"), -5.0, 2.0]})
-    rs, total = weighted_sample_column(
-        ray.data.from_pandas(df), "v", "w", k=10)
-    samp = sorted(rs.sample().tolist())
-    assert samp == [1.0, 4.0]  # NaN and negative weight rows excluded
-    assert total == 2
 
 
 def test_extract_json_int_rejects_floats_and_overflow(_ray):

@@ -12,7 +12,6 @@ from cardinalityestimation_ray.sketches.bloom import BloomFilter
 from cardinalityestimation_ray.sketches.countmin import CountMinSketch
 from cardinalityestimation_ray.sketches.kll import KLLSketch
 from cardinalityestimation_ray.sketches.tdigest import TDigest
-from cardinalityestimation_ray.sketches.reservoir import ReservoirSample
 
 
 @pytest.fixture(scope="module")
@@ -338,109 +337,6 @@ def test_kll_roundtrip_and_validation(normal_stream):
         KLLSketch(128).merge(KLLSketch(200))
 
 
-# ---------------------------------------------------------------------------
-# reservoir sample
-
-
-def test_reservoir_uniformity_and_merge():
-    from cardinalityestimation_ray.sketches.reservoir import ReservoirSample
-
-    pop = np.arange(100_000, dtype=np.float64)
-    rs = ReservoirSample(k=2000, seed=1)
-    for chunk in np.array_split(pop, 10):
-        rs.add_values(chunk)
-    assert rs.n == len(pop)
-    s = rs.sample()
-    assert len(s) == 2000
-    assert set(s) <= set(pop)
-    # uniform sample mean ~ population mean (se = sigma/sqrt(k) ~ 645)
-    assert abs(s.mean() - pop.mean()) < 4 * pop.std() / np.sqrt(2000)
-
-    # distributed: per-shard reservoirs merged == valid uniform sample
-    parts = [ReservoirSample(k=2000, seed=i) for i in range(8)]
-    for i, chunk in enumerate(np.array_split(pop, 8)):
-        parts[i].add_values(chunk)
-    merged = parts[0]
-    for p in parts[1:]:
-        merged.merge(p)
-    assert merged.n == len(pop)
-    ms = merged.sample()
-    assert len(ms) == 2000
-    assert abs(ms.mean() - pop.mean()) < 4 * pop.std() / np.sqrt(2000)
-
-
-def test_reservoir_small_stream_and_roundtrip():
-    from cardinalityestimation_ray.sketches.reservoir import ReservoirSample
-
-    rs = ReservoirSample(k=100, seed=3)
-    rs.add_values(np.arange(30, dtype=np.float64))
-    assert sorted(rs.sample()) == list(range(30))  # n <= k keeps everything
-    rt = ReservoirSample.from_bytes(rs.to_bytes())
-    assert rt.n == rs.n
-    assert sorted(rt.sample()) == sorted(rs.sample())
-    with pytest.raises(ValueError):
-        ReservoirSample.from_bytes(b"XXXX" + rs.to_bytes()[4:])
-    with pytest.raises(ValueError):
-        ReservoirSample(100).merge(ReservoirSample(50))
-
-
-def test_reservoir_via_ray_stage(ray_session):
-    import ray.data
-
-    from cardinalityestimation_ray.stages.sketch_stages import (
-        SketchPartials,
-        tree_merge_partials,
-    )
-
-    ds = ray.data.range(50_000).repartition(8)
-    partials = ds.map_batches(SketchPartials("reservoir", "id", k=500),
-                              batch_format="pyarrow")
-    rs, total = tree_merge_partials(partials, "reservoir")
-    assert total == 50_000 and rs.n == 50_000
-    s = rs.sample()
-    assert len(s) == 500
-    assert abs(s.mean() - 25_000) < 4 * (50_000 / np.sqrt(12)) / np.sqrt(500)
-
-
-def test_reservoir_default_seed_streams_independent():
-    """Round-1 ADVICE fix: default-constructed reservoirs (the shape
-    SketchPartials builds per batch from one shared spec) must not
-    share a tag stream, else merged samples are position-correlated."""
-    vals = np.arange(1000, dtype=np.float64)
-    a = ReservoirSample(k=1000)
-    b = ReservoirSample(k=1000)
-    a.add_values(vals)
-    b.add_values(vals)
-    assert not np.array_equal(np.sort(a.tags), np.sort(b.tags))
-
-
-def test_reservoir_merged_partials_uniform_across_partitions():
-    """8 default-seeded partials over disjoint ranges; merged k=400 sample
-    should draw from all partitions roughly evenly (binomial 3-sigma)."""
-    parts = []
-    for i in range(8):
-        r = ReservoirSample(k=400)
-        r.add_values(np.arange(i * 1000, (i + 1) * 1000, dtype=np.float64))
-        parts.append(r)
-    merged = parts[0]
-    for p in parts[1:]:
-        merged.merge(p)
-    samp = merged.sample()
-    assert len(samp) == 400
-    counts = np.bincount((samp // 1000).astype(int), minlength=8)
-    # E[count]=50, sigma=sqrt(400*(1/8)*(7/8))~6.6 -> 3 sigma ~ 20
-    assert np.all(np.abs(counts - 50) < 25), counts
-
-
-def test_reservoir_explicit_seed_reproducible():
-    a = ReservoirSample(k=10, seed=7)
-    b = ReservoirSample(k=10, seed=7)
-    vals = np.arange(100, dtype=np.float64)
-    a.add_values(vals)
-    b.add_values(vals)
-    assert np.array_equal(a.tags, b.tags)
-
-
 def test_kll_weight_conservation():
     """Total retained weight (sum of 2^level over items) must equal n
     exactly after any number of compactions — the odd-length/offset==1
@@ -472,87 +368,6 @@ def test_minhash_short_docs_not_all_duplicates():
     # ...but different short docs do not
     assert estimate_jaccard(sig[0], sig[1]) < 0.5
     assert estimate_jaccard(sig[0], sig[3]) < 0.5
-
-
-class TestWeightedReservoir:
-    def test_inclusion_follows_weights(self):
-        from cardinalityestimation_ray.sketches.reservoir import (
-            WeightedReservoirSample,
-        )
-
-        # values 0..9, value v has weight v+1; sample k=2000 of 100k rows
-        rng = np.random.default_rng(3)
-        vals = rng.integers(0, 10, size=100_000).astype(np.float64)
-        weights = vals + 1.0
-        parts = []
-        for chunk in np.array_split(np.arange(len(vals)), 8):
-            r = WeightedReservoirSample(k=2000)
-            r.add_weighted(vals[chunk], weights[chunk])
-            parts.append(r)
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merged.merge(p)
-        samp = merged.sample()
-        assert len(samp) == 2000
-        counts = np.bincount(samp.astype(int), minlength=10)
-        # expected inclusion mass proportional to total weight per value
-        totals = np.bincount(vals.astype(int), weights=weights, minlength=10)
-        expect = 2000 * totals / totals.sum()
-        # loose 6-sigma binomial bounds
-        sigma = np.sqrt(np.maximum(expect, 1))
-        assert np.all(np.abs(counts - expect) < 6 * sigma), (counts, expect)
-
-    def test_zero_weight_never_sampled(self):
-        from cardinalityestimation_ray.sketches.reservoir import (
-            WeightedReservoirSample,
-        )
-
-        r = WeightedReservoirSample(k=50)
-        vals = np.r_[np.full(100, 7.0), np.full(100, 9.0)]
-        wts = np.r_[np.zeros(100), np.ones(100)]
-        r.add_weighted(vals, wts)
-        assert set(r.sample()) == {9.0}
-        assert r.n == 200 and r.total_weight == 100.0
-
-    def test_merge_equals_single_stream_distribution(self):
-        from cardinalityestimation_ray.sketches.reservoir import (
-            WeightedReservoirSample,
-        )
-
-        r = WeightedReservoirSample(k=10, seed=5)
-        r.add_weighted(np.arange(100, dtype=np.float64),
-                       np.ones(100))
-        back = WeightedReservoirSample.from_bytes(r.to_bytes())
-        assert np.array_equal(back.sample(), r.sample())
-        assert back.total_weight == r.total_weight
-
-    def test_adversarial_blob(self):
-        import pytest
-
-        from cardinalityestimation_ray.sketches.reservoir import (
-            WeightedReservoirSample,
-        )
-
-        r = WeightedReservoirSample(k=10)
-        r.add_values(np.arange(50, dtype=np.float64))
-        blob = r.to_bytes()
-        with pytest.raises(ValueError):
-            WeightedReservoirSample.from_bytes(blob[:8])
-        with pytest.raises(ValueError):
-            WeightedReservoirSample.from_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(ValueError):
-            WeightedReservoirSample.from_bytes(blob[:-8])
-
-    def test_negative_weight_rejected(self):
-        import pytest
-
-        from cardinalityestimation_ray.sketches.reservoir import (
-            WeightedReservoirSample,
-        )
-
-        r = WeightedReservoirSample(k=10)
-        with pytest.raises(ValueError):
-            r.add_weighted(np.ones(3), np.array([1.0, -1.0, 2.0]))
 
 
 def test_cms_unique_collapse_identical_to_raw():
@@ -689,9 +504,8 @@ _PARTIAL_KINDS = {
     "bloom": {"num_bits": 1 << 12, "num_hashes": 3},
     "tdigest": {"delta": 50},
     "kll": {"k": 50, "seed": 3},
-    "reservoir": {"k": 40, "seed": 3},
 }
-_NUMERIC_ONLY = {"tdigest", "kll", "reservoir"}  # no string elements
+_NUMERIC_ONLY = {"tdigest", "kll"}  # no string elements
 
 
 def _partials_batch():
@@ -741,7 +555,7 @@ def test_keyed_partials_match_global_partials(kind, column):
     """SketchPartials' one keyed path (rows sorted by key, one flatten, one
     value segment per key) against its global path, for every kind and
     column shape: each key's row is the global stage over that key's rows
-    byte for byte (KLL and reservoir with a fixed seed), an all-null group
+    byte for byte (KLL with a fixed seed), an all-null group
     gives (empty sketch, 0), null keys are dropped, and a sliced batch gives
     what a fresh copy of it gives."""
     import pyarrow as pa

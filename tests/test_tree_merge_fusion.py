@@ -370,9 +370,6 @@ def _scan_cases(directory):
         "kll_seeded": (parquet().map_batches(
             SketchPartials("kll", "tokens", k=40, seed=7),
             batch_format="pyarrow"), None),
-        "reservoir_seeded": (parquet().map_batches(
-            SketchPartials("reservoir", "tokens", k=30, seed=3),
-            batch_format="pyarrow"), None),
     }
 
 
@@ -406,7 +403,7 @@ def test_plain_scan_runs_one_named_task_per_file(ray_session, tmp_path,
 
 @pytest.mark.parametrize("case", [
     "parquet_batch_size_100", "arrow_64_blocks_batch_25", "filter_then_map",
-    "keyed_source", "kll_seeded", "reservoir_seeded"])
+    "keyed_source", "kll_seeded"])
 def test_plain_scan_rows_equal_ray_data(ray_session, tmp_path, case):
     """The plain path emits the same multiset of partial rows — key, blob
     and count of every batch — as Ray Data running the same scan copy."""
