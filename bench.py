@@ -366,12 +366,13 @@ def profile_stats() -> None:
 
     Runs the headline lineage (pruned parquet read -> SketchPartials
     map_batches -> combiner tree over the partial blocks' object refs) and
-    prints its end-to-end wall time, the number of merge tasks, and the
-    number of rows that reach the driver (one, by the tree's contract).
+    prints its end-to-end wall time, the number of merge tasks, and how
+    many partial rows the driver folded into the one merged row.
     The read uses automatic parallelism, as the pipelines do. The scan
     that ``combine_partials`` ran is named on the merge-task line
     (``ReadParquet->MapBatches(SketchPartials)`` when the read fused into
-    the partial stage); it is read from the package logger's DEBUG record.
+    the partial stage); it and the folded rows are read from the package
+    logger's DEBUG record.
     When the scan ran as plain tasks, the next line gives their count and
     the wall time split into planning (``read_parquet`` plus the scan's
     own plan and input bundles), task submission and execution (the rest:
@@ -427,7 +428,7 @@ def profile_stats() -> None:
     merged, n_tasks = combine_partials(ds, _merge_block_fn("hll"))
     wall = time.perf_counter() - t0
     log.removeHandler(kept)
-    scan = kept.records[-1].scan
+    scan, folded_rows = kept.records[-1].scan, kept.records[-1].folded_rows
     if scan.reason is None:
         scan_ops = scan.op_name
         split = (f"[headline lineage] plain scan: {scan.n_tasks} tasks; "
@@ -439,13 +440,15 @@ def profile_stats() -> None:
     else:
         # the scan copy combine_partials executed (fused read, one CPU
         # left to the merges), not the caller's dataset
-        scan_stats = _scan_copy(partials()).materialize().stats()
+        ds = partials()
+        scan_stats = type(ds)(*_scan_copy(ds, NUM_CPUS)).materialize().stats()
         print(scan_stats)
         scan_ops = " | ".join(re.findall(r"^Operator \d+ (.+?): ",
                                          scan_stats, re.M))
         split = f"[headline lineage] executor scan ({scan.reason})"
     print(f"\n[headline lineage] end-to-end wall: {wall:.3f}s "
-          f"({n_tasks} merge tasks, {merged.num_rows} rows reach the driver; "
+          f"({n_tasks} merge tasks, the driver folded {folded_rows} partial "
+          f"rows into {merged.num_rows}; "
           f"scan: {scan_ops})")
     print(split)
 

@@ -12,19 +12,9 @@ import pyarrow as pa
 from ..sketches import hashing
 from ..sketches.hll import HyperLogLog
 from ..sources.io import typed_frame
-from ..stages.sketch_stages import (
-    SketchPartials,
-    sketch_merge_aggregate,
-    tree_merge_partials,
-)
+from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 
 _U64_SPAN = float(1 << 64)
-
-
-def _keyed_schema(key_column: str, estimate_name: str,
-                  count_name: str) -> dict:
-    return {key_column: "object", estimate_name: "int64",
-            count_name: "int64"}
 
 
 def _keyed_result_frame(merged: dict, key_column: str, estimate_name: str,
@@ -36,7 +26,7 @@ def _keyed_result_frame(merged: dict, key_column: str, estimate_name: str,
             estimate_name: [merged[k][0].estimate() for k in keys],
             count_name: [merged[k][1] for k in keys],
         }
-    ), _keyed_schema(key_column, estimate_name, count_name))
+    ), {key_column: "object", estimate_name: "int64", count_name: "int64"})
 
 
 def global_distinct_tokens(tokens_ds, b: int = 14,
@@ -85,7 +75,6 @@ def global_distinct_tokens(tokens_ds, b: int = 14,
 
 def distinct_tokens_by_source(tokens_ds, b: int = 14,
                               hash_name: str = hashing.DEFAULT_HASH,
-                              strategy: str = "tree",
                               batch_size: int | None = None) -> pd.DataFrame:
     """Per-source distinct-token estimate + exact token count.
 
@@ -93,36 +82,27 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
     nothing heavier than KB-scale sketches ever moves; skewed sources cost
     nothing extra because each input batch contributes at most one partial per
     source (the salted two-level merge collapsed to its limit — the per-batch
-    partial IS the salt). ``strategy="tree"`` (default, low-cardinality keys)
-    avoids the all-to-all entirely; ``"groupby"`` hash-partitions the merge
-    for high-cardinality keys.
+    partial IS the salt). The rows merge through the combiner tree
+    (``tree_merge_partials``), so there is no all-to-all.
     """
     partials = tokens_ds.map_batches(
         SketchPartials(key_column="source", b=b, hash_name=hash_name),
         batch_format="pyarrow", batch_size=batch_size,
     )
-    if strategy == "tree":
-        merged = tree_merge_partials(partials, "hll", key_column="source",
-                                     hash_name=hash_name)
-        return _keyed_result_frame(merged, "source", "distinct_tokens",
-                                   "total_tokens")
-    from ray.data.aggregate import Sum
-
-    return typed_frame(partials.groupby("source").aggregate(
-        sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
-                               finalize="estimate"),
-        Sum("n_added", alias_name="total_tokens"),
-    ).rename_columns({"estimate": "distinct_tokens"}),
-        _keyed_schema("source", "distinct_tokens", "total_tokens"))
+    merged = tree_merge_partials(partials, "hll", key_column="source",
+                                 hash_name=hash_name)
+    return _keyed_result_frame(merged, "source", "distinct_tokens",
+                               "total_tokens")
 
 
 def distinct_column_by_key(ds, value_column: str, key_column: str,
                            b: int = 14, *,
                            estimate_name: str = "distinct_values",
                            count_name: str = "n_rows",
-                           hash_name: str = hashing.DEFAULT_HASH,
-                           strategy: str = "tree") -> pd.DataFrame:
-    """Per-key approximate COUNT(DISTINCT value_column) + exact COUNT(*).
+                           hash_name: str = hashing.DEFAULT_HASH
+                           ) -> pd.DataFrame:
+    """Per-key approximate COUNT(DISTINCT value_column) + exact COUNT(*),
+    merged through the combiner tree (``tree_merge_partials``).
 
     Exact (direct-count mode) whenever a key's distinct count is <= 100 —
     the reference's exact regime (HllConstants.cs:42)."""
@@ -131,18 +111,9 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
                        hash_name=hash_name),
         batch_format="pyarrow",
     )
-    if strategy == "tree":
-        merged = tree_merge_partials(partials, "hll", key_column=key_column,
-                                     hash_name=hash_name)
-        return _keyed_result_frame(merged, key_column, estimate_name, count_name)
-    from ray.data.aggregate import Sum
-
-    return typed_frame(partials.groupby(key_column).aggregate(
-        sketch_merge_aggregate("hll", {"b": b, "hash_name": hash_name},
-                               finalize="estimate"),
-        Sum("n_added", alias_name=count_name),
-    ).rename_columns({"estimate": estimate_name}),
-        _keyed_schema(key_column, estimate_name, count_name))
+    merged = tree_merge_partials(partials, "hll", key_column=key_column,
+                                 hash_name=hash_name)
+    return _keyed_result_frame(merged, key_column, estimate_name, count_name)
 
 
 def distinct_docs_by_source(tokens_ds, b: int = 14,

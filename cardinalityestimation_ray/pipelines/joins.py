@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..stages.partitioning import add_hash_bucket
 
@@ -32,9 +33,10 @@ def bucketed_inner_join(ds_left, ds_right, key: str, *,
                         suffixes: tuple = ("_l", "_r")):
     """Inner join of two Datasets on ``key`` via explicit hash buckets.
 
-    Returns a Dataset. Both sides are tagged, unioned (schema-aligned with
-    nulls), co-grouped by bucket, and merged per bucket — each bucket's data
-    is the only thing co-located, so memory per task is corpus/B.
+    Returns a Dataset. Both sides are tagged, unioned, co-grouped by
+    bucket, split back into their own columns and types in Arrow, and
+    merged per bucket — each bucket's data is the only thing co-located, so
+    memory per task is corpus/B.
     """
     lschema = ds_left.schema()
     rschema = ds_right.schema()
@@ -47,7 +49,7 @@ def bucketed_inner_join(ds_left, ds_right, key: str, *,
         # (round-4 session-9 review fix)
         col = batch[key]
         if col.null_count:
-            batch = batch.filter(pa.compute.is_valid(col))
+            batch = batch.filter(pc.is_valid(col))
         return batch
 
     left = add_hash_bucket(
@@ -56,9 +58,6 @@ def bucketed_inner_join(ds_left, ds_right, key: str, *,
     right = add_hash_bucket(
         ds_right.map_batches(drop_null_keys, batch_format="pyarrow"),
         key, num_buckets)
-
-    left_cols = [c for c in lschema.names]
-    right_cols = [c for c in rschema.names]
 
     def tag(side):
         def fn(batch: pa.Table) -> pa.Table:
@@ -69,17 +68,22 @@ def bucketed_inner_join(ds_left, ds_right, key: str, *,
     both = left.map_batches(tag(0), batch_format="pyarrow").union(
         right.map_batches(tag(1), batch_format="pyarrow"))
 
-    def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        lo = group[group["__side"] == 0][left_cols]
-        hi = group[group["__side"] == 1][right_cols]
-        if len(lo) == 0 or len(hi) == 0:
-            merged = pd.merge(lo.head(0), hi.head(0), on=key,
-                              suffixes=suffixes)
-            return merged
-        return pd.merge(lo, hi, on=key, suffixes=suffixes)
+    def join_bucket(group: pa.Table) -> pd.DataFrame:
+        # the union pads each side's rows with nulls in the other side's
+        # columns; split in Arrow, so no padded int64 column goes through
+        # pandas as float64 (ids above 2^53 would round). Types Ray has no
+        # Arrow form for (``object``) are left as the block holds them.
+        frames = []
+        for side, sch in enumerate((lschema, rschema)):
+            tbl = group.filter(pc.equal(group["__side"], side))
+            frames.append(pa.table(
+                [tbl[n].cast(t) if isinstance(t, pa.DataType) else tbl[n]
+                 for n, t in zip(sch.names, sch.types)],
+                names=sch.names).to_pandas())
+        return pd.merge(*frames, on=key, suffixes=suffixes)
 
     return both.groupby("bucket").map_groups(join_bucket,
-                                             batch_format="pandas")
+                                             batch_format="pyarrow")
 
 
 def asof_join(ds_left, ds_right, *, by: str, on: str,
@@ -101,7 +105,6 @@ def asof_join(ds_left, ds_right, *, by: str, on: str,
     left rows with nulls.
     """
     import numpy as np
-    import pyarrow.compute as pc
 
     from ..stages.partitioning import add_hash_bucket
 
@@ -244,8 +247,6 @@ def interval_join(ds_left, ds_right, *, by: str, on: str, lo: str, hi: str,
     latest-starting match would be returned) — that variant needs an
     interval-tree stage; document before reaching for this one.
     """
-    import pyarrow.compute as pc
-
     right_columns = right_columns or [lo, hi]
     for needed in (lo, hi):
         if needed not in right_columns:

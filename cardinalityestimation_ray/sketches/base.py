@@ -42,26 +42,33 @@ class Sketch(ABC):
         NaNs)."""
         return arr.drop_null() if arr.null_count else arr
 
-    def _collapse_ints(self, values: np.ndarray) -> np.ndarray:
-        """The ONE unique-collapse of kinds whose state ignores duplicates
-        (HLL, theta, Bloom): an integer batch longer than the kind's
-        ``UNIQUE_COLLAPSE_THRESHOLD`` becomes its sorted distinct values in
-        the input dtype — exactly ``np.unique``'s output, so hashes, state
-        and blobs match the raw path. Non-negative values with
-        ``max <= 8 * len`` take a presence bitmap (scatter + flatnonzero,
-        no sort; the bool bitmap is never larger than the intp index copy
-        the scatter makes); any other span sorts. Other dtypes pass through
-        (np.unique equates NaNs that hash apart)."""
+    def _collapse_ints(self, values: np.ndarray, return_counts=False):
+        """The ONE unique-collapse of integer batches: an integer batch
+        longer than the kind's ``UNIQUE_COLLAPSE_THRESHOLD`` becomes its
+        sorted distinct values in the input dtype — exactly ``np.unique``'s
+        output, so hashes, state and blobs match the raw path. HLL, theta
+        and Bloom ignore duplicates; count-min takes the counted form
+        (``return_counts=True``: (values, counts), counts None when the
+        batch passes through). Non-negative values with ``max <= 8 * len``
+        take a presence bitmap (scatter + flatnonzero, no sort; the bool
+        bitmap is never larger than the intp index copy the scatter makes),
+        or ``np.bincount`` + flatnonzero when counted; any other span sorts.
+        Other dtypes pass through (np.unique equates NaNs that hash
+        apart)."""
         n = len(values)
         if n <= self.UNIQUE_COLLAPSE_THRESHOLD \
                 or not np.issubdtype(values.dtype, np.integer):
-            return values
+            return (values, None) if return_counts else values
         hi = int(values.max())
         if hi <= 8 * n and int(values.min()) >= 0:
+            if return_counts:
+                counts = np.bincount(values.astype(np.intp, copy=False))
+                seen = np.flatnonzero(counts)
+                return seen.astype(values.dtype, copy=False), counts[seen]
             seen = np.zeros(hi + 1, dtype=bool)
             seen[values] = True
             return np.flatnonzero(seen).astype(values.dtype, copy=False)
-        return np.unique(values)
+        return np.unique(values, return_counts=return_counts)
 
     def add_arrow(self, arr: pa.Array | pa.ChunkedArray) -> None:
         """Add an Arrow array — the ONE copy of the string-vs-numeric

@@ -99,16 +99,12 @@ class CountMinSketch(Sketch):
     def add_values(self, values: np.ndarray,
                    weights: np.ndarray | None = None) -> None:
         values = np.asarray(values)
-        if (weights is None and len(values) > self.UNIQUE_COLLAPSE_THRESHOLD
-                and np.issubdtype(values.dtype, np.integer)):
-            # collapse BEFORE hashing: the unique sort is cheaper on the
-            # narrow value dtype than on 64-bit hashes, and only the
-            # uniques pay the hash pass (measured ~4x on driver-shape Zipf
-            # int32 token blocks: 58ms -> 15ms). Counters are identical —
-            # the hash is a pure function of the value, so the (hash,
-            # count) multiset is unchanged. Integer dtypes only: np.unique
-            # equates NaNs while the hash distinguishes bit patterns.
-            values, weights = np.unique(values, return_counts=True)
+        if weights is None:
+            # collapse BEFORE hashing (Sketch._collapse_ints): only the
+            # uniques pay the hash pass. Counters are identical — the hash
+            # is a pure function of the value, so the (hash, count)
+            # multiset is unchanged.
+            values, weights = self._collapse_ints(values, return_counts=True)
         self.add_hashes(hashing.hash_fixed_batch(values, self.hash_name), weights)
 
     # add_arrow: inherited from Sketch (one copy of the

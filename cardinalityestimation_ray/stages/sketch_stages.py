@@ -26,14 +26,16 @@ Data's streaming executor:
   source), :class:`_PartialScan` runs it as plain tasks and no executor
   starts; anything else streams from the executor.
 - The merge. Plain Ray tasks of ``fanout`` partial blocks each, over the
-  blocks' object refs, with exactly one merged row per key reaching the
-  driver. Ray completes tasks in any order, which is safe because the
-  merge is associative and, for the register-max kinds, commutative
-  (reference CardinalityEstimator.cs:606-609; see
+  blocks' object refs, and one driver fold of the at most ``fanout``
+  tables pending at the end. Ray completes tasks in any order, which is
+  safe because the merge is associative and, for the register-max kinds,
+  commutative (reference CardinalityEstimator.cs:606-609; see
   :func:`sketch_merge_aggregate` for the order-dependent kinds).
 
-High-cardinality keys merge with
-``groupby(key).aggregate(sketch_merge_aggregate(...))`` instead.
+Keyed pipelines merge here too. The explicit skew path is the salted
+merge (``stages/partitioning.py``); a caller with very high-cardinality
+keys uses ``sketch_merge_aggregate`` directly.
+
 ``combine_partials`` logs one DEBUG record per call to the package logger
 (``cardinalityestimation_ray``): the scan path, whether the read was
 pinned and whether a CPU was left to the merges.
@@ -272,11 +274,13 @@ def _merge_block_fn(kind: str, key_column: str | None = None,
     return merge_block
 
 
-def _scan_copy(ds):
-    """The copy of ``ds`` that :func:`combine_partials` scans: a Parquet
-    read fuses into the partial stage, and when the scan runs on Ray
-    Data's executor (:class:`_PartialScan`), the executor runs one CPU
-    short. The caller's Dataset and logical plan are never touched.
+def _scan_copy(ds, cpus: int):
+    """The (execution plan, logical plan) that :func:`combine_partials`
+    scans for ``ds`` on ``cpus`` CPUs: a Parquet read fuses into the
+    partial stage, and on Ray Data's executor (:class:`_PartialScan`) the
+    scan runs one CPU short. The caller's plans are never touched, and are
+    returned when neither rule applies. No ``Dataset`` is built (each is a
+    blocking stats-actor call); the executor path wraps the pair in one.
 
     One CPU short: merge tasks run outside Ray Data, and each one waits for
     the one before, so at most one runs at a time. Excluding one CPU from
@@ -306,7 +310,6 @@ def _scan_copy(ds):
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.read_operator import Read
 
-    cpus = int(ray.cluster_resources().get("CPU", 0))
     leave_cpu = cpus >= 2 and \
         ds.context.execution_options.is_resource_limits_default()
 
@@ -320,7 +323,7 @@ def _scan_copy(ds):
             and not ds._plan.has_computed_output():
         n_tasks = op.estimated_num_outputs() or 0
     if not (leave_cpu or n_tasks):
-        return ds
+        return ds._plan, ds._logical_plan
 
     plan = ds._plan.deep_copy()
     dag = ds._logical_plan.dag
@@ -338,7 +341,9 @@ def _scan_copy(ds):
         opts = plan._context.execution_options
         opts.exclude_resources = opts.exclude_resources.add(
             ExecutionResources(cpu=1))
-    return type(ds)(plan, LogicalPlan(dag, plan._context))
+    logical_plan = LogicalPlan(dag, plan._context)
+    plan.link_logical_plan(logical_plan)
+    return plan, logical_plan
 
 
 def _scan_task(transformer, data_context, task_ctx, *blocks):
@@ -396,18 +401,21 @@ class _PartialScan:
         from ray.data._internal.logical.optimizers import get_execution_plan
 
         t0 = time.perf_counter()
-        self.ds = _scan_copy(ds)
-        self.pinned = self.ds._logical_plan.dag is not ds._logical_plan.dag
+        self._ds = ds
+        self._cpus = int(ray.cluster_resources().get("CPU", 0))
+        self._plan, self._logical_plan = _scan_copy(ds, self._cpus)
+        self.pinned = self._logical_plan.dag is not ds._logical_plan.dag
         self.op_name = self.reason = None
         self.n_tasks = 0
         self.submit_s = 0.0
-        if self.ds._plan.has_computed_output():
+        options = self._plan._context.execution_options
+        if self._plan.has_computed_output():
             self.reason = "materialized"
-        elif not ds.context.execution_options.is_resource_limits_default():
+        elif not options.is_resource_limits_default():
             self.reason = "resource limits"
         else:
-            op = get_execution_plan(
-                LogicalPlan(self.ds._logical_plan.dag, self.ds.context)).dag
+            op = get_execution_plan(LogicalPlan(self._logical_plan.dag,
+                                                self._plan._context)).dag
             chain = [op]
             while chain[-1].input_dependencies:
                 chain.append(chain[-1].input_dependencies[0])
@@ -424,7 +432,7 @@ class _PartialScan:
                 self.op_name = op.name
                 self._op, self._source = op, chain[1]
         self.cpu_left = self.reason is not None and \
-            self.ds.context.execution_options.exclude_resources.cpu > \
+            options.exclude_resources.cpu > \
             ds.context.execution_options.exclude_resources.cpu
         self.plan_s = time.perf_counter() - t0
 
@@ -432,7 +440,10 @@ class _PartialScan:
         """Yield (block ref, rows) for every output block: a table per
         plain task in completion order, or the executor's blocks."""
         if self.reason is not None:
-            for bundle in self.ds.iter_internal_ref_bundles():
+            ds = self._ds
+            if self._plan is not ds._plan:
+                ds = type(ds)(self._plan, self._logical_plan)
+            for bundle in ds.iter_internal_ref_bundles():
                 for ref, meta in bundle.blocks:
                     yield ref, meta.num_rows
             return
@@ -443,11 +454,12 @@ class _PartialScan:
         op = self._op
         bundles = self._bundles()
         transformer = ray.put(op.get_map_transformer())
-        limit = 2 * int(ray.cluster_resources().get("CPU", 1))
+        limit = 2 * self._cpus
         limit = max(min(limit, op.get_concurrency() or limit), 1)
         self.plan_s += time.perf_counter() - t0
         self.n_tasks = len(bundles)
         in_flight: dict = {}
+        args = task = None
         for i, bundle in enumerate(bundles):
             if len(in_flight) >= limit:
                 yield from self._first_done(in_flight)
@@ -456,9 +468,12 @@ class _PartialScan:
                 task_idx=i, op_name=op.name,
                 target_max_block_size=op.actual_target_max_block_size,
                 kwargs=op.get_map_task_kwargs())
-            args = op._get_runtime_ray_remote_args(input_bundle=bundle)
-            table_ref, rows_ref = cached_remote_fn(_scan_task).options(
-                **args, name=op.name, num_returns=2).remote(
+            bundle_args = op._get_runtime_ray_remote_args(input_bundle=bundle)
+            if bundle_args != args:
+                args = bundle_args
+                task = cached_remote_fn(_scan_task).options(
+                    **args, name=op.name, num_returns=2)
+            table_ref, rows_ref = task.remote(
                 transformer, op.data_context, task_ctx, *bundle.block_refs)
             in_flight[rows_ref] = table_ref
             self.submit_s += time.perf_counter() - t0
@@ -469,7 +484,7 @@ class _PartialScan:
         """The operator's input bundles, grouped as its own bundler groups
         them (for a read, starting the source builds its read tasks)."""
         op, source = self._op, self._source
-        source.start(self.ds.context.execution_options)
+        source.start(self._plan._context.execution_options)
         bundler = op._block_ref_bundler
         bundles = []
         while source.has_next():
@@ -497,17 +512,20 @@ class _PartialScan:
                 f"{'yes' if self.cpu_left else 'no'}")
 
 
-@ray.remote(num_cpus=1)
-def _merge_task(merge_fn, *tables: pa.Table) -> pa.Table:
+def _merge(merge_fn, *tables: pa.Table) -> pa.Table:
     """One node of the combiner tree: concatenate, then row-merge."""
     return merge_fn(pa.concat_tables(tables, promote_options="permissive"))
+
+
+_merge_task = ray.remote(num_cpus=1)(_merge)
 
 
 def combine_partials(partials_ds, merge_fn, *,
                      fanout: int = 64) -> tuple[pa.Table | None, int]:
     """The merge primitive: a combiner tree over the object refs of a
-    partial stage's output blocks (the reference's batched merge tree,
-    ConcurrentCardinalityEstimator.cs:709-773, with a parameter fan-in).
+    partial stage's output blocks, rooted on the driver (the reference's
+    batched merge tree, ConcurrentCardinalityEstimator.cs:709-773, with a
+    parameter fan-in).
 
     The scan (:class:`_PartialScan`) runs :func:`_scan_copy` of
     ``partials_ds``, where a Parquet read with automatic parallelism fuses
@@ -519,20 +537,21 @@ def combine_partials(partials_ds, merge_fn, *,
     output refs arrive in completion order and blocks with no rows are
     skipped. Every ``fanout`` pending refs go to one plain ``num_cpus=1``
     merge task that concatenates them and applies ``merge_fn`` (one row
-    per key out), and its output ref rejoins the pending list. When the
-    scan ends, one last merge task takes what is pending unless that is
-    already a single merge output. The merges are ordinary tasks, not Ray
-    Data operators, so nothing fuses them onto the partial stage, and
-    exactly one merged table — one row per key — reaches the driver
-    whatever the number of blocks. Driver state is at most ``fanout`` refs
-    plus that table, and the plain scan's in-flight refs.
+    per key out), and its output ref rejoins the pending list. The merges
+    are ordinary tasks, not Ray Data operators, so nothing fuses them onto
+    the partial stage. When the scan ends, the driver applies ``merge_fn``
+    once to the tables still pending (at most ``fanout``), so the result
+    has one row per key whatever the number of blocks. Driver state is at
+    most ``fanout`` tables plus the merged one, and the plain scan's
+    in-flight refs.
 
     Scan and merge tasks are pure functions of their inputs, so Ray's task
     retry after a worker death reproduces them exactly.
 
     Logs one DEBUG record to the ``cardinalityestimation_ray`` logger,
     whose ``scan`` attribute is the :class:`_PartialScan` (path, operator,
-    task count, planning and submit seconds).
+    task count, planning and submit seconds) and whose ``folded_rows``
+    attribute counts the partial rows the driver folded.
 
     Returns (merged table, or None when no block had rows; merge tasks run).
     """
@@ -550,16 +569,17 @@ def combine_partials(partials_ds, merge_fn, *,
             pending = [_merge_task.remote(merge_fn, *pending)]
             n_tasks += 1
     table = None
+    folded_rows = 0
     if pending:
-        if len(pending) > 1 or n_tasks == 0:
-            pending = [_merge_task.remote(merge_fn, *pending)]
-            n_tasks += 1
-        table = ray.get(pending[0])
+        tables = ray.get(pending)
+        folded_rows = sum(t.num_rows for t in tables)
+        table = _merge(merge_fn, *tables)
     wall_s = time.perf_counter() - t0
     logger.debug(
-        "combine_partials %s; %d merge tasks; %.3f s (plan %.3f, submit "
-        "%.3f)", scan.describe(), n_tasks, wall_s, scan.plan_s,
-        scan.submit_s, extra={"scan": scan})
+        "combine_partials %s; %d merge tasks; driver folded %d rows; %.3f s "
+        "(plan %.3f, submit %.3f)", scan.describe(), n_tasks, folded_rows,
+        wall_s, scan.plan_s, scan.submit_s,
+        extra={"scan": scan, "folded_rows": folded_rows})
     return table, n_tasks
 
 
@@ -567,14 +587,14 @@ def tree_merge_partials(partials_ds, kind: str, *,
                         key_column: str | None = None,
                         hash_name: str | None = None, fanout: int = 64):
     """Merge a partial stage's rows with :func:`combine_partials` and decode
-    the one merged row per key on the driver. No all-to-all anywhere.
+    its one merged row per key on the driver. No all-to-all anywhere.
 
     Global (``key_column=None``): returns (merged sketch | None, total
     n_added). Keyed: returns ``dict[key, (sketch, n_added)]``. Every merge
-    task and the driver hold one sketch per key, so the keyed form is for
-    LOW-cardinality keys (sources, languages, shards); high-cardinality keys
-    belong in ``groupby(key).aggregate(sketch_merge_aggregate(...))``, which
-    hash-partitions the merge itself."""
+    task holds one sketch per key, and the driver's fold up to ``fanout``
+    tables of such rows; a caller whose keys are too many for that uses
+    ``groupby(key).aggregate(sketch_merge_aggregate(...))`` directly, which
+    hash-partitions the merge."""
     table, _ = combine_partials(
         partials_ds, _merge_block_fn(kind, key_column, hash_name),
         fanout=fanout)

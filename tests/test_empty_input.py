@@ -160,10 +160,9 @@ def test_asof_left_join_empty_right_keeps_left(ray_session):
     assert out["ts_r"].isna().all()
 
 
-@pytest.mark.parametrize("strategy", ["tree", "groupby"])
 @pytest.mark.parametrize("pipeline", ["tokens_by_source", "column_by_key"])
 def test_keyed_result_frames_typed_when_empty(ray_session, empty_dir,
-                                              pipeline, strategy):
+                                              pipeline):
     from cardinalityestimation_ray.pipelines.distinct import (
         distinct_column_by_key,
         distinct_tokens_by_source,
@@ -171,12 +170,11 @@ def test_keyed_result_frames_typed_when_empty(ray_session, empty_dir,
     from cardinalityestimation_ray.sources.corpus import read_tokens
 
     if pipeline == "tokens_by_source":
-        df = distinct_tokens_by_source(read_tokens(empty_dir), b=14,
-                                       strategy=strategy)
+        df = distinct_tokens_by_source(read_tokens(empty_dir), b=14)
         cols = ["source", "distinct_tokens", "total_tokens"]
     else:
         df = distinct_column_by_key(read_tokens(empty_dir), "doc_id",
-                                    "source", b=14, strategy=strategy,
+                                    "source", b=14,
                                     estimate_name="distinct_docs",
                                     count_name="n_docs")
         cols = ["source", "distinct_docs", "n_docs"]

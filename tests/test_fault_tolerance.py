@@ -106,9 +106,10 @@ def test_actor_pool_worker_death_retry_yields_exact_result(ray_session,
 
 def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
                                                                  tmp_path):
-    """The combiner tree's merges are plain Ray tasks: the first one kills
-    its worker (os._exit), Ray retries it on another worker, and the merged
-    registers equal both a flat fold and an undisturbed run of the tree."""
+    """The combiner tree's merges are plain Ray tasks: the first of its two
+    kills its worker (os._exit), Ray retries it on another worker, and the
+    merged registers equal both a flat fold and an undisturbed run of the
+    tree."""
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
@@ -141,7 +142,7 @@ def test_merge_task_worker_death_retry_yields_identical_registers(ray_session,
     table, n_tasks = combine_partials(ds, dying_merge, fanout=4)
     clean, _ = combine_partials(ds, merge, fanout=4)
     assert os.path.exists(marker)  # the crash really happened
-    assert n_tasks == 3
+    assert n_tasks == 2
     assert table["n_added"].to_pylist() == [2000]
     got = HyperLogLog.from_bytes(table["sketch"][0].as_py())
     single = HyperLogLog(b=12)
@@ -201,6 +202,7 @@ def test_fused_read_partial_worker_death_retry_yields_exact_result(
     single.add_values(np.arange(2000, dtype=np.int32))
     assert np.array_equal(sketch.registers(), single.registers())
     # the task that died was a fused read + partial task
-    stats = _scan_copy(ds).materialize().stats()
+    stats = type(ds)(*_scan_copy(ds, int(ray.cluster_resources()["CPU"])))\
+        .materialize().stats()
     assert re.findall(r"^Operator \d+ (.+?): ", stats, re.M) == \
         ["ReadParquet->MapBatches(flaky)"]

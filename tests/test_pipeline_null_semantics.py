@@ -26,6 +26,27 @@ def test_inner_join_never_matches_null_keys(ray_session):
     assert out["x"].tolist() == [12] and out["y"].tolist() == [21]
 
 
+def test_inner_join_keeps_int64_above_2_53(ray_session):
+    """The union pads each side with nulls in the other side's columns; a
+    padded int64 column once went through pandas as float64, so ids above
+    2^53 came back rounded (2^53 + 1 -> 2^53) and typed float64."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.joins import bucketed_inner_join
+
+    big = [2**53 + 1, 2**53 + 3]
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2], type=pa.int64()),
+        "x": pa.array(big, type=pa.int64())}))
+    right = ray.data.from_arrow(pa.table({
+        "k": pa.array([1, 2], type=pa.int64()),
+        "y": pa.array(big[::-1], type=pa.int64())}))
+    out = bucketed_inner_join(left, right, "k", num_buckets=4).to_pandas() \
+        .sort_values("k").reset_index(drop=True)
+    assert out["x"].tolist() == big and out["y"].tolist() == big[::-1]
+    assert [str(out[c].dtype) for c in ("k", "x", "y")] == ["int64"] * 3
+
+
 def test_quantile_thresholds_ignore_nan(ray_session):
     """A NaN float passes is_valid and sorts last — it must not be selected
     as a quantile threshold (a NaN threshold made the band filter drop

@@ -581,25 +581,40 @@ def test_empty_input_edge_cases(_ray):
 
 
 def test_groupby_strategy_matches_tree(tokens_small):
-    """Both merge strategies (combiner tree vs hash-partitioned groupby
-    AggregateFn) must produce identical results."""
+    """The combiner tree the keyed pipelines merge through and the public
+    hash-partitioned groupby UDAF (``sketch_merge_aggregate``) must produce
+    identical results over the same partial rows."""
+    from ray.data.aggregate import Sum
+
     from cardinalityestimation_ray.pipelines.distinct import (
         distinct_column_by_key,
         distinct_tokens_by_source,
     )
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+        sketch_merge_aggregate,
+    )
 
-    tree = distinct_tokens_by_source(tokens_small(), b=12, strategy="tree")
-    grp = distinct_tokens_by_source(tokens_small(), b=12, strategy="groupby")
-    grp = grp.sort_values("source").reset_index(drop=True)
-    assert tree["distinct_tokens"].tolist() == grp["distinct_tokens"].tolist()
-    assert tree["total_tokens"].tolist() == grp["total_tokens"].tolist()
+    def udaf(value_column):
+        partials = tokens_small().map_batches(
+            SketchPartials("hll", value_column, key_column="source", b=12),
+            batch_format="pyarrow")
+        return partials.groupby("source").aggregate(
+            sketch_merge_aggregate("hll", {"b": 12}, finalize="estimate"),
+            Sum("n_added", alias_name="n_added"),
+        ).to_pandas().sort_values("source").reset_index(drop=True)
 
-    t2 = distinct_column_by_key(tokens_small(), "doc_id", "source", b=12,
-                                strategy="tree")
-    g2 = distinct_column_by_key(tokens_small(), "doc_id", "source", b=12,
-                                strategy="groupby")
-    g2 = g2.sort_values("source").reset_index(drop=True)
-    assert t2["distinct_values"].tolist() == g2["distinct_values"].tolist()
+    tree = distinct_tokens_by_source(tokens_small(), b=12)
+    grp = udaf("tokens")
+    assert tree["source"].tolist() == grp["source"].tolist()
+    assert tree["distinct_tokens"].tolist() == grp["estimate"].tolist()
+    assert tree["total_tokens"].tolist() == grp["n_added"].tolist()
+
+    t2 = distinct_column_by_key(tokens_small(), "doc_id", "source", b=12)
+    g2 = udaf("doc_id")
+    assert t2["source"].tolist() == g2["source"].tolist()
+    assert t2["distinct_values"].tolist() == g2["estimate"].tolist()
+    assert t2["n_rows"].tolist() == g2["n_added"].tolist()
 
 
 def test_cli_driver_subprocess():

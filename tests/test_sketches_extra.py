@@ -482,6 +482,10 @@ def test_keyed_partials_schema_stable_with_all_null_batches(ray_session):
     from cardinalityestimation_ray.pipelines.distinct import (
         distinct_column_by_key,
     )
+    from cardinalityestimation_ray.stages.sketch_stages import (
+        SketchPartials,
+        sketch_merge_aggregate,
+    )
 
     t1 = pa.table({"k": pa.array([1, 2], type=pa.int32()),
                    "v": pa.array([10, 20], type=pa.int64())})
@@ -489,12 +493,18 @@ def test_keyed_partials_schema_stable_with_all_null_batches(ray_session):
                    "v": pa.array([None, None], type=pa.int64())})
     ds = ray.data.from_arrow(t1).union(ray.data.from_arrow(t2))
     out = distinct_column_by_key(ds, "v", "k", b=12,
-                                 estimate_name="d", count_name="n",
-                                 strategy="groupby")
-    got = dict(zip(out["k"], out["d"]))
+                                 estimate_name="d", count_name="n")
+    udaf = ds.map_batches(
+        SketchPartials("hll", "v", key_column="k", b=12),
+        batch_format="pyarrow").groupby("k").aggregate(
+        sketch_merge_aggregate("hll", {"b": 12}, finalize="estimate")
+    ).to_pandas()
     # key 3's values are ALL null: SQL GROUP BY keeps the group with
-    # COUNT(DISTINCT)=0 (round-4 session-9 fix — it was dropped before)
-    assert got == {1: 1, 2: 1, 3: 0}
+    # COUNT(DISTINCT)=0 (round-4 session-9 fix — it was dropped before),
+    # through the combiner tree and through the groupby UDAF alike
+    for got in (dict(zip(out["k"], out["d"])),
+                dict(zip(udaf["k"], udaf["estimate"]))):
+        assert got == {1: 1, 2: 1, 3: 0}
 
 
 _PARTIAL_KINDS = {
@@ -657,11 +667,33 @@ def test_bloom_unique_collapse_identical_to_raw(int_collapse_cases):
             == len(vals), name
 
 
+def test_countmin_unique_collapse_identical_to_raw(int_collapse_cases):
+    """Count-min's counted collapse (values + counts before hashing) must
+    leave every counter AND the total identical to the raw path, on every
+    branch of the collapse."""
+    rng = np.random.default_rng(13)
+    for name, vals, _ in int_collapse_cases(
+            rng.zipf(1.2, 200_000) % 10_000):
+        collapsed = CountMinSketch(depth=4, width=1 << 12)
+        collapsed.add_values(vals)
+        raw = CountMinSketch(depth=4, width=1 << 12)
+        old = CountMinSketch.UNIQUE_COLLAPSE_THRESHOLD
+        try:
+            CountMinSketch.UNIQUE_COLLAPSE_THRESHOLD = 1 << 62
+            raw.add_values(vals)
+        finally:
+            CountMinSketch.UNIQUE_COLLAPSE_THRESHOLD = old
+        assert np.array_equal(collapsed.counts, raw.counts), name
+        assert collapsed.total == raw.total == len(vals), name
+        assert collapsed.to_bytes() == raw.to_bytes(), name
+
+
 def test_collapse_ints_equals_np_unique(int_collapse_cases):
     """``Sketch._collapse_ints`` returns exactly ``np.unique``'s output —
-    values, sorted order and dtype — for every integer dtype, on both
-    branches (dense non-negative -> bitmap, anything else -> sort), and
-    passes short or non-integer batches through untouched."""
+    values, sorted order and dtype, and with ``return_counts`` the counts
+    too — for every integer dtype, on both branches (dense non-negative ->
+    bitmap, anything else -> sort), and passes short or non-integer
+    batches through untouched."""
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
 
     sk = HyperLogLog(b=11)
@@ -673,6 +705,11 @@ def test_collapse_ints_equals_np_unique(int_collapse_cases):
         got = sk._collapse_ints(vals)
         want = np.unique(vals)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+        got, counts = sk._collapse_ints(vals, return_counts=True)
+        want, want_counts = np.unique(vals, return_counts=True)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert counts.dtype == want_counts.dtype, name
+        assert np.array_equal(counts, want_counts), name
         checked.add(bitmap)
     assert checked == {True, False}
     for dt in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
@@ -686,10 +723,17 @@ def test_collapse_ints_equals_np_unique(int_collapse_cases):
             want = np.unique(vals)
             assert got.dtype == want.dtype and np.array_equal(got, want), \
                 (dt, lo, hi)
+            got, counts = sk._collapse_ints(vals, return_counts=True)
+            want, want_counts = np.unique(vals, return_counts=True)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                (dt, lo, hi)
+            assert np.array_equal(counts, want_counts), (dt, lo, hi)
     short = z[:100].astype(np.int32)
     assert sk._collapse_ints(short) is short
     floats = z.astype(np.float64)
     assert sk._collapse_ints(floats) is floats
+    got, counts = sk._collapse_ints(floats, return_counts=True)
+    assert got is floats and counts is None
 
 
 def test_numpy_scalar_identity_matches_batch():

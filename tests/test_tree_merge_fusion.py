@@ -1,7 +1,8 @@
-"""The combiner tree must actually REDUCE: exactly one merged row per key
-reaches the driver, whatever the number of partial blocks, and the registers
-equal a flat fold. Its merges are plain Ray tasks over the partial blocks'
-object refs, so Ray Data's operator fusion cannot reach them — fused
+"""The combiner tree must actually REDUCE: the driver folds at most
+``fanout`` tables into exactly one merged row per key, whatever the number
+of partial blocks, and the registers equal a flat fold. Its merges are
+plain Ray tasks over the partial blocks' object refs, so Ray Data's
+operator fusion cannot reach them — fused
 ``map_batches`` merge levels once saw only their own block's row and let
 every partial row through to the driver (found via `bench.py --stats` in
 round 4: 64 read blocks -> 64 rows reaching the driver).
@@ -62,12 +63,20 @@ def _operator_names(stats: str) -> list[str]:
     return re.findall(r"^Operator \d+ (.+?): ", stats, re.M)
 
 
+def _scan_dataset(ds):
+    """The scan copy that combine_partials executes for ``ds``, wrapped in
+    a Dataset."""
+    import ray
+
+    from cardinalityestimation_ray.stages.sketch_stages import _scan_copy
+
+    return type(ds)(*_scan_copy(ds, int(ray.cluster_resources()["CPU"])))
+
+
 def _executed_scan(ds):
     """(operator names, partial blocks) of the scan copy that
     combine_partials executes for ``ds``, from Ray's stats of one run."""
-    from cardinalityestimation_ray.stages.sketch_stages import _scan_copy
-
-    scan = _scan_copy(ds)
+    scan = _scan_dataset(ds)
     n_blocks = sum(len(bundle.blocks)
                    for bundle in scan.iter_internal_ref_bundles())
     return _operator_names(scan.stats()), n_blocks
@@ -104,10 +113,11 @@ def _flat(n_tokens: int):
 
 
 def test_combiner_tree_sends_one_row_to_driver(ray_session):
-    """128 one-row partial blocks at fanout 8 -> exactly one row reaches the
-    driver. The first task takes 8 refs; each later one takes its
-    predecessor's output plus 7 new refs (17 tasks reach ref 127); the last
-    ref and the running merge go to one final task: 19 tasks."""
+    """128 one-row partial blocks at fanout 8 -> exactly one merged row.
+    The first task takes 8 refs; each later one takes its predecessor's
+    output plus 7 new refs, so 18 tasks take 8 + 17 * 7 = 127 refs; the
+    driver folds the last merge output and the last ref: 2 rows, 18
+    tasks."""
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
         _merge_block_fn,
@@ -117,16 +127,16 @@ def test_combiner_tree_sends_one_row_to_driver(ray_session):
     table, n_tasks = combine_partials(_partials(128), _merge_block_fn("hll"),
                                       fanout=8)
     assert table.num_rows == 1, (
-        f"{table.num_rows} partial rows reached the driver")
-    assert n_tasks == 19
+        f"{table.num_rows} partial rows came out of the tree")
+    assert n_tasks == 18
     assert table["n_added"][0].as_py() == 128 * 40
     merged = HyperLogLog.from_bytes(table["sketch"][0].as_py())
     assert np.array_equal(merged.registers(), _flat(128 * 40).registers())
 
 
 def test_keyed_combiner_tree_sends_one_row_per_key(ray_session):
-    """Keyed: 128 blocks alternating between 2 keys -> exactly one row per
-    key reaches the driver, with each key's exact token count."""
+    """Keyed: 128 blocks alternating between 2 keys -> exactly one merged
+    row per key, with each key's exact token count."""
     from cardinalityestimation_ray.stages.sketch_stages import (
         _merge_block_fn,
         combine_partials,
@@ -147,8 +157,8 @@ def test_keyed_combiner_tree_sends_one_row_per_key(ray_session):
 
 
 def test_combiner_tree_edge_cases(ray_session):
-    """A lone block still goes through one merge task (it may hold several
-    partial rows); no rows at all gives no table and no task; fanout < 2
+    """A lone block needs no merge task: the driver folds its partial rows
+    into one; no rows at all gives no table and no task; fanout < 2
     cannot reduce and is refused. The CPU left to the merges is set on a
     copy: the caller's dataset keeps its own execution options."""
     import ray.data
@@ -166,7 +176,7 @@ def test_combiner_tree_edge_cases(ray_session):
     one_block = ray.data.from_arrow(pa.table({"tokens": tokens})).map_batches(
         SketchPartials(b=12), batch_format="pyarrow", batch_size=10)
     table, n_tasks = combine_partials(one_block, _merge_block_fn("hll"))
-    assert (table.num_rows, n_tasks) == (1, 1)
+    assert (table.num_rows, n_tasks) == (1, 0)
     assert table["n_added"][0].as_py() == 80
     assert one_block.context.execution_options.exclude_resources == \
         ExecutionResources.zero()
@@ -182,22 +192,22 @@ def test_combiner_tree_edge_cases(ray_session):
 
 def test_bench_stats_reports_single_driver_row():
     """`bench.py --stats` is the diagnostic that caught the fusion no-op —
-    keep it working, and keep its headline assertions true: exactly one
-    row reaches the driver, after at least one merge task, and the scan is
-    the one fused read + partial operator (subprocess: bench owns its own
-    Ray session; tiny corpus via GRAFT_BENCH_DOCS)."""
+    keep it working, and keep its headline assertions true: the driver
+    folds at most ``fanout`` (64) partial rows into exactly one merged row,
+    and the scan is the one fused read + partial operator (subprocess:
+    bench owns its own Ray session; tiny corpus via GRAFT_BENCH_DOCS)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, GRAFT_BENCH_DOCS="2000", RAY_GRAFT_CPUS="4")
     out = subprocess.run(
         [sys.executable, "bench.py", "--stats"], env=env,
         capture_output=True, text=True, timeout=300, cwd=root)
     assert out.returncode == 0, out.stderr[-500:]
-    m = re.search(r"\((\d+) merge tasks, (\d+) rows reach the driver; "
-                  r"scan: (.+)\)$", out.stdout, re.M)
+    m = re.search(r"\((\d+) merge tasks, the driver folded (\d+) partial "
+                  r"rows into (\d+); scan: (.+)\)$", out.stdout, re.M)
     assert m, out.stdout[-500:]
-    assert int(m.group(1)) >= 1, out.stdout[-500:]
-    assert int(m.group(2)) == 1, out.stdout[-500:]
-    assert m.group(3) == FUSED, out.stdout[-500:]
+    assert 1 <= int(m.group(2)) <= 64, out.stdout[-500:]
+    assert int(m.group(3)) == 1, out.stdout[-500:]
+    assert m.group(4) == FUSED, out.stdout[-500:]
 
 
 def test_tree_merge_result_identical_to_flat_fold(ray_session):
@@ -407,12 +417,10 @@ def test_plain_scan_runs_one_named_task_per_file(ray_session, tmp_path,
 def test_plain_scan_rows_equal_ray_data(ray_session, tmp_path, case):
     """The plain path emits the same multiset of partial rows — key, blob
     and count of every batch — as Ray Data running the same scan copy."""
-    from cardinalityestimation_ray.stages.sketch_stages import _scan_copy
-
     _write_keyed_parquet(tmp_path)
     ds, key_column = _scan_cases(tmp_path)[case]
     scan, plain = _plain_scan_rows(ds, key_column)
-    assert plain == _row_multiset(_scan_copy(ds).take_all(), key_column)
+    assert plain == _row_multiset(_scan_dataset(ds).take_all(), key_column)
     assert plain and scan.n_tasks >= 1
     if case == "arrow_64_blocks_batch_25":
         # batches of 25 over 10-row blocks: the bundler groups 3 blocks
@@ -525,7 +533,7 @@ def test_combine_partials_logs_the_plain_path(ray_session, tmp_path, caplog):
     (record,) = _package_records(caplog)
     assert record.levelno == logging.DEBUG
     assert f"scan: plain tasks ({FUSED}, 4 tasks); read pinned: yes; " \
-        "CPU left to merges: no; 1 merge tasks" in record.getMessage()
+        "CPU left to merges: no; 0 merge tasks" in record.getMessage()
 
 
 def test_combine_partials_logs_the_executor_path(ray_session, tmp_path,
@@ -547,4 +555,4 @@ def test_combine_partials_logs_the_executor_path(ray_session, tmp_path,
     (record,) = _package_records(caplog)
     assert record.levelno == logging.DEBUG
     assert "scan: executor (split read); read pinned: no; " \
-        "CPU left to merges: yes; 1 merge tasks" in record.getMessage()
+        "CPU left to merges: yes; 0 merge tasks" in record.getMessage()
