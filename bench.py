@@ -579,8 +579,8 @@ def main():
                      "tokenizer) are DRAM-bandwidth-bound on this single "
                      "shared-memory box — each speedup that tripled their "
                      "per-core rate pushed them into the ceiling. Bandwidth "
-                     "is per-node on a real cluster; see BASELINE.md for "
-                     "the sub-bandwidth 1 -> 4 evidence"),
+                     "is per-node on a real cluster; BASELINE.md's scaling "
+                     "evidence gives the sub-bandwidth 1 -> 4 control"),
         }))
     else:
         print(json.dumps(bench_once()))

@@ -1,24 +1,32 @@
 """Deduplication pipelines over the documents table.
 
-Five dedup modes, each Ray-Data-first:
+Dedup modes, each Ray-Data-first:
 
 - exact:      content-hash -> hash-partitioned groupby -> keep min doc_id
-- minhash:    char-shingle MinHash -> LSH band explode -> bucket groupby ->
-              candidate pairs -> signature-Jaccard verify -> union-find
-- simhash:    64-bit SimHash -> band bucket groupby -> Hamming verify
-- ngram:      LSH candidates verified with EXACT word/char n-gram Jaccard
+- minhash:    char-shingle MinHash -> LSH band explode -> bucket verify by
+              signature-Jaccard estimate (or exact n-gram Jaccard on text)
+- simhash:    64-bit SimHash -> band bit-slice buckets -> Hamming verify
 - embedding:  random-hyperplane LSH buckets -> within-bucket cosine verify
+
+(exact word-n-gram Jaccard pairs without LSH live in ``similarity.py``.)
+
+The three banded-LSH modes share one bucket path: each family supplies only
+its row stage (exploded (band, band_hash, part, id, ...) rows), its compare
+kernels and its identical-row score; :func:`_bucket_pairs` scans the
+buckets of every super-bucket ``part``, :func:`_verify_bucket` verifies one
+bucket under the degenerate-bucket bounds, and :func:`_best_pairs` dedups
+the pairs across bands on the driver.
 
 Partitioning assumption (documented per north_rule): candidate generation
 shuffles only (bucket_key, doc_id, signature) rows — signatures are O(100B);
 raw text moves only for the exact-jaccard verify mode, and only inside
 buckets. Degenerate buckets (mass duplication — the norm in web crawl) are
-bounded: identical signatures collapse to a representative with star pairs,
-and oversized unique-signature sets switch to a sorted sliding-window
-verify. Clustering is either driver union-find over the candidate-PAIR set
-(pairs << rows under LSH precision + star collapse) or, for pair sets
-beyond driver memory, distributed min-label propagation
-(:func:`connected_components`).
+bounded: identical rows collapse to a representative with star pairs, and
+oversized sets of distinct rows switch to a sorted sliding-window verify
+(:func:`_verify_bucket`). Clustering is either driver union-find over the
+candidate-PAIR set (:func:`pairs_to_clusters`; pairs << rows under LSH
+precision + star collapse) or, for pair sets beyond driver memory,
+distributed min-label propagation (:func:`connected_components`).
 """
 
 from __future__ import annotations
@@ -120,7 +128,7 @@ def exact_dedup_stats(docs_ds, *, text_column: str = "text") -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# LSH candidate machinery (shared by minhash / ngram modes)
+# banded-LSH machinery (shared by the minhash, simhash and embedding modes)
 
 
 class MinHashBandRows:
@@ -217,50 +225,42 @@ _HAMMING_PAIRS = {"id_a": "int64", "id_b": "int64", "hamming": "int64"}
 _COSINE_PAIRS = {"id_a": "int64", "id_b": "int64", "cosine": "float64"}
 
 
-def _verify_minhash_bucket(ids: np.ndarray, sigs: np.ndarray, texts,
-                           *, threshold: float, verify: str, ngram: int = 8,
-                           max_bucket: int, window: int,
-                           identical_cap: int, est_margin: float = 0.8,
-                           emit_identical: bool = True) -> pd.DataFrame | None:
-    """Verify one LSH bucket with bounded work (round-2 VERDICT fix: the
-    old version was an unbounded O(k²) Python pair loop — a degenerate
-    bucket of 10⁶ identical crawl pages cost 10¹² iterations in one task).
+def _verify_bucket(key, full, windowed, *, same, identical_cap: int,
+                   max_bucket: int, emit_identical: bool = True):
+    """Verify one LSH bucket with bounded work — the one owner of the
+    degenerate-bucket bounds for the MinHash, SimHash and embedding modes
+    (round-2 VERDICT fix: the first version was an unbounded O(k²) Python
+    pair loop; a bucket of 10⁶ identical crawl pages cost 10¹² iterations
+    in one task).
 
-    Three bounds, mirroring the embedding path (`embedding_dedup_pairs`):
+    The bucket's rows arrive sorted by unique id. ``key`` (one row per
+    bucket row) decides which rows are identical; ``full(rep)`` and
+    ``windowed(rep)`` are the family's compare kernels over the
+    representatives' row positions ``rep``, returning ``(i, j, score)``
+    with ``i``/``j`` indexing ``rep``.
 
-    1. identical signatures collapse to one representative per group;
-       within-group pairs are all-pairs for groups <= ``identical_cap``
-       (preserving exact pair semantics at test scale) and a min-id STAR
-       above it — union-find chaining restores the full cluster.
-    2. cross-group comparison runs over unique signatures only, fully
-       vectorized (chunked broadcast, no Python pair loop).
-    3. above ``max_bucket`` unique signatures, the quadratic compare is
-       replaced by a sorted-by-first-component sliding window of width
-       ``window`` (O(m·window)); near-identical signatures sort adjacently.
+    1. Identical rows collapse to one representative, their min-id member.
+       Within a group: all pairs up to ``identical_cap`` members (exact pair
+       semantics at test scale), a min-id STAR above it — union-find
+       chaining restores the cluster — each scored ``same``. An identical
+       group collides in every band, so the caller emits these pairs from
+       band 0 only (``emit_identical``), removing a ×num_bands duplicate
+       blowup on mass-duplicated corpora. Cross-group candidates are not
+       gated: two distinct rows may first collide in any band, and the
+       window makes "emitted in an earlier band" order-dependent, so the
+       driver-side dedup absorbs those repeats.
+    2. The representatives, in key order, compare all-pairs up to
+       ``max_bucket`` of them, else through ``windowed``: a sorted sliding
+       window, O(m·window) instead of O(m²), where near-identical rows sort
+       adjacently.
 
-    Exact-text verification (char/word n-gram Jaccard) runs per CANDIDATE
-    pair only, after the vectorized signature-estimate prefilter — and it
-    is BATCHED: all candidate position pairs from both phases are collected
-    first, then one :func:`doc_distinct_grams` pass over the UNIQUE texts
-    involved plus one :func:`batched_pair_jaccard` call over the unique
-    unordered text pairs scores everything with no per-pair Python
-    (round-3 verdict item #3; round-4: text-collapse, so a mass-duplicated
-    cluster costs one kernel self-pair, not C(k,2) kernel pairs).
-
-    ``emit_identical``: an identical-FULL-signature group lands in the same
-    bucket of EVERY band, so the caller emits its within-group (phase-1)
-    pairs from band 0 only — passing ``False`` here for bands > 0 removes a
-    ×num_bands duplicate-pair blowup on mass-duplicated corpora. Phase-2
-    (cross-group) candidates are NOT gated: two distinct signatures may
-    first collide in any band, and the windowed fallback makes "was it
-    emitted in an earlier band" order-dependent, so those duplicates are
-    still absorbed by the downstream groupby.
+    Returns ``(x, y, score)``: bucket row positions of each candidate pair
+    and its score.
     """
-    order, starts, counts = collapse_identical_rows(sigs)
-
-    # phase 1: within identical-signature groups — candidate positions
-    cand_x: list[np.ndarray] = []
-    cand_y: list[np.ndarray] = []
+    order, starts, counts = collapse_identical_rows(key)
+    xs: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
     if emit_identical:
         for s, c in zip(starts, counts):
             if c < 2:
@@ -271,111 +271,156 @@ def _verify_minhash_bucket(ids: np.ndarray, sigs: np.ndarray, texts,
             else:
                 ii = np.zeros(c - 1, dtype=np.int64)
                 jj = np.arange(1, c, dtype=np.int64)
-            cand_x.append(members[ii])
-            cand_y.append(members[jj])
-    n_ident = sum(len(x) for x in cand_x)
-
-    # phase 2: across groups — unique signatures only
-    rep_pos = order[starts]
-    m = len(rep_pos)
-    cross_est = np.empty(0)
-    if m >= 2:
-        U = sigs[rep_pos]
-        min_est = threshold if verify == "signature" \
-            else threshold * est_margin
-        if m <= max_bucket:
-            ci, cj, cross_est = pairwise_candidates_est(U, min_est)
-        else:
-            ci, cj, cross_est = windowed_candidates_est(U, min_est, window)
-        if len(ci):
-            cand_x.append(rep_pos[ci])
-            cand_y.append(rep_pos[cj])
-
-    if not cand_x:
-        return None
-    x = np.concatenate(cand_x).astype(np.int64)
-    y = np.concatenate(cand_y).astype(np.int64)
-    if len(x) == 0:
-        return None
-
-    if verify == "signature":
-        sim = np.r_[np.ones(n_ident), cross_est]
-    else:
-        # Jaccard is a pure function of the two texts: build gram sets
-        # once per UNIQUE text and score each unique unordered text pair
-        # once, then gather back onto the candidate array — an
-        # identical-text cluster's C(k,2) phase-1 pairs all collapse to
-        # one kernel self-pair (sim 1.0 by set identity)
-        used = np.unique(np.concatenate([x, y]))
-        remap = np.zeros(len(ids), dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        # null texts verify as "" — the same contract the SIGNATURE path
-        # applies (hash_arrow_binary hashes null like the empty string), so
-        # the two verify modes agree; None in the object array would also
-        # crash np.unique's sort (round-4 session-9 review fix)
-        utexts, tinv = np.unique(
-            np.asarray([texts[i] if isinstance(texts[i], str) else ""
-                        for i in used], dtype=object),
-            return_inverse=True)
-        n_ut = np.int64(len(utexts))
-        gx = tinv[remap[x]]
-        gy = tinv[remap[y]]
-        key = np.minimum(gx, gy) * n_ut + np.maximum(gx, gy)
-        ukey, kinv = np.unique(key, return_inverse=True)
-        grams, indptr = doc_distinct_grams(
-            list(utexts), verify=verify, ngram=ngram)
-        usim = batched_pair_jaccard(grams, indptr, ukey // n_ut, ukey % n_ut)
-        sim = usim[kinv]
-
-    keep = sim >= threshold
-    a = ids[x[keep]]
-    b = ids[y[keep]]
-    return pd.DataFrame({
-        "id_a": np.minimum(a, b).astype(np.int64),
-        "id_b": np.maximum(a, b).astype(np.int64),
-        "similarity": sim[keep].astype(np.float64),
-    })
+            xs.append(members[ii])
+            ys.append(members[jj])
+            scores.append(np.full(len(ii), same))
+    rep = order[starts]
+    if len(rep) >= 2:
+        ci, cj, sc = (full if len(rep) <= max_bucket else windowed)(rep)
+        xs.append(rep[ci])
+        ys.append(rep[cj])
+        scores.append(sc)
+    if not xs:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(scores)
 
 
-def _candidate_pairs_from_buckets(bucket_rows, id_column: str, num_perm: int,
-                                  threshold: float, verify: str, ngram: int,
-                                  *, max_bucket: int = 512, window: int = 64,
-                                  identical_cap: int = 64,
-                                  est_margin: float = 0.8) -> pd.DataFrame:
-    """Pair generation + verification, one map_groups call per super-bucket.
+def _minhash_compare(sigs: np.ndarray, min_est: float, window: int):
+    """MinHash key and kernels: (k, num_perm) signatures, scored by their
+    Jaccard estimate; the window sorts by the first component."""
+    return (sigs,
+            lambda rep: pairwise_candidates_est(sigs[rep], min_est),
+            lambda rep: windowed_candidates_est(sigs[rep], min_est, window))
 
-    Inside a part: keep only rows whose (band, band_hash) bucket has >= 2
-    members (vectorized duplicated-mask), then verify each real bucket with
-    :func:`_verify_minhash_bucket` — bounded work even for degenerate
-    buckets (mass duplication is the norm in web crawl).
+
+def _simhash_compare(hashes: np.ndarray, max_hamming: int, window: int):
+    """SimHash key and kernels: uint64 hashes, scored by Hamming distance;
+    the window sorts by the full hash (close hashes share high bits)."""
+    return (hashes,
+            lambda rep: pairwise_candidates_hamming(hashes[rep], max_hamming),
+            lambda rep: windowed_candidates_hamming(hashes[rep], max_hamming,
+                                                    window))
+
+
+def _cosine_compare(unit: np.ndarray, proj0: np.ndarray, threshold: float,
+                    window: int):
+    """Embedding key and kernels: (k, d) float32 unit vectors, identical
+    when bit-identical (the float32 bit view: NaN payloads compare by
+    bits), scored by cosine (one GEMM). The window sorts by the band's
+    first real-valued projection ``proj0``. Unlike the MinHash and SimHash
+    kernels, these take the representatives in ID order, so the window's
+    stable sort breaks ``proj0`` ties by id."""
+
+    def full(rep):
+        o = np.argsort(rep)
+        u = unit[rep[o]]
+        sims = u @ u.T
+        ii, jj = np.triu_indices(len(o), k=1)
+        keep = sims[ii, jj] >= threshold
+        ii, jj = ii[keep], jj[keep]
+        return o[ii], o[jj], sims[ii, jj]
+
+    def windowed(rep):
+        o = np.argsort(rep)
+        o = o[np.argsort(proj0[rep[o]], kind="stable")]
+        u = unit[rep[o]]
+        ii, jj, ss = [], [], []
+        for off in range(1, min(window, len(o) - 1) + 1):
+            sims = np.einsum("ij,ij->i", u[:-off], u[off:])
+            keep = np.flatnonzero(sims >= threshold)
+            ii.append(o[keep])
+            jj.append(o[keep + off])
+            ss.append(sims[keep])
+        if not ii:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        return np.concatenate(ii), np.concatenate(jj), np.concatenate(ss)
+
+    return np.ascontiguousarray(unit).view(np.uint32), full, windowed
+
+
+def _bucket_pairs(rows, id_column: str, compare, schema: dict, *, same,
+                  identical_cap: int, max_bucket: int, rescore=None):
+    """Verified pairs of every (band, band_hash) bucket of a family's
+    exploded LSH ``rows``, one map_groups call per super-bucket ``part``.
+
+    Inside a part, only buckets with >= 2 members are verified, each by
+    :func:`_verify_bucket` over ``compare(g)`` — the family's key and
+    kernels for the id-sorted bucket frame ``g``. ``rescore(g, x, y,
+    score)`` may rescore and filter a bucket's candidates (MinHash's
+    threshold and exact-text verify). Returns the pair Dataset in
+    ``schema``, NOT deduplicated across bands.
     """
+    score = list(schema)[-1]
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         dup = group[group.duplicated(["band", "band_hash"], keep=False)]
-        if len(dup) < 2:
-            return typed_frame(None, _SIMILARITY_PAIRS)
+        if len(dup) < 2:  # most parts: skip the empty groupby's fixed cost
+            return typed_frame(None, schema)
         frames = []
         for (band, _), g in dup.groupby(["band", "band_hash"], sort=False):
             g = g.drop_duplicates(subset=[id_column]).sort_values(id_column)
             if len(g) < 2:
                 continue
+            x, y, s = _verify_bucket(
+                *compare(g), same=same, identical_cap=identical_cap,
+                max_bucket=max_bucket, emit_identical=(band == 0))
+            if len(x) == 0:
+                continue
+            if rescore is not None:
+                x, y, s = rescore(g, x, y, s)
             ids = g[id_column].to_numpy().astype(np.int64)
-            sigs = np.frombuffer(
-                b"".join(g["sig"]), dtype=np.uint64).reshape(len(g), num_perm)
-            texts = g["text"].to_numpy() if "text" in g else None
-            res = _verify_minhash_bucket(
-                ids, sigs, texts, threshold=threshold, verify=verify,
-                ngram=ngram, max_bucket=max_bucket, window=window,
-                identical_cap=identical_cap, est_margin=est_margin,
-                emit_identical=(band == 0))
-            if res is not None:
-                frames.append(res)
+            a, b = ids[x], ids[y]
+            frames.append(pd.DataFrame({
+                "id_a": np.minimum(a, b),
+                "id_b": np.maximum(a, b),
+                score: s.astype(schema[score]),
+            }))
         if not frames:
-            return typed_frame(None, _SIMILARITY_PAIRS)
+            return typed_frame(None, schema)
         return pd.concat(frames, ignore_index=True)
 
-    return bucket_rows.groupby("part").map_groups(
-        per_part, batch_format="pandas")
+    return rows.groupby("part").map_groups(per_part, batch_format="pandas")
+
+
+def _best_pairs(pairs_ds, schema: dict, best: str) -> pd.DataFrame:
+    """Collect a pair Dataset, keep one row per (id_a, id_b) with its
+    ``best`` ("max" or "min") score across bands, sorted. The dedup runs on
+    the driver: the frame is materialized anyway, and a pandas groupby
+    beats a distributed shuffle here."""
+    score = list(schema)[-1]
+    pairs = typed_frame(pairs_ds, schema)
+    pairs = pairs.groupby(["id_a", "id_b"], as_index=False)[score].agg(best)
+    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+
+def _text_jaccard(texts, x: np.ndarray, y: np.ndarray, verify: str,
+                  ngram: int) -> np.ndarray:
+    """Exact char/word n-gram Jaccard of the candidate pairs ``(x, y)``
+    (positions into one bucket's ``texts``), BATCHED: one
+    :func:`doc_distinct_grams` pass over the UNIQUE texts involved plus one
+    :func:`batched_pair_jaccard` call over the unique unordered text pairs,
+    no per-pair Python (round-3 verdict item #3). Jaccard is a pure
+    function of the two texts, so an identical-text cluster's C(k,2) pairs
+    all collapse to one kernel self-pair (round-4 text-collapse)."""
+    used = np.unique(np.concatenate([x, y]))
+    remap = np.zeros(len(texts), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    # null texts verify as "" — the same contract the SIGNATURE path
+    # applies (hash_arrow_binary hashes null like the empty string), so
+    # the two verify modes agree; None in the object array would also
+    # crash np.unique's sort
+    utexts, tinv = np.unique(
+        np.asarray([texts[i] if isinstance(texts[i], str) else ""
+                    for i in used], dtype=object),
+        return_inverse=True)
+    n_ut = np.int64(len(utexts))
+    gx = tinv[remap[x]]
+    gy = tinv[remap[y]]
+    key = np.minimum(gx, gy) * n_ut + np.maximum(gx, gy)
+    ukey, kinv = np.unique(key, return_inverse=True)
+    grams, indptr = doc_distinct_grams(
+        list(utexts), verify=verify, ngram=ngram)
+    return batched_pair_jaccard(grams, indptr, ukey // n_ut, ukey % n_ut)[kinv]
 
 
 def _bucket_label_lookup(lnodes: np.ndarray, lvals: np.ndarray,
@@ -596,10 +641,24 @@ def _minhash_pairs_ds(docs_ds, *, num_perm: int = 64, num_bands: int = 16,
     # signature computation is the CPU hog; spread small inputs (e.g. one
     # parquet file) across the pool before it
     rows = _spread(docs_ds).map_batches(stage, batch_format="pyarrow")
-    return _candidate_pairs_from_buckets(
-        rows, id_column, num_perm, threshold, verify, ngram,
-        max_bucket=max_bucket, window=window, identical_cap=identical_cap,
-        est_margin=est_margin)
+    min_est = threshold if verify == "signature" else threshold * est_margin
+
+    def compare(g: pd.DataFrame):
+        sigs = np.frombuffer(
+            b"".join(g["sig"]), dtype=np.uint64).reshape(len(g), num_perm)
+        return _minhash_compare(sigs, min_est, window)
+
+    def rescore(g: pd.DataFrame, x, y, sim):
+        # exact-text verify re-scores every candidate, identical-signature
+        # pairs included; the estimate above was only its prefilter
+        if verify != "signature":
+            sim = _text_jaccard(g["text"].to_numpy(), x, y, verify, ngram)
+        keep = sim >= threshold
+        return x[keep], y[keep], sim[keep]
+
+    return _bucket_pairs(rows, id_column, compare, _SIMILARITY_PAIRS,
+                         same=1.0, identical_cap=identical_cap,
+                         max_bucket=max_bucket, rescore=rescore)
 
 
 def minhash_dedup_pairs(docs_ds, **kwargs) -> pd.DataFrame:
@@ -607,9 +666,9 @@ def minhash_dedup_pairs(docs_ds, **kwargs) -> pd.DataFrame:
 
     verify: "signature" (MinHash Jaccard estimate), "char_ngram" or
     "word_ngram" (exact Jaccard on text — ships text into buckets).
-    Returns a DataFrame (id_a, id_b, similarity), id_a < id_b, deduplicated.
-    Parameters are those of :func:`_minhash_pairs_ds` (unknown keywords
-    raise).
+    Returns a DataFrame (id_a, id_b, similarity), id_a < id_b, deduplicated
+    across bands with the max similarity. Parameters are those of
+    :func:`_minhash_pairs_ds` (unknown keywords raise).
 
     Text-verify modes apply a SIGNATURE-estimate prefilter at
     ``threshold * est_margin`` (default 0.8) before the exact-Jaccard
@@ -621,43 +680,22 @@ def minhash_dedup_pairs(docs_ds, **kwargs) -> pd.DataFrame:
     pairs; the LSH banding recall loss documented above is separate and
     unaffected.
 
-    Degenerate-bucket bounds (see :func:`_verify_minhash_bucket`): identical
-    signatures collapse to a representative (all-pairs within groups up to
-    ``identical_cap`` members, min-id star above — union-find chaining keeps
-    clusters whole); buckets with more than ``max_bucket`` UNIQUE signatures
-    switch from the vectorized quadratic compare to a sorted sliding window
-    of width ``window``.
+    Degenerate-bucket bounds (``identical_cap``, ``max_bucket``,
+    ``window``): see :func:`_verify_bucket`. Identical signatures score
+    1.0; the window sorts by the first signature component.
     """
-    pairs = typed_frame(_minhash_pairs_ds(docs_ds, **kwargs),
-                        _SIMILARITY_PAIRS)
-    # cross-band dedup on the driver: this entry point materializes the
-    # frame anyway, so a pandas groupby beats a distributed shuffle here;
-    # the Dataset variant below keeps the dedup distributed for pair sets
-    # that must never land on one machine
-    pairs = pairs.groupby(["id_a", "id_b"], as_index=False)["similarity"].max()
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-def minhash_dedup_pairs_ds(docs_ds, **kwargs):
-    """Verified near-dup pairs as a DATASET, deduplicated across bands with
-    a distributed (id_a, id_b) groupby-max — the pair set never lands on
-    the driver (round-4 VERDICT item #4; :func:`minhash_dedup_pairs` is
-    the driver-frame convenience). Consume with ``write_parquet`` /
-    ``iter_batches`` at the 100 TB scale where the verified pair set
-    itself is too large for one machine."""
-    from ray.data.aggregate import Max
-
-    return _minhash_pairs_ds(docs_ds, **kwargs) \
-        .groupby(["id_a", "id_b"]) \
-        .aggregate(Max("similarity", alias_name="similarity"))
+    return _best_pairs(_minhash_pairs_ds(docs_ds, **kwargs),
+                       _SIMILARITY_PAIRS, "max")
 
 
 def pairs_to_clusters(pairs: pd.DataFrame, *, id_a: str = "id_a",
                       id_b: str = "id_b") -> pd.DataFrame:
     """Cluster ANY verified near-dup pair frame (minhash / simhash /
-    embedding / custom) into (doc_id, cluster_id, keep) — keep = min id per
-    cluster. Driver union-find; see :func:`connected_components` for the
-    distributed variant when the pair set exceeds driver memory."""
+    embedding / n-gram / custom) into (doc_id, cluster_id, keep) — keep =
+    min id per cluster. Driver union-find over the pair set, which LSH
+    precision plus the identical-row star collapse keeps near-linear in
+    the number of near-duplicate docs; for pair sets beyond driver memory
+    use :func:`minhash_dedup_keep_ds` / :func:`connected_components`."""
     labels = _union_find_clusters(pairs.rename(
         columns={id_a: "id_a", id_b: "id_b"}))
     ids = sorted(set(pairs[id_a]) | set(pairs[id_b]))
@@ -668,22 +706,6 @@ def pairs_to_clusters(pairs: pd.DataFrame, *, id_a: str = "id_a",
     })
     out["keep"] = out["doc_id"] == out["cluster_id"]
     return out
-
-
-def minhash_dedup_keep(docs_ds, **kwargs) -> pd.DataFrame:
-    """Cluster near-duplicates (union-find over verified pairs) and report
-    (doc_id, cluster_id, keep) — keep = min doc_id per cluster.
-
-    Scale assumption (documented per round-2 VERDICT): the driver-side
-    union-find holds the candidate-PAIR set, which LSH precision plus the
-    identical-signature star collapse keeps near-linear in the number of
-    near-duplicate docs — NOT quadratic. For corpora whose pair set itself
-    exceeds driver memory (billions of verified pairs), use
-    :func:`minhash_dedup_keep_distributed`, which runs min-label
-    propagation over the pair Dataset and keeps only the label frontier
-    per partition.
-    """
-    return pairs_to_clusters(minhash_dedup_pairs(docs_ds, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -716,73 +738,17 @@ class SimHashRows:
         })
 
 
-def _verify_simhash_bucket(ids: np.ndarray, hashes: np.ndarray, *,
-                           max_hamming: int, max_bucket: int, window: int,
-                           identical_cap: int,
-                           emit_identical: bool = True) -> pd.DataFrame | None:
-    """Bounded SimHash bucket verify (same three bounds as
-    :func:`_verify_minhash_bucket`): identical hashes collapse to a
-    representative (all-pairs within groups up to ``identical_cap``, min-id
-    star above — Hamming distance 0 always qualifies); unique hashes compare
-    vectorized pairwise up to ``max_bucket``, else via a sorted-by-full-hash
-    sliding window of width ``window``.
-
-    ``emit_identical``: an identical-FULL-hash group collides in every band
-    (bands are bit slices of the same 64-bit hash), so the caller emits its
-    within-group pairs from band 0 only (same ×num_bands saving as the
-    minhash path; cross-group candidates stay ungated)."""
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-
-    order, starts, counts = collapse_identical_rows(hashes)
-    if emit_identical:
-        for s, c in zip(starts, counts):
-            if c < 2:
-                continue
-            members = order[s:s + c]
-            if c <= identical_cap:
-                ii, jj = np.triu_indices(c, k=1)
-            else:
-                ii = np.zeros(c - 1, dtype=np.int64)
-                jj = np.arange(1, c, dtype=np.int64)
-            out_a.append(ids[members[ii]])
-            out_b.append(ids[members[jj]])
-            out_d.append(np.zeros(len(ii), dtype=np.int64))
-
-    rep_pos = order[starts]
-    m = len(rep_pos)
-    if m >= 2:
-        H = hashes[rep_pos]
-        if m <= max_bucket:
-            ci, cj, d = pairwise_candidates_hamming(H, max_hamming)
-        else:
-            ci, cj, d = windowed_candidates_hamming(H, max_hamming, window)
-        if len(ci):
-            a = ids[rep_pos[ci]]
-            b = ids[rep_pos[cj]]
-            out_a.append(np.minimum(a, b))
-            out_b.append(np.maximum(a, b))
-            out_d.append(d.astype(np.int64))
-
-    if not out_a:
-        return None
-    return pd.DataFrame({
-        "id_a": np.concatenate(out_a).astype(np.int64),
-        "id_b": np.concatenate(out_b).astype(np.int64),
-        "hamming": np.concatenate(out_d).astype(np.int64),
-    })
-
-
 def simhash_dedup_pairs(docs_ds, *, max_hamming: int = 3, num_bands: int = 4,
                         ngram: int = 4, max_bucket: int = 2048,
                         window: int = 64, identical_cap: int = 64,
                         text_column: str = "text",
                         id_column: str = "doc_id") -> pd.DataFrame:
-    """Near-duplicate pairs with SimHash Hamming distance <= max_hamming.
+    """Near-duplicate pairs with SimHash Hamming distance <= max_hamming,
+    deduplicated across bands with the min distance.
 
     Banding is lossless for max_hamming <= num_bands - 1 (pigeonhole).
-    Degenerate buckets are bounded (see :func:`_verify_simhash_bucket`).
+    Degenerate-bucket bounds: see :func:`_verify_bucket`. Identical hashes
+    score distance 0; the window sorts by the full hash.
     """
     if max_hamming > num_bands - 1:
         raise ValueError(
@@ -793,31 +759,14 @@ def simhash_dedup_pairs(docs_ds, *, max_hamming: int = 3, num_bands: int = 4,
                     text_column=text_column, id_column=id_column),
         batch_format="pyarrow")
 
-    def per_part(group: pd.DataFrame) -> pd.DataFrame:
-        dup = group[group.duplicated(["band", "band_hash"], keep=False)]
-        if len(dup) < 2:
-            return typed_frame(None, _HAMMING_PAIRS)
-        frames = []
-        for (band, _), g in dup.groupby(["band", "band_hash"], sort=False):
-            g = g.drop_duplicates(subset=[id_column]).sort_values(id_column)
-            if len(g) < 2:
-                continue
-            ids = g[id_column].to_numpy().astype(np.int64)
-            hashes = g["simhash"].to_numpy().astype(np.uint64)
-            res = _verify_simhash_bucket(
-                ids, hashes, max_hamming=max_hamming, max_bucket=max_bucket,
-                window=window, identical_cap=identical_cap,
-                emit_identical=(band == 0))
-            if res is not None:
-                frames.append(res)
-        if not frames:
-            return typed_frame(None, _HAMMING_PAIRS)
-        return pd.concat(frames, ignore_index=True)
+    def compare(g: pd.DataFrame):
+        return _simhash_compare(g["simhash"].to_numpy().astype(np.uint64),
+                                max_hamming, window)
 
-    pairs = typed_frame(rows.groupby("part").map_groups(
-        per_part, batch_format="pandas"), _HAMMING_PAIRS)
-    pairs = pairs.groupby(["id_a", "id_b"], as_index=False)["hamming"].min()
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return _best_pairs(
+        _bucket_pairs(rows, id_column, compare, _HAMMING_PAIRS, same=0,
+                      identical_cap=identical_cap, max_bucket=max_bucket),
+        _HAMMING_PAIRS, "min")
 
 
 # ---------------------------------------------------------------------------
@@ -838,29 +787,18 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
     single-projection version missed pairs a single unlucky plane split.
     Precision stays exact (candidates are cosine-verified).
 
-    BIT-IDENTICAL unit vectors collapse to one representative per group,
-    with the same bounded semantics as the minhash/simhash paths: within a
-    group, all-pairs up to ``identical_cap`` members (cosine exactly 1.0 —
-    the mathematical value for identical directions) and a min-id STAR
-    above it; across groups only representative pairs are compared and
-    emitted. Union-find chaining downstream restores full clusters. Since
-    an identical group collides in EVERY band by construction, its
-    within-group pairs are emitted from band 0 only (a mass-duplicated
-    corpus — the skewed base's 250-way identical cluster, or 10⁶ identical
-    crawl pages — would otherwise pay the O(c²) GEMM and C(c,2) pair
-    emission once per band).
+    Deduplicated across bands with the max cosine. Degenerate-bucket
+    bounds (``identical_cap``, ``max_bucket``, ``window``): see
+    :func:`_verify_bucket`. BIT-IDENTICAL unit vectors score cosine exactly
+    1.0 (the mathematical value for identical directions), so a
+    mass-duplicated corpus — the skewed base's 250-way identical cluster,
+    or 10⁶ identical crawl pages — pays neither the O(c²) GEMM nor C(c,2)
+    pair emission per band. Above ``max_bucket`` representatives the
+    window sorts by the band's real-valued first projection: near-identical
+    vectors have near-identical projections, so they stay adjacent.
 
-    Degenerate buckets of DISTINCT near-identical embeddings (the web-scale
-    case) are capped: above ``max_bucket`` representatives the quadratic
-    verify is replaced by a sorted-projection sliding window — sort by the
-    band's real-valued first projection and verify each vector against its
-    next ``window`` neighbors. Near-identical vectors have near-identical
-    projections, so they stay adjacent; compute is O(m·window) per bucket
-    instead of O(m²). Union-find downstream restores full clusters through
-    chain connectivity.
-
-    Partitioning assumption: shuffles (band, bucket, id, unit-vector) rows —
-    num_bands × corpus vectors, no raw all-pairs, no driver materialization
+    Partitioning assumption: shuffles (band, band_hash, id, unit-vector)
+    rows — num_bands × corpus vectors, no raw all-pairs, no driver materialization
     of anything bigger than the verified pair list.
     """
 
@@ -884,7 +822,7 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
                 d = vt.list_size if pa.types.is_fixed_size_list(vt) else 0
                 return pa.table({
                     "band": pa.array([], type=pa.int32()),
-                    "bucket": pa.array([], type=pa.int64()),
+                    "band_hash": pa.array([], type=pa.int64()),
                     "part": pa.array([], type=pa.int32()),
                     "proj0": pa.array([], type=pa.float32()),
                     id_column: batch[id_column],
@@ -913,7 +851,7 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
             ids = batch[id_column].to_numpy(zero_copy_only=False)
             return pa.table({
                 "band": pa.array(np.concatenate(bands_out)),
-                "bucket": pa.array(np.concatenate(buckets_out)),
+                "band_hash": pa.array(np.concatenate(buckets_out)),
                 "part": pa.array(np.concatenate(parts_out)),
                 "proj0": pa.array(np.concatenate(proj_out)),
                 id_column: pa.array(np.tile(ids, num_bands)),
@@ -927,87 +865,11 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
     rows = _spread(emb_ds).map_batches(BucketRows, batch_format="pyarrow",
                                        concurrency=(1, 8))
 
-    def _verify_full(ids, mat):
-        sims = mat @ mat.T
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = sims[ii, jj] >= threshold
-        return pd.DataFrame({
-            "id_a": ids[ii[keep]].astype(np.int64),
-            "id_b": ids[jj[keep]].astype(np.int64),
-            "cosine": sims[ii[keep], jj[keep]].astype(np.float64),
-        })
+    def compare(g: pd.DataFrame):
+        return _cosine_compare(np.stack(g["unit"].to_numpy()),
+                               g["proj0"].to_numpy(), threshold, window)
 
-    def _verify_windowed(ids, mat, proj0):
-        order = np.argsort(proj0, kind="stable")
-        ids = ids[order]
-        mat = mat[order]
-        frames = []
-        for off in range(1, window + 1):
-            if off >= len(ids):
-                break
-            sims = np.einsum("ij,ij->i", mat[:-off], mat[off:])
-            keep = sims >= threshold
-            a = ids[:-off][keep]
-            b = ids[off:][keep]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            frames.append(pd.DataFrame({
-                "id_a": lo.astype(np.int64),
-                "id_b": hi.astype(np.int64),
-                "cosine": sims[keep].astype(np.float64),
-            }))
-        if not frames:
-            return None
-        return pd.concat(frames, ignore_index=True)
-
-    def per_part(group: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for (band, _), g in group.groupby(["band", "bucket"], sort=False):
-            g = g.drop_duplicates(subset=[id_column])
-            if len(g) < 2:
-                continue
-            g = g.sort_values(id_column)
-            ids = g[id_column].to_numpy()
-            mat = np.stack(g["unit"].to_numpy())
-            # collapse bit-identical unit vectors (float32 bit view: the
-            # grouping key is exact equality, NaN payloads compare by bits)
-            order, starts, counts = collapse_identical_rows(
-                np.ascontiguousarray(mat).view(np.uint32))
-            if band == 0:
-                # within-group pairs from band 0 only — identical vectors
-                # collide in every band, so other bands would re-emit them
-                for s, c in zip(starts, counts):
-                    if c < 2:
-                        continue
-                    members = order[s:s + c]  # ascending id (stable sort)
-                    if c <= identical_cap:
-                        ii, jj = np.triu_indices(c, k=1)
-                    else:
-                        ii = np.zeros(c - 1, dtype=np.int64)
-                        jj = np.arange(1, c, dtype=np.int64)
-                    out.append(pd.DataFrame({
-                        "id_a": ids[members[ii]].astype(np.int64),
-                        "id_b": ids[members[jj]].astype(np.int64),
-                        "cosine": np.ones(len(ii), dtype=np.float64),
-                    }))
-            rep = order[starts]  # min-id member per identical group
-            if len(rep) < 2:
-                continue
-            rep = np.sort(rep)  # keep representatives id-ordered
-            rids = ids[rep]
-            rmat = mat[rep]
-            if len(rep) <= max_bucket:
-                out.append(_verify_full(rids, rmat))
-            else:
-                res = _verify_windowed(rids, rmat,
-                                       g["proj0"].to_numpy()[rep])
-                if res is not None:
-                    out.append(res)
-        if not out:
-            return typed_frame(None, _COSINE_PAIRS)
-        return pd.concat(out, ignore_index=True)
-
-    pairs = typed_frame(rows.groupby("part").map_groups(
-        per_part, batch_format="pandas"), _COSINE_PAIRS)
-    pairs = pairs.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
-    return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return _best_pairs(
+        _bucket_pairs(rows, id_column, compare, _COSINE_PAIRS, same=1.0,
+                      identical_cap=identical_cap, max_bucket=max_bucket),
+        _COSINE_PAIRS, "max")

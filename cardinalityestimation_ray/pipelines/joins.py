@@ -187,10 +187,14 @@ def asof_join(ds_left, ds_right, *, by: str, on: str,
         n_l = len(lo_t)
         matched = np.full(n_l, -1, dtype=np.int64)
         if n_l and len(hi_t):
-            keys = pa.chunked_array([
-                lo_t[by].combine_chunks(),
-                hi_t[f"__r_{by}"].combine_chunks()])
-            lc, rc = _codes(keys, n_l)
+            lk = lo_t[by].combine_chunks()
+            rk = hi_t[f"__r_{by}"].combine_chunks()
+            if lk.type != rk.type:  # e.g. int32 vs int64: one common type
+                common = pa.unify_schemas(
+                    [pa.schema([(by, lk.type)]), pa.schema([(by, rk.type)])],
+                    promote_options="permissive").field(by).type
+                lk, rk = lk.cast(common), rk.cast(common)
+            lc, rc = _codes(pa.chunked_array([lk, rk]), n_l)
             l_on = lo_t[on].to_numpy(zero_copy_only=False)
             r_on = hi_t[f"__r_{r_on_col}"].to_numpy(zero_copy_only=False)
             # composite rank: key-major, then on-value (merge both sides'

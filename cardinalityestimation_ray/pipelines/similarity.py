@@ -233,11 +233,3 @@ def ngram_jaccard_pairs(docs_ds, *, n: int = 3, threshold: float = 0.2,
                         .map_groups(combine_and_score, batch_format="pandas"),
                         _JACCARD_PAIRS)
     return pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-def ngram_jaccard_dedup_keep(docs_ds, **kwargs) -> pd.DataFrame:
-    """Cluster exact-n-gram near-duplicates: pairs -> union-find ->
-    (doc_id, cluster_id, keep) like the other dedup modes."""
-    from .dedup import pairs_to_clusters
-
-    return pairs_to_clusters(ngram_jaccard_pairs(docs_ds, **kwargs))

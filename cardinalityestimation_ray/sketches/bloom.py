@@ -12,11 +12,8 @@ np.packbits. Size the filter with from_capacity(n, fpp).
 Width canonicalization: membership is a cross-column contract — a filter
 built from an int32 column is routinely probed with an int64 column of the
 same logical values (e.g. an exploded list<int32> token filter probed by a
-BIGINT key column). The hash identity is the byte image, so native-width
-hashing would silently return false negatives for every such probe. All
-integer values therefore hash as their 64-bit two's-complement image and all floats as float64, in both the batch and scalar paths.
-(HLL/CMS/theta keep native-width images for reference parity; they estimate
-within one column, where width is stable.)
+BIGINT key column). So every batch and scalar value hashes through
+:func:`hashing.canonical_width` (integers as int64, floats as float64).
 """
 
 from __future__ import annotations
@@ -32,19 +29,6 @@ from .base import Sketch
 _U64 = np.uint64
 _MAGIC = b"BLM1"   # legacy: no embedded hash name (read-only)
 _MAGIC_V2 = b"BLM2"  # adds a length-prefixed hash-name field
-
-
-def _canon_values(values) -> np.ndarray:
-    """Canonicalize numeric width before hashing (see module docstring)."""
-    v = np.asarray(values)
-    if v.dtype == np.bool_:
-        return v
-    if np.issubdtype(v.dtype, np.integer):
-        # uint64 >= 2^63 wraps to the same 8-byte image — identity preserved
-        return v.astype(np.int64, copy=False) if v.dtype != np.uint64 else v
-    if np.issubdtype(v.dtype, np.floating):
-        return v.astype(np.float64, copy=False)
-    return v
 
 
 class BloomFilter(Sketch):
@@ -94,8 +78,8 @@ class BloomFilter(Sketch):
         values = np.asarray(values)
         n_raw = len(values)
         values = self._collapse_ints(values)
-        self.add_hashes(hashing.hash_fixed_batch(_canon_values(values),
-                                                 self.hash_name))
+        self.add_hashes(hashing.hash_fixed_batch(
+            hashing.canonical_width(values), self.hash_name))
         self.count_additions += n_raw - len(values)
 
     # add_arrow: inherited from Sketch (one copy of the
@@ -112,7 +96,8 @@ class BloomFilter(Sketch):
 
     def contains_values(self, values: np.ndarray) -> np.ndarray:
         return self.contains_hashes(
-            hashing.hash_fixed_batch(_canon_values(values), self.hash_name))
+            hashing.hash_fixed_batch(hashing.canonical_width(values),
+                                     self.hash_name))
 
     def contains(self, element) -> bool:
         if isinstance(element, (int, np.integer, float, np.floating)) \

@@ -499,6 +499,30 @@ def hash_scalar(data: bytes, hash_name: str = DEFAULT_HASH) -> int:
     return HASH_FUNCTIONS[hash_name](data)
 
 
+def canonical_width(values) -> np.ndarray:
+    """One byte image per logical number, for hashes compared ACROSS
+    columns: every integer as its 64-bit two's-complement image and every
+    float as float64 (bool, uint64 and non-numeric arrays pass through;
+    uint64 >= 2^63 wraps to the same 8-byte image, so identity holds).
+
+    The hash identity is the byte image, so native-width hashing makes an
+    int32 value and the same int64 value two different elements. Bloom
+    membership (a filter built from an int32 column, probed with an int64
+    key column) and hash-bucketed joins (both sides' equal keys must land
+    in one bucket) hash through this rule. HLL, count-min and theta keep
+    native-width images for reference parity; they estimate within one
+    column, where width is stable.
+    """
+    v = np.asarray(values)
+    if v.dtype == np.bool_:
+        return v
+    if np.issubdtype(v.dtype, np.integer):
+        return v.astype(np.int64, copy=False) if v.dtype != np.uint64 else v
+    if np.issubdtype(v.dtype, np.floating):
+        return v.astype(np.float64, copy=False)
+    return v
+
+
 def hash_fixed_batch(values: np.ndarray, hash_name: str = DEFAULT_HASH) -> np.ndarray:
     """Vectorized hash of a fixed-width numeric array under `hash_name`.
 

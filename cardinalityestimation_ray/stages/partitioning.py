@@ -67,8 +67,11 @@ def add_hash_bucket(ds, column: str, num_buckets: int,
         else:
             if col.null_count:
                 col = pc.fill_null(col, pa.scalar(0, type=t))
+            # width-canonical, so an int32 key and the same int64 key of
+            # the other join side land in one bucket
             h = hashing.hash_fixed_batch(
-                col.to_numpy(zero_copy_only=False), hashing.DEFAULT_HASH)
+                hashing.canonical_width(col.to_numpy(zero_copy_only=False)),
+                hashing.DEFAULT_HASH)
         bucket = (h % np.uint64(num_buckets)).astype(np.int32)
         return batch.append_column(bucket_column, pa.array(bucket))
 

@@ -2,19 +2,26 @@
 
 Mass duplication is the norm in web crawl — boilerplate pages and mirrors
 pile into one LSH bucket. These tests assert the verify stage stays bounded
-(identical-signature collapse + star pairs + sorted-window cap) while
-union-find chaining preserves full cluster recall.
+(identical-row collapse + star pairs + sorted-window cap) while union-find
+chaining preserves full cluster recall. The MinHash, SimHash and embedding
+modes share one bucket verify (``_verify_bucket``); its cases run over each
+family's compare kernels. The MinHash (or, for the pile with an outlier,
+SimHash) instance of each case keeps the case's original test name.
 """
 
 import time
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from cardinalityestimation_ray.pipelines.dedup import (
+    _cosine_compare,
+    _minhash_compare,
+    _simhash_compare,
+    _text_jaccard,
     _union_find_clusters,
-    _verify_minhash_bucket,
-    _verify_simhash_bucket,
+    _verify_bucket,
 )
 from cardinalityestimation_ray.stages.dedup import (
     collapse_identical_rows,
@@ -24,6 +31,72 @@ from cardinalityestimation_ray.stages.dedup import (
     windowed_candidates_est,
     windowed_candidates_hamming,
 )
+
+#: identical-row score per family: estimate 1.0, distance 0, cosine 1.0
+_SAME = {"minhash": 1.0, "simhash": 0, "embedding": 1.0}
+#: the bucket tests' thresholds: estimate, max distance, cosine
+_THR = {"minhash": 0.7, "simhash": 3, "embedding": 0.95}
+
+
+def _verify(family, rows, ids, thr, *, window=64, max_bucket=512,
+            identical_cap=64):
+    """One bucket through the shared verify with ``family``'s kernels at
+    threshold ``thr`` (MinHash estimate, SimHash distance, cosine); rows
+    are signatures, hashes, or (unit vectors, proj0). Returns the pairs
+    as an (id_a, id_b, score) frame."""
+    if family == "minhash":
+        kernels = _minhash_compare(rows, thr, window)
+    elif family == "simhash":
+        kernels = _simhash_compare(rows, thr, window)
+    else:
+        kernels = _cosine_compare(*rows, thr, window)
+    x, y, s = _verify_bucket(*kernels, same=_SAME[family],
+                             identical_cap=identical_cap,
+                             max_bucket=max_bucket)
+    a, b = ids[x], ids[y]
+    return pd.DataFrame({"id_a": np.minimum(a, b), "id_b": np.maximum(a, b),
+                         "score": s})
+
+
+def _unit(mat):
+    mat = np.asarray(mat, dtype=np.float64)
+    return (mat / np.linalg.norm(mat, axis=-1, keepdims=True)
+            ).astype(np.float32)
+
+
+def _pile(family, n, rng, *, p=16):
+    """n identical rows."""
+    if family == "minhash":
+        sig = rng.integers(0, 2**63, size=p, dtype=np.uint64)
+        return np.broadcast_to(sig, (n, p)).copy()
+    if family == "simhash":
+        return np.full(n, rng.integers(0, 2**62, dtype=np.uint64),
+                       dtype=np.uint64)
+    v = _unit(rng.standard_normal(p))
+    return np.broadcast_to(v, (n, p)).copy(), np.full(n, v[0])
+
+
+def _near(family, rows, i, rng):
+    """Row ``i`` moved to a near duplicate of itself: one of 16 MinHash
+    slots redrawn, two SimHash bits flipped, or a small cosine step."""
+    if family == "minhash":
+        rows[i, -1] = rng.integers(0, 2**63, dtype=np.uint64)
+    elif family == "simhash":
+        rows[i] ^= np.uint64(0b11)
+    else:
+        unit, proj0 = rows
+        unit[i] = _unit(unit[i] + 0.01 * rng.standard_normal(unit.shape[1]))
+        proj0[i] = unit[i, 0]
+
+
+def _brute(family, rows, i, j, thr):
+    if family == "minhash":
+        return np.mean(rows[i] == rows[j]) >= thr
+    if family == "simhash":
+        return int(hamming_distance_u64(rows[i:i + 1], rows[j:j + 1])[0]) \
+            <= thr
+    unit = rows[0]
+    return float(unit[i] @ unit[j]) >= thr
 
 
 def _brute_pairs_est(sigs, min_est):
@@ -108,102 +181,187 @@ def test_windowed_candidates_hamming_finds_close_sorted_neighbors():
     assert {(2 * k, 2 * k + 1) for k in range(150)} <= got
 
 
-def test_minhash_bucket_identical_pile_is_star_and_bounded():
-    """10^5 identical signatures: verify must emit O(n) star pairs (not
-    O(n^2)) in bounded time, and union-find must recover ONE cluster."""
+def _check_identical_pile_is_star(family):
+    """10^5 identical rows: verify must emit O(n) star pairs (not O(n^2))
+    in bounded time, and union-find must recover ONE cluster."""
     n = 100_000
-    p = 16
-    rng = np.random.default_rng(5)
-    sig = rng.integers(0, 2**63, size=p, dtype=np.uint64)
-    sigs = np.broadcast_to(sig, (n, p)).copy()
+    rows = _pile(family, n, np.random.default_rng(5))
     ids = np.arange(10, 10 + n, dtype=np.int64)
     t0 = time.monotonic()
-    out = _verify_minhash_bucket(
-        ids, sigs, None, threshold=0.7, verify="signature",
-        max_bucket=512, window=64, identical_cap=64)
+    out = _verify(family, rows, ids, _THR[family])
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0  # was O(n^2) = 5e9 pair iterations before the cap
     assert len(out) == n - 1  # star: min-id rep vs every other member
+    assert (out["score"] == _SAME[family]).all()
     labels = _union_find_clusters(out)
     roots = {labels[i] for i in ids.tolist()}
     assert roots == {10}
 
 
-def test_minhash_bucket_small_identical_group_keeps_all_pairs():
+def test_minhash_bucket_identical_pile_is_star_and_bounded():
+    _check_identical_pile_is_star("minhash")
+
+
+@pytest.mark.parametrize("family", ["simhash", "embedding"])
+def test_bucket_identical_pile_is_star_and_bounded(family):
+    _check_identical_pile_is_star(family)
+
+
+def _check_small_identical_group_keeps_all_pairs(family):
     """Groups <= identical_cap keep exact all-pairs semantics (the
     exact_dup_pairs oracle relies on the full self-join pair set)."""
-    p = 8
-    rng = np.random.default_rng(6)
-    sig = rng.integers(0, 2**63, size=p, dtype=np.uint64)
-    sigs = np.broadcast_to(sig, (4, p)).copy()
+    rows = _pile(family, 4, np.random.default_rng(6), p=8)
     ids = np.array([3, 7, 11, 20], dtype=np.int64)
-    out = _verify_minhash_bucket(
-        ids, sigs, None, threshold=0.9, verify="signature",
-        max_bucket=512, window=64, identical_cap=64)
+    out = _verify(family, rows, ids,
+                  _THR[family] if family != "minhash" else 0.9)
     got = set(zip(out["id_a"], out["id_b"]))
     assert got == {(3, 7), (3, 11), (3, 20), (7, 11), (7, 20), (11, 20)}
-    assert (out["similarity"] == 1.0).all()
+    assert (out["score"] == _SAME[family]).all()
 
 
-def test_minhash_bucket_matches_brute_on_mixed_bucket():
-    """New vectorized verify == old O(k^2) semantics on a mixed bucket
-    (unique signatures, below every cap)."""
-    rng = np.random.default_rng(7)
-    p = 16
+def test_minhash_bucket_small_identical_group_keeps_all_pairs():
+    _check_small_identical_group_keeps_all_pairs("minhash")
+
+
+@pytest.mark.parametrize("family", ["simhash", "embedding"])
+def test_bucket_small_identical_group_keeps_all_pairs(family):
+    _check_small_identical_group_keeps_all_pairs(family)
+
+
+def _mixed_bucket(family, k, rng):
+    """k distinct rows, every third followed by a near duplicate."""
+    if family == "minhash":
+        p = 16
+        sigs = rng.integers(0, 2**63, size=(k, p), dtype=np.uint64)
+        for j in range(0, k, 3):  # make near-dups
+            if j + 1 < k:
+                sigs[j + 1] = sigs[j]
+                sigs[j + 1, :3] = rng.integers(0, 2**63, size=3,
+                                               dtype=np.uint64)
+        return sigs
+    if family == "simhash":
+        h = rng.integers(0, 2**63, size=k, dtype=np.uint64)
+        h[1::3] = h[0::3][:len(h[1::3])] ^ np.uint64(0b101)
+        return h
+    unit = _unit(rng.standard_normal((k, 16)))
+    unit[1::3] = _unit(unit[0::3][:len(unit[1::3])]
+                       + 0.05 * rng.standard_normal((len(unit[1::3]), 16)))
+    return unit, unit[:, 0].copy()
+
+
+def _check_matches_brute_on_mixed_bucket(family):
+    """Vectorized verify == O(k^2) brute force on a mixed bucket
+    (unique rows, below every cap)."""
     k = 30
-    sigs = rng.integers(0, 2**63, size=(k, p), dtype=np.uint64)
-    for j in range(0, k, 3):  # make near-dups
-        if j + 1 < k:
-            sigs[j + 1] = sigs[j]
-            sigs[j + 1, :3] = rng.integers(0, 2**63, size=3, dtype=np.uint64)
+    rows = _mixed_bucket(family, k, np.random.default_rng(7))
     ids = np.arange(k, dtype=np.int64) * 7
-    out = _verify_minhash_bucket(
-        ids, sigs, None, threshold=0.7, verify="signature",
-        max_bucket=512, window=64, identical_cap=64)
+    out = _verify(family, rows, ids, _THR[family])
     got = set(zip(out["id_a"], out["id_b"]))
     brute = set()
     for i in range(k):
         for j in range(i + 1, k):
-            if np.mean(sigs[i] == sigs[j]) >= 0.7:
+            if _brute(family, rows, i, j, _THR[family]):
                 brute.add((int(ids[i]), int(ids[j])))
     assert got == brute
+    assert len(brute) >= k // 3  # the planted near-dups qualify
 
 
-def test_minhash_bucket_windowed_cap_preserves_near_dup_recall():
-    """Above max_bucket unique signatures the windowed path still finds
+def test_minhash_bucket_matches_brute_on_mixed_bucket():
+    _check_matches_brute_on_mixed_bucket("minhash")
+
+
+@pytest.mark.parametrize("family", ["simhash", "embedding"])
+def test_bucket_matches_brute_on_mixed_bucket(family):
+    _check_matches_brute_on_mixed_bucket(family)
+
+
+def _near_pairs(family, m, rng):
+    """m rows in m/2 near-duplicate pairs (2k, 2k+1) that sort adjacently
+    under the family's window key."""
+    if family == "minhash":
+        p = 8
+        sigs = rng.integers(0, 2**63, size=(m, p), dtype=np.uint64)
+        sigs[1::2] = sigs[0::2]
+        sigs[1::2, -1] = rng.integers(0, 2**63, size=m // 2,
+                                      dtype=np.uint64)
+        return sigs
+    if family == "simhash":
+        h = rng.integers(0, 2**62, size=m, dtype=np.uint64)
+        h[1::2] = h[0::2] ^ np.uint64(1)  # distance 1, numerically adjacent
+        return h
+    unit = _unit(rng.standard_normal((m, 16)))
+    unit[1::2] = _unit(unit[0::2] + 1e-3 * rng.standard_normal((m // 2, 16)))
+    # proj0 ties within a pair: the window breaks them by id
+    return unit, np.repeat(rng.standard_normal(m // 2), 2)
+
+
+def _check_windowed_cap_preserves_near_dup_recall(family):
+    """Above max_bucket distinct rows the windowed path still finds
     sort-adjacent near-dups."""
-    rng = np.random.default_rng(8)
-    p = 8
     m = 2000  # > max_bucket=512
-    sigs = rng.integers(0, 2**63, size=(m, p), dtype=np.uint64)
-    sigs[1::2] = sigs[0::2]
-    sigs[1::2, -1] = rng.integers(0, 2**63, size=m // 2, dtype=np.uint64)
+    rows = _near_pairs(family, m, np.random.default_rng(8))
     ids = np.arange(m, dtype=np.int64)
     t0 = time.monotonic()
-    out = _verify_minhash_bucket(
-        ids, sigs, None, threshold=0.8, verify="signature",
-        max_bucket=512, window=8, identical_cap=64)
+    out = _verify(family, rows, ids,
+                  _THR[family] if family != "minhash" else 0.8, window=8)
     assert time.monotonic() - t0 < 5.0
     got = set(zip(out["id_a"], out["id_b"]))
     expect = {(2 * k, 2 * k + 1) for k in range(m // 2)}
     assert expect <= got
 
 
-def test_simhash_bucket_identical_pile_star_and_cross():
+def test_minhash_bucket_windowed_cap_preserves_near_dup_recall():
+    _check_windowed_cap_preserves_near_dup_recall("minhash")
+
+
+@pytest.mark.parametrize("family", ["simhash", "embedding"])
+def test_bucket_windowed_cap_preserves_near_dup_recall(family):
+    _check_windowed_cap_preserves_near_dup_recall(family)
+
+
+def test_verify_bucket_takes_the_window_above_max_bucket():
+    """The cap itself: more than ``max_bucket`` representatives run only
+    the windowed kernel, up to it only the full one (the recall cases
+    above pass either way)."""
+    calls = []
+
+    def kernel(name):
+        def compare(rep):
+            calls.append((name, len(rep)))
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        return compare
+
+    key = np.arange(10, dtype=np.uint64)
+    for max_bucket, expect in [(10, "full"), (9, "windowed")]:
+        calls.clear()
+        _verify_bucket(key, kernel("full"), kernel("windowed"), same=0,
+                       identical_cap=64, max_bucket=max_bucket)
+        assert calls == [(expect, 10)]
+
+
+def _check_identical_pile_star_and_cross(family):
+    """A pile of identical rows plus one near-duplicate outlier: a star
+    over the pile plus one representative-vs-outlier pair."""
     n = 50_000
     rng = np.random.default_rng(9)
-    base = rng.integers(0, 2**62, size=1, dtype=np.uint64)[0]
-    hashes = np.full(n, base, dtype=np.uint64)
-    hashes[-1] = base ^ np.uint64(0b11)  # one distance-2 outlier
+    rows = _pile(family, n, rng)
+    _near(family, rows, n - 1, rng)
     ids = np.arange(n, dtype=np.int64)
     t0 = time.monotonic()
-    out = _verify_simhash_bucket(
-        ids, hashes, max_hamming=3, max_bucket=2048, window=64,
-        identical_cap=64)
+    out = _verify(family, rows, ids, _THR[family], max_bucket=2048)
     assert time.monotonic() - t0 < 10.0
     assert len(out) == (n - 2) + 1  # star over the pile + rep-vs-outlier
     labels = _union_find_clusters(out)
     assert {labels[i] for i in range(n)} == {0}
+
+
+def test_simhash_bucket_identical_pile_star_and_cross():
+    _check_identical_pile_star_and_cross("simhash")
+
+
+@pytest.mark.parametrize("family", ["minhash", "embedding"])
+def test_bucket_identical_pile_star_and_cross(family):
+    _check_identical_pile_star_and_cross(family)
 
 
 def test_minhash_dedup_end_to_end_identical_pile(ray_session):
@@ -212,7 +370,8 @@ def test_minhash_dedup_end_to_end_identical_pile(ray_session):
     import ray.data
 
     from cardinalityestimation_ray.pipelines.dedup import (
-        minhash_dedup_keep,
+        minhash_dedup_pairs,
+        pairs_to_clusters,
     )
 
     n = 100_000
@@ -222,7 +381,8 @@ def test_minhash_dedup_end_to_end_identical_pile(ray_session):
     })
     ds = ray.data.from_pandas(df).repartition(8)
     t0 = time.monotonic()
-    keep = minhash_dedup_keep(ds, num_perm=16, num_bands=4, threshold=0.7)
+    keep = pairs_to_clusters(minhash_dedup_pairs(
+        ds, num_perm=16, num_bands=4, threshold=0.7))
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     assert len(keep) == n
@@ -273,8 +433,9 @@ def test_minhash_keep_distributed_equals_union_find(ray_session):
     import ray.data
 
     from cardinalityestimation_ray.pipelines.dedup import (
-        minhash_dedup_keep,
         minhash_dedup_keep_distributed,
+        minhash_dedup_pairs,
+        pairs_to_clusters,
     )
 
     rng = np.random.default_rng(0)
@@ -291,7 +452,7 @@ def test_minhash_keep_distributed_equals_union_find(ray_session):
     def make():
         return ray.data.from_pandas(df).repartition(4)
 
-    uf = minhash_dedup_keep(make(), threshold=0.6)
+    uf = pairs_to_clusters(minhash_dedup_pairs(make(), threshold=0.6))
     dist = minhash_dedup_keep_distributed(make(), threshold=0.6)
     uf_s = uf.sort_values("doc_id").reset_index(drop=True)
     di_s = dist.sort_values("doc_id").reset_index(drop=True)
@@ -458,9 +619,11 @@ def test_minhash_verify_stage_is_batched_and_fast():
     dts = []
     for _ in range(3):
         t0 = time.perf_counter()
-        res = _verify_minhash_bucket(
-            ids, sigs, texts, threshold=0.5, verify="char_ngram", ngram=8,
-            max_bucket=4096, window=64, identical_cap=4096)
+        x, y, _ = _verify_bucket(
+            *_minhash_compare(sigs, 0.5 * 0.8, 64), same=1.0,
+            max_bucket=4096, identical_cap=4096)
+        sim = _text_jaccard(texts, x, y, "char_ngram", 8)
+        res = sim[sim >= 0.5]
         dts.append(time.perf_counter() - t0)
     est_after = scalar_slice_est()
     dt = min(dts)
@@ -688,18 +851,18 @@ def test_short_doc_signatures_batch_layout_invariant():
 
 
 def test_keep_and_pairs_dataset_paths_on_1e5_pair_corpus(ray_session):
-    """Round-4 VERDICT item #4: the Dataset-native keep/pair outputs on a
+    """Round-4 VERDICT item #4: the keep Dataset and the pair frame on a
     corpus whose VERIFIED pair set is ~10^5 rows (82 clusters x 50
     identical docs -> 82 * C(50,2) = 100,450 pairs; 50 < identical_cap=64
     so the all-pairs regime, not the star collapse, is exercised). The
-    pair set and the keep table stay Datasets end to end; the driver only
-    consumes them via iter_batches/to_pandas at the edge."""
+    keep table stays a Dataset end to end; the driver only consumes it via
+    iter_batches at the edge."""
     import pyarrow as pa
     import ray.data
 
     from cardinalityestimation_ray.pipelines.dedup import (
         minhash_dedup_keep_ds,
-        minhash_dedup_pairs_ds,
+        minhash_dedup_pairs,
     )
 
     M, PER = 82, 50
@@ -721,9 +884,8 @@ def test_keep_and_pairs_dataset_paths_on_1e5_pair_corpus(ray_session):
         lambda b: pa.table({"doc_id": b["id"]}), batch_format="pyarrow") \
         .map_batches(synth, batch_format="pyarrow")
 
-    pairs_ds = minhash_dedup_pairs_ds(docs, threshold=0.9)
-    n_pairs = pairs_ds.count()  # consumed as a Dataset, never a frame
-    assert n_pairs == M * PER * (PER - 1) // 2  # 100_450
+    pairs = minhash_dedup_pairs(docs, threshold=0.9)
+    assert len(pairs) == M * PER * (PER - 1) // 2  # 100_450
 
     keep_ds = minhash_dedup_keep_ds(docs, threshold=0.9)
     # stream-consume: per-batch invariant checks, no global frame

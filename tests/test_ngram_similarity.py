@@ -169,12 +169,13 @@ def test_ngram_jaccard_doc_split_across_blocks(_ray):
 
 
 def test_ngram_jaccard_dedup_keep_clusters(sim_docs):
+    from cardinalityestimation_ray.pipelines.dedup import pairs_to_clusters
     from cardinalityestimation_ray.pipelines.similarity import (
-        ngram_jaccard_dedup_keep,
+        ngram_jaccard_pairs,
     )
 
     make, _ = sim_docs
-    keep = ngram_jaccard_dedup_keep(make(), n=3, threshold=0.5)
+    keep = pairs_to_clusters(ngram_jaccard_pairs(make(), n=3, threshold=0.5))
     row = keep[keep["doc_id"] == 2000]
     assert len(row) == 1 and not bool(row["keep"].iloc[0])
     assert int(row["cluster_id"].iloc[0]) == 10

@@ -228,8 +228,8 @@ def test_exact_dedup_within_batch_duplicates(planted_docs):
 
 def test_minhash_dedup(planted_docs):
     from cardinalityestimation_ray.pipelines.dedup import (
-        minhash_dedup_keep,
         minhash_dedup_pairs,
+        pairs_to_clusters,
     )
 
     make, _ = planted_docs
@@ -238,7 +238,7 @@ def test_minhash_dedup(planted_docs):
     assert {(j, 2000 + j) for j in range(8, 12)} <= found  # exact dups certain
     near = {(j, 1000 + j) for j in range(8)}
     assert len(found & near) >= 6  # probabilistic recall
-    keep = minhash_dedup_keep(make(), threshold=0.6)
+    keep = pairs_to_clusters(minhash_dedup_pairs(make(), threshold=0.6))
     assert (keep[keep["doc_id"] >= 2000]["keep"] == False).all()  # noqa: E712
 
 
@@ -1403,6 +1403,37 @@ def test_add_hash_bucket_null_does_not_scatter_keys(_ray):
     m1 = dict(zip(b1["k"].dropna(), b1.loc[b1["k"].notna(), "bucket"]))
     m2 = dict(zip(b2["k"], b2["bucket"]))
     assert m1 == m2
+
+
+def test_bucketed_joins_match_across_integer_widths(_ray):
+    """An int32 key column joined to an int64 one returns every match:
+    add_hash_bucket hashes keys width-canonically, so equal keys of both
+    sides share a bucket (native-width hashing put int32 2 and int64 2 in
+    different buckets and dropped most matches)."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.joins import (
+        asof_join,
+        bucketed_inner_join,
+    )
+
+    keys = np.arange(200)
+    left = pa.table({"k": pa.array(keys, type=pa.int32()),
+                     "t": pa.array(np.full(200, 10, dtype=np.int64))})
+    right = pa.table({"k": pa.array(keys, type=pa.int64()),
+                      "t": pa.array(np.full(200, 5, dtype=np.int64)),
+                      "v": pa.array(keys * 2)})
+
+    inner = bucketed_inner_join(ray.data.from_arrow(left),
+                                ray.data.from_arrow(right), "k",
+                                num_buckets=64).to_pandas()
+    assert sorted(inner["k"]) == keys.tolist()
+    assert (inner["v"] == inner["k"] * 2).all()
+
+    asof = asof_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
+                     by="k", on="t", right_columns=["v"],
+                     num_buckets=64).to_pandas()
+    assert dict(zip(asof["k"], asof["v"])) == {k: 2 * k for k in keys}
 
 
 def test_incremental_update_custom_hash_roundtrip(tmp_path, _ray):
