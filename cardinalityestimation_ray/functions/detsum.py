@@ -42,11 +42,6 @@ _BIAS = 1126
 _MASK = np.uint64(0xFFFFFFFF)
 
 
-def limb_columns(prefix: str = "limb") -> list[str]:
-    """Column names for the limb lanes of a partial-sum frame."""
-    return [f"{prefix}{i:02d}" for i in range(N_LIMBS)]
-
-
 def accumulate_limbs(values: np.ndarray, key_idx: np.ndarray | None = None,
                      n_keys: int = 1) -> np.ndarray:
     """Exactly accumulate float64 ``values`` into per-key limb lanes.

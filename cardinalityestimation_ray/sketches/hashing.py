@@ -396,10 +396,6 @@ def encode_int32(x: int) -> bytes:
     return struct.pack("<i", x)
 
 
-def encode_uint32(x: int) -> bytes:
-    return struct.pack("<I", x)
-
-
 def encode_int64(x: int) -> bytes:
     return struct.pack("<q", x)
 

@@ -8,8 +8,13 @@ CardinalityEstimatorTests.cs:175-189,384-453."""
 import numpy as np
 import pytest
 
-from cardinalityestimation_ray.sketches.constants import std_error
-from cardinalityestimation_ray.sketches.hll import HyperLogLog
+from cardinalityestimation_ray.sketches import hashing
+from cardinalityestimation_ray.sketches.constants import (
+    DIRECT_COUNTER_MAX_ELEMENTS,
+    sparse_max_elements,
+    std_error,
+)
+from cardinalityestimation_ray.sketches.hll import HyperLogLog, get_sigma
 
 
 def _stream(n, seed=42):
@@ -35,6 +40,79 @@ def test_kway_split_register_identical(k):
     assert merged.estimate() == single.estimate()
     n_unique = len(np.unique(vals))
     assert abs(merged.estimate() / n_unique - 1) <= 10 * std_error(14)
+
+
+def _scalar_registers(hashes, b):
+    """Per-hash reference register update (one max per hash)."""
+    ref = np.zeros(1 << b, dtype=np.uint8)
+    for h in hashes.tolist():
+        i = h >> (64 - b)
+        ref[i] = max(ref[i], get_sigma(h, 64 - b))
+    return ref
+
+
+def _batch_hashes(b, n, seed):
+    """(values, hashes) of one batch; ``n="dup"`` repeats each of
+    (sparse cap or m) // 2 register indices three times with fresh ranks."""
+    m = 1 << b
+    rng = np.random.default_rng(seed)
+    if n == "dup":
+        idx = rng.choice(m, size=(sparse_max_elements(m) or m) // 2, replace=False)
+        idx = np.repeat(idx, 3).astype(np.uint64)
+        low = rng.integers(0, 2**62, size=len(idx), dtype=np.int64)
+        low = low.astype(np.uint64) >> rng.integers(0, 62, size=len(idx)).astype(np.uint64)
+        return None, (idx << np.uint64(64 - b)) | (low >> np.uint64(b))
+    count = {"m-1": m - 1, "m": m, "4m": 4 * m}[n]
+    values = rng.integers(0, 2**62, size=count, dtype=np.int64)
+    return values, hashing.hash_fixed_batch(values)
+
+
+@pytest.mark.parametrize("start", ["sparse", "dense"])
+@pytest.mark.parametrize("n", ["m-1", "m", "4m", "dup"])
+@pytest.mark.parametrize("b", [4, 6, 10, 12, 16])
+def test_register_update_matches_scalar_reference(b, n, start):
+    """Batches of about m (index, rank) pairs through every add path:
+    add_values' chunks, one direct add_hashes call, and the register
+    rebuild of a direct-mode state, from sparse and from dense starts."""
+    values, hashes = _batch_hashes(b, n, seed=b)
+    pre = hashing.hash_fixed_batch(np.random.default_rng(100 + b).integers(
+        0, 2**62, size=5, dtype=np.int64))
+    ref_batch = _scalar_registers(hashes, b)
+    ref = np.maximum(ref_batch, _scalar_registers(pre, b))
+
+    def started():
+        hll = HyperLogLog(b=b)
+        if start == "dense":
+            hll.reserve_dense()
+        hll.add_hashes(pre)
+        return hll
+
+    hll = started()
+    hll.add_hashes(hashes)
+    assert np.array_equal(hll.registers(), ref)
+    assert hll.count_additions == len(pre) + len(hashes)
+    assert hll.is_sparse == (start == "sparse"
+                             and np.count_nonzero(ref) <= hll.sparse_max)
+    back = HyperLogLog.from_bytes(hll.to_bytes())
+    assert np.array_equal(back.registers(), ref)
+
+    if values is not None:
+        hll = started()
+        hll.add_values(values)
+        assert np.array_equal(hll.registers(), ref)
+        assert hll.count_additions == len(pre) + len(values)
+        assert hll.is_sparse == (start == "sparse" and len(values) < hll.m
+                                 and np.count_nonzero(ref) <= hll.sparse_max)
+
+    if len(hashes) <= DIRECT_COUNTER_MAX_ELEMENTS:
+        rebuilt = HyperLogLog.from_state(
+            b=b, direct={int(h) for h in hashes}, is_sparse=start == "sparse",
+            sparse={} if start == "sparse" else None,
+            dense=None if start == "sparse" else np.zeros(1 << b, np.uint8),
+            count_additions=len(hashes))
+        assert np.array_equal(rebuilt.registers(), ref_batch)
+        back = HyperLogLog.from_bytes(rebuilt.to_bytes())
+        assert np.array_equal(back.registers(), ref_batch)
 
 
 def test_merge_commutative_and_associative():

@@ -4,6 +4,7 @@ grid, metamorphic equivalences, adversarial blobs.
 Reference: CardinalityEstimatorSerializer.cs:125-348 and
 CardinalityEstimatorSerializerTests.cs:62-122,179-298,403-418,457-666."""
 
+import re
 import struct
 
 import numpy as np
@@ -177,3 +178,50 @@ def test_reads_v2_format_with_hash_id():
     assert hll.direct == {12345}
     assert hll.count_additions == 7
     assert hll.estimate() == 1
+
+
+# sparse-payload edge cases pinned to the v3.1 bytes the per-entry decoder
+# produced: accepted blobs map to their re-serialized bytes, rejected ones
+# to their exact message (the first offending entry wins over a later
+# truncation)
+_ACCEPTED_PAYLOADS = {
+    "empty": ("030001000e00000002000000000000000000000000",
+              "030001000e00000002000000000000000000000000"),
+    "zero_rank": ("030001000e00000002020000000700000900030500000000000000",
+                  "030001000e00000002020000000700000900030500000000000000"),
+    "repeated_index_last_wins": (
+        "030001000e00000002030000000900030700020900010300000000000000",
+        "030001000e00000002020000000700020900010300000000000000"),
+}
+_REJECTED_PAYLOADS = {
+    "truncated_entries": ("030001000e0000000203000000090003070002",
+                          "truncated serialized sketch"),
+    "truncated_mid_entry": ("030001000e000000020300000009000307000201",
+                            "truncated serialized sketch"),
+    "truncated_trailer": ("030001000e00000002010000000900030000",
+                          "truncated serialized sketch"),
+    "rank_before_index": (
+        "030001000e0000000203000000050046004001",
+        "invalid serialized data: sparse rank 70 > 51 for bitsPerIndex=14"),
+    "index_before_truncation": (
+        "030001000e0000000203000000050001004063",
+        "invalid serialized data: sparse register index 16384 >= m=16384"),
+    "direct_truncated": (
+        "030001000e000000030300000001000000000000000200000000000000",
+        "truncated serialized sketch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACCEPTED_PAYLOADS))
+def test_sparse_payload_edge_cases_reserialize_pinned(case):
+    blob_hex, out_hex = _ACCEPTED_PAYLOADS[case]
+    hll = HyperLogLog.from_bytes(bytes.fromhex(blob_hex))
+    assert hll.to_bytes().hex() == out_hex
+    assert HyperLogLog.from_bytes(hll.to_bytes()) == hll
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED_PAYLOADS))
+def test_payload_edge_cases_reject_pinned(case):
+    blob_hex, message = _REJECTED_PAYLOADS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HyperLogLog.from_bytes(bytes.fromhex(blob_hex))
