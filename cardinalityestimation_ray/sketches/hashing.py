@@ -43,7 +43,6 @@ U64 = np.uint64
 
 _FNV_OFFSET = U64(14695981039346656037)
 _FNV_PRIME = U64(1099511628211)
-_BYTE_MASK = U64(0xFF)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 DEFAULT_HASH = "fnv1a_mix"
@@ -88,46 +87,25 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _fnv1a64_over_words(v: np.ndarray, width: int) -> np.ndarray:
-    """FNV-1a folding the low ``width`` LE bytes of each uint64 word.
-
-    In-place ops over exactly three live buffers (input, hash, scratch) so a
-    chunk's working set stays cache-resident under high concurrency.
-    """
-    n = len(v)
-    h = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    tmp = np.empty(n, dtype=np.uint64)
-    for j in range(width):
-        np.right_shift(v, U64(8 * j), out=tmp)
-        np.bitwise_and(tmp, _BYTE_MASK, out=tmp)
-        np.bitwise_xor(h, tmp, out=h)
-        np.multiply(h, _FNV_PRIME, out=h)
-    return h
-
-
 def fnv1a64_fixed(values: np.ndarray) -> np.ndarray:
     """Vectorized FNV-1a 64 of a fixed-width integer/float array.
 
     Each element is encoded as its little-endian byte image (4 bytes for
     32-bit dtypes, 8 for 64-bit), matching the reference's typed Add overloads
-    (CardinalityEstimator.cs:376-459), then FNV-1a folded byte by byte —
-    width vector passes total.
+    (CardinalityEstimator.cs:376-459), then FNV-1a folded byte by byte: one
+    xor and one multiply per byte column of the array's own byte view.
     """
-    values = np.ascontiguousarray(values)
-    if values.dtype == np.float32:
-        values = values.view(np.uint32)
-    elif values.dtype == np.float64:
-        values = values.view(np.uint64)
-    if values.dtype.itemsize == 4:
-        v = values.astype(np.uint32, copy=False).astype(np.uint64)
-        width = 4
-    elif values.dtype.itemsize == 8:
-        v = values.view(np.uint64) if values.dtype != np.uint64 else values
-        v = v.astype(np.uint64, copy=False)
-        width = 8
-    else:
+    values = np.asarray(values)
+    width = values.dtype.itemsize
+    if width not in (4, 8):
         raise TypeError(f"unsupported dtype for fixed-width hash: {values.dtype}")
-    return _fnv1a64_over_words(v, width)
+    columns = np.ascontiguousarray(
+        values, dtype=values.dtype.newbyteorder("<")).view(np.uint8).reshape(-1, width)
+    h = np.full(len(columns), _FNV_OFFSET, dtype=np.uint64)
+    for j in range(width):
+        np.bitwise_xor(h, columns[:, j], out=h)
+        np.multiply(h, _FNV_PRIME, out=h)
+    return h
 
 
 def fnv1a64_bytes_array(data: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Reimplements (from scratch, vectorized over numpy batches) the semantics of the
 reference estimator:
 
-- direct (exact) counting up to 100 elements, then sparse registers, then dense
+- direct (exact) counting up to 100 elements, the set being the whole state;
+  registers exist only after direct mode ends, sparse first, then dense
   (/root/reference/CardinalityEstimation/CardinalityEstimator.cs:755-788,
   HllConstants.cs:42, sparse cap m/15-10 at CardinalityEstimator.cs:290);
 - estimate = harmonic mean + Heule bias correction + LinearCounting selection
@@ -44,6 +45,7 @@ WIRE_FORMAT_MAJOR = 3
 WIRE_FORMAT_MINOR = 1
 
 _U64 = np.uint64
+_NO_HASHES = np.empty(0, dtype=np.uint64)
 # one sparse wire entry: (u16 register index, u8 rank), packed
 _SPARSE_ENTRY = np.dtype([("idx", "<u2"), ("rank", "u1")])
 
@@ -74,7 +76,6 @@ class HyperLogLog(Sketch):
         "sparse_max",
         "hash_name",
         "direct",
-        "is_sparse",
         "sparse",
         "dense",
         "count_additions",
@@ -90,13 +91,16 @@ class HyperLogLog(Sketch):
         self.threshold = get_sub_algorithm_selection_threshold(b)
         self.sparse_max = sparse_max_elements(self.m)
         self.hash_name = hashing.check_hash_name(hash_name)
-        self.direct: set[int] | None = set() if use_direct_counting else None
-        self.is_sparse = True
-        self.sparse: dict[int, int] | None = {}
-        self.dense: np.ndarray | None = None
         self.count_additions = 0
-        if self.sparse_max <= 0:
-            self._switch_to_dense()
+        # one state at a time: a direct-mode sketch is its exact hash set,
+        # with ``sparse`` and ``dense`` None; its registers are built once,
+        # when the set outgrows the cap (``_registers_add``), and from then
+        # on ``direct`` is None and exactly one of ``sparse``/``dense`` is set
+        self.direct: set[int] | None = set()
+        self.sparse: dict[int, int] | None = None
+        self.dense: np.ndarray | None = None
+        if not use_direct_counting:
+            self._registers_add(_NO_HASHES)
 
     # ------------------------------------------------------------------
     # properties
@@ -104,6 +108,16 @@ class HyperLogLog(Sketch):
     @property
     def std_error(self) -> float:
         return std_error(self.b)
+
+    @property
+    def is_sparse(self) -> bool:
+        """Register storage mode; a direct sketch reports the mode its set's
+        registers would take (sparse while its distinct register indices fit
+        the sparse cap), which is the isSparse wire flag of its blob."""
+        if self.direct is None:
+            return self.dense is None
+        return self.sparse_max > 0 and len(
+            {h >> self.bits_for_hll for h in self.direct}) <= self.sparse_max
 
     def __repr__(self) -> str:
         mode = "direct" if self.direct is not None else ("sparse" if self.is_sparse else "dense")
@@ -119,25 +133,19 @@ class HyperLogLog(Sketch):
         self.count_additions += n
         if n == 0:
             return
-        self._registers_add(h)
         if self.direct is not None:
-            # cheap exactness-preserving shortcut: the number of occupied
-            # registers lower-bounds the number of distinct elements ever
-            # added, so when it exceeds the direct cap the set must drop —
-            # without sorting/deduplicating the batch. Only genuinely small
-            # batches pay np.unique.
-            occupied = (len(self.sparse) if self.is_sparse
-                        else int(np.count_nonzero(self.dense)))
-            if occupied > DIRECT_COUNTER_MAX_ELEMENTS:
-                self.direct = None
-            else:
+            # exact early exit: a prefix with more distinct hashes than the
+            # cap means the set must go, without sorting the whole batch;
+            # only genuinely small batches pay a full np.unique
+            cap = DIRECT_COUNTER_MAX_ELEMENTS
+            if n <= 4 * cap or len(np.unique(h[:4 * cap])) <= cap:
                 uh = np.unique(h)
-                if len(uh) > DIRECT_COUNTER_MAX_ELEMENTS:
-                    self.direct = None
-                else:
-                    self.direct.update(int(x) for x in uh)
-                    if len(self.direct) > DIRECT_COUNTER_MAX_ELEMENTS:
-                        self.direct = None
+                if len(uh) <= cap:
+                    direct = self.direct.union(uh.tolist())
+                    if len(direct) <= cap:
+                        self.direct = direct
+                        return
+        self._registers_add(h)
 
     def add_hash(self, h: int) -> None:
         self.add_hashes(np.asarray([h], dtype=np.uint64))
@@ -159,23 +167,19 @@ class HyperLogLog(Sketch):
 
     #: values hashed per add_hashes call: keeps the hash kernel's temporaries
     #: in L1/L2, so its bandwidth-bound passes stay off DRAM (4-vCPU VM,
-    #: numpy 1.26, b=14, best of 9: 8k chunks 31 ms vs one whole-batch add
-    #: 56 ms on 1.2M uncollapsed float64 values; 1.8 vs 1.6 ms, about a
-    #: tie, on a 72k collapsed int32 batch)
+    #: numpy 1.26, b=14, best of 9, byte-view FNV kernel: 8k chunks 27 ms
+    #: vs one whole-batch add 45 ms on 1.2M uncollapsed float64 values; 1.6
+    #: vs 1.4 ms, about a tie, on a 52k collapsed int32 batch)
     CHUNK = 8192
 
     def add_values(self, values: np.ndarray) -> None:
         """Vectorized add of a fixed-width numeric numpy array.
 
-        Large integer batches collapse to unique values first; a stream of
-        at least m (collapsed) values reserves the dense bank up front, since
-        the sketch would promote within a few chunks anyway (see
-        :meth:`reserve_dense`); hashing runs ``CHUNK`` values at a time."""
+        Large integer batches collapse to unique values first; hashing runs
+        ``CHUNK`` values at a time."""
         values = np.asarray(values)
         n_raw = len(values)
         values = self._collapse_ints(values)
-        if len(values) >= self.m:
-            self.reserve_dense()
         for lo in range(0, len(values), self.CHUNK):
             self.add_hashes(hashing.hash_fixed_batch(
                 values[lo:lo + self.CHUNK], self.hash_name))
@@ -188,7 +192,17 @@ class HyperLogLog(Sketch):
     # register update kernels
 
     def _registers_add(self, h: np.ndarray) -> None:
-        """Register update for a non-empty uint64 hash batch."""
+        """Register update for a uint64 hash batch. A direct-mode sketch
+        leaves direct mode here: its registers start empty (sparse while the
+        cap allows) and take the exact set's hashes along with the batch."""
+        if self.direct is not None:
+            h = np.concatenate([np.fromiter(
+                self.direct, dtype=np.uint64, count=len(self.direct)), h])
+            self.direct = None
+            if self.sparse_max > 0:
+                self.sparse = {}
+            else:
+                self.dense = np.zeros(self.m, dtype=np.uint8)
         idx = (h >> _U64(64 - self.b)).astype(np.intp)
         # rank = leading zeros within the low bits_for_hll bits, + 1
         #      = bits_for_hll - bit_length(masked) + 1  (bit_length(0) = 0)
@@ -198,21 +212,25 @@ class HyperLogLog(Sketch):
         else:
             bl = hashing.bit_length_u64(masked)
         sigma = (self.bits_for_hll + 1 - bl).astype(np.uint8)
-        if self.is_sparse:
+        if self.dense is None:
             self._sparse_add(idx, sigma)
-        if not self.is_sparse:  # dense, or just promoted by _sparse_add
+        if self.dense is not None:  # dense, or just promoted by _sparse_add
             np.maximum.at(self.dense, idx, sigma)
 
     def _sparse_add(self, idx: np.ndarray, sigma: np.ndarray) -> None:
         # per-index max over the batch; if the union with the sparse keys
         # would overflow the sparse cap, promote and leave the batch to the
         # dense scatter — same final state as the reference's incremental
-        # promotion
+        # promotion. A prefix with more distinct indices than the cap
+        # promotes without sorting the whole batch (exact, as above).
+        cap = self.sparse_max
+        if len(idx) > 2 * cap + 2 and len(np.unique(idx[:2 * cap + 2])) > cap:
+            self._switch_to_dense()
+            return
         keys, inverse = np.unique(idx, return_inverse=True)
         keys = keys.tolist()
         sp = self.sparse
-        if (len(keys) > self.sparse_max
-                or len(sp.keys() | keys) > self.sparse_max):
+        if len(keys) > cap or len(sp.keys() | keys) > cap:
             self._switch_to_dense()
             return
         ranks = np.zeros(len(keys), dtype=np.uint8)
@@ -222,28 +240,13 @@ class HyperLogLog(Sketch):
                 sp[k] = s
 
     def _switch_to_dense(self) -> None:
-        if not self.is_sparse:
+        if self.dense is not None:
             return
         dense = np.zeros(self.m, dtype=np.uint8)
-        if self.sparse:
-            keys = np.fromiter(self.sparse.keys(), dtype=np.int64, count=len(self.sparse))
-            vals = np.fromiter(self.sparse.values(), dtype=np.uint8, count=len(self.sparse))
-            dense[keys] = vals
+        keys = np.fromiter(self.sparse.keys(), dtype=np.int64, count=len(self.sparse))
+        dense[keys] = np.fromiter(self.sparse.values(), dtype=np.uint8, count=len(keys))
         self.dense = dense
         self.sparse = None
-        self.is_sparse = False
-
-    def reserve_dense(self) -> "HyperLogLog":
-        """Performance hint: allocate the dense register bank up front.
-
-        Skips the sparse phase's per-chunk dict merge when the caller knows
-        the incoming stream is at least register-bank-sized (the sketch would
-        promote almost immediately anyway). Pure storage change — the
-        ``direct`` exact-count set, estimates, merge semantics, and the wire
-        format (direct blobs still serialize tiny) are unaffected.
-        """
-        self._switch_to_dense()
-        return self
 
     # ------------------------------------------------------------------
     # estimate
@@ -253,15 +256,11 @@ class HyperLogLog(Sketch):
         if self.direct is not None:
             return len(self.direct)
         m = self.m
-        if self.is_sparse:
-            if self.sparse:
-                vals = np.fromiter(self.sparse.values(), dtype=np.uint8,
-                                   count=len(self.sparse))
-                z_inverse = float(INVERSE_POWERS_OF_TWO[vals].sum())
-            else:
-                z_inverse = 0.0
-            v = float(m - len(self.sparse))
-            z_inverse += m - len(self.sparse)
+        if self.dense is None:
+            vals = np.fromiter(self.sparse.values(), dtype=np.uint8,
+                               count=len(self.sparse))
+            v = float(m - len(vals))
+            z_inverse = float(INVERSE_POWERS_OF_TWO[vals].sum()) + v
         else:
             z_inverse = float(INVERSE_POWERS_OF_TWO[self.dense].sum())
             v = float(np.count_nonzero(self.dense == 0))
@@ -287,32 +286,34 @@ class HyperLogLog(Sketch):
         if other.hash_name != self.hash_name:
             raise ValueError("Cannot merge estimators with different hash functions")
         self.count_additions += other.count_additions
-        if self.is_sparse and other.is_sparse:
+        if other.direct is not None:
+            if self.direct is not None:
+                self.direct |= other.direct
+                if len(self.direct) > DIRECT_COUNTER_MAX_ELEMENTS:
+                    self._registers_add(_NO_HASHES)  # registers of the union
+            else:
+                self._registers_add(np.fromiter(
+                    other.direct, dtype=np.uint64, count=len(other.direct)))
+            return self
+        if self.direct is not None:
+            self._registers_add(_NO_HASHES)  # leave direct mode first
+        if self.dense is None and other.dense is None:
             sp = self.sparse
             for i, s in other.sparse.items():
-                prev = sp.get(i, 0)
-                if s > prev:
+                if s > sp.get(i, 0):
                     sp[i] = s
             if len(sp) > self.sparse_max:
                 self._switch_to_dense()
         else:
             self._switch_to_dense()
-            if other.is_sparse:
-                if other.sparse:
-                    keys = np.fromiter(other.sparse.keys(), dtype=np.int64,
-                                       count=len(other.sparse))
-                    vals = np.fromiter(other.sparse.values(), dtype=np.uint8,
-                                       count=len(other.sparse))
-                    np.maximum.at(self.dense, keys, vals)
+            if other.dense is None:
+                keys = np.fromiter(other.sparse.keys(), dtype=np.int64,
+                                   count=len(other.sparse))
+                vals = np.fromiter(other.sparse.values(), dtype=np.uint8,
+                                   count=len(other.sparse))
+                np.maximum.at(self.dense, keys, vals)
             else:
                 np.maximum(self.dense, other.dense, out=self.dense)
-        if other.direct is not None:
-            if self.direct is not None:
-                self.direct |= other.direct
-                if len(self.direct) > DIRECT_COUNTER_MAX_ELEMENTS:
-                    self.direct = None
-        else:
-            self.direct = None
         return self
 
     @staticmethod
@@ -367,7 +368,6 @@ class HyperLogLog(Sketch):
         out.sparse_max = self.sparse_max
         out.hash_name = self.hash_name
         out.direct = set(self.direct) if self.direct is not None else None
-        out.is_sparse = self.is_sparse
         out.sparse = dict(self.sparse) if self.sparse is not None else None
         out.dense = self.dense.copy() if self.dense is not None else None
         out.count_additions = self.count_additions
@@ -381,11 +381,12 @@ class HyperLogLog(Sketch):
         # sketch as the default — documented wire behavior — and == was
         # the one comparison that could not see it while merge() raised)
         if (self.b != other.b or self.hash_name != other.hash_name
-                or self.is_sparse != other.is_sparse
                 or self.count_additions != other.count_additions
                 or (self.direct is None) != (other.direct is None)):
             return False
-        if self.direct is not None and self.direct != other.direct:
+        if self.direct is not None:  # registers are a function of the set
+            return self.direct == other.direct
+        if self.is_sparse != other.is_sparse:
             return False
         if self.is_sparse:
             a = {k: v for k, v in self.sparse.items() if v}
@@ -398,6 +399,10 @@ class HyperLogLog(Sketch):
 
     def registers(self) -> np.ndarray:
         """Dense register image (for cross-parallelism equality tests)."""
+        if self.direct is not None:
+            built = self.copy()
+            built._registers_add(_NO_HASHES)
+            return built.registers()
         if self.is_sparse:
             dense = np.zeros(self.m, dtype=np.uint8)
             for k, v in self.sparse.items():
@@ -419,7 +424,7 @@ class HyperLogLog(Sketch):
         if self.direct is not None:
             payload = np.sort(np.fromiter(self.direct, dtype="<u8",
                                           count=len(self.direct)))
-        elif self.is_sparse:
+        elif self.dense is None:
             n = len(self.sparse)
             payload = np.empty(n, dtype=_SPARSE_ENTRY)
             payload["idx"] = np.fromiter(self.sparse.keys(), dtype=np.uint16, count=n)
@@ -561,10 +566,11 @@ class HyperLogLog(Sketch):
     def from_state(cls, *, b: int, direct: set[int] | None, is_sparse: bool,
                    sparse: dict[int, int] | None, dense: np.ndarray | None,
                    count_additions: int, hash_name: str = hashing.DEFAULT_HASH) -> "HyperLogLog":
-        """Rebuild from a state snapshot (reference state-ctor semantics,
-        CardinalityEstimator.cs:272-312): when a direct set is present the HLL
-        registers are rebuilt from the direct hashes, so direct-mode blobs ship
-        only the exact set."""
+        """Rebuild from a state snapshot. A direct set, when present, is the
+        whole state (``is_sparse``, ``sparse`` and ``dense`` are not read):
+        direct-mode blobs ship only the exact set, whose registers are a
+        function of it (reference state ctor, CardinalityEstimator.cs:272-312)
+        built when the set outgrows the cap."""
         validate_bits(b)
         out = cls.__new__(cls)
         out.b = b
@@ -575,20 +581,13 @@ class HyperLogLog(Sketch):
         out.sparse_max = sparse_max_elements(out.m)
         out.hash_name = hashing.check_hash_name(hash_name)
         out.count_additions = count_additions
-        out.direct = set(direct) if direct is not None else None
-        out.is_sparse = is_sparse
-        out.sparse = dict(sparse) if sparse is not None else None
-        out.dense = np.asarray(dense, dtype=np.uint8).copy() if dense is not None else None
-        if out.sparse_max <= 0:
-            out._switch_to_dense()
-        if out.direct is not None:
-            # rebuild registers from the exact hash set
-            out.is_sparse = True
-            out.sparse = {}
-            out.dense = None
+        out.direct = out.sparse = out.dense = None
+        if direct is not None:
+            out.direct = set(direct)
+        elif is_sparse:
+            out.sparse = dict(sparse)
             if out.sparse_max <= 0:
                 out._switch_to_dense()
-            if out.direct:
-                out._registers_add(np.fromiter(out.direct, dtype=np.uint64,
-                                               count=len(out.direct)))
+        else:
+            out.dense = np.asarray(dense, dtype=np.uint8).copy()
         return out

@@ -28,18 +28,21 @@ def test_murmur3_golden_vectors():
 
 @pytest.mark.parametrize("dtype,fmt", [
     (np.int32, "<i"), (np.uint32, "<I"), (np.int64, "<q"), (np.uint64, "<Q"),
+    (">i4", "<i"), (">i8", "<q"),  # big-endian arrays hash their values
 ])
 def test_fnv1a_vectorized_matches_scalar_ints(dtype, fmt):
     rng = np.random.default_rng(7)
     info = np.iinfo(dtype)
-    vals = rng.integers(info.min, info.max, size=257, dtype=dtype)
+    vals = rng.integers(info.min, info.max, size=257,
+                        dtype=info.dtype.newbyteorder("=")).astype(dtype)
     vals[:4] = [0, 1, info.min, info.max]
     vec = hashing.fnv1a64_fixed(vals)
     for v, h in zip(vals, vec):
         assert hashing.fnv1a64(struct.pack(fmt, int(v))) == int(h)
 
 
-@pytest.mark.parametrize("dtype,fmt", [(np.float32, "<f"), (np.float64, "<d")])
+@pytest.mark.parametrize("dtype,fmt", [(np.float32, "<f"), (np.float64, "<d"),
+                                       (">f4", "<f"), (">f8", "<d")])
 def test_fnv1a_vectorized_matches_scalar_floats(dtype, fmt):
     rng = np.random.default_rng(8)
     vals = rng.normal(size=64).astype(dtype)

@@ -51,6 +51,14 @@ def _scalar_registers(hashes, b):
     return ref
 
 
+def _hashes_at(idx, b, rng):
+    """One hash per entry of the register indices ``idx``, random ranks."""
+    idx = np.asarray(idx).astype(np.uint64)
+    low = rng.integers(0, 2**62, size=len(idx), dtype=np.int64)
+    low = low.astype(np.uint64) >> rng.integers(0, 62, size=len(idx)).astype(np.uint64)
+    return (idx << np.uint64(64 - b)) | (low >> np.uint64(b))
+
+
 def _batch_hashes(b, n, seed):
     """(values, hashes) of one batch; ``n="dup"`` repeats each of
     (sparse cap or m) // 2 register indices three times with fresh ranks."""
@@ -58,10 +66,7 @@ def _batch_hashes(b, n, seed):
     rng = np.random.default_rng(seed)
     if n == "dup":
         idx = rng.choice(m, size=(sparse_max_elements(m) or m) // 2, replace=False)
-        idx = np.repeat(idx, 3).astype(np.uint64)
-        low = rng.integers(0, 2**62, size=len(idx), dtype=np.int64)
-        low = low.astype(np.uint64) >> rng.integers(0, 62, size=len(idx)).astype(np.uint64)
-        return None, (idx << np.uint64(64 - b)) | (low >> np.uint64(b))
+        return None, _hashes_at(np.repeat(idx, 3), b, rng)
     count = {"m-1": m - 1, "m": m, "4m": 4 * m}[n]
     values = rng.integers(0, 2**62, size=count, dtype=np.int64)
     return values, hashing.hash_fixed_batch(values)
@@ -72,19 +77,27 @@ def _batch_hashes(b, n, seed):
 @pytest.mark.parametrize("b", [4, 6, 10, 12, 16])
 def test_register_update_matches_scalar_reference(b, n, start):
     """Batches of about m (index, rank) pairs through every add path:
-    add_values' chunks, one direct add_hashes call, and the register
-    rebuild of a direct-mode state, from sparse and from dense starts."""
+    add_values' chunks, one direct add_hashes call, and the registers of
+    a direct-mode state, from sparse and from dense starts. A dense start
+    adds ``pre`` hashes that occupy more registers than the sparse cap and
+    outnumber the direct cap, so its dense bank exists before the batch."""
     values, hashes = _batch_hashes(b, n, seed=b)
-    pre = hashing.hash_fixed_batch(np.random.default_rng(100 + b).integers(
-        0, 2**62, size=5, dtype=np.int64))
+    rng = np.random.default_rng(100 + b)
+    pre = hashing.hash_fixed_batch(rng.integers(0, 2**62, size=5, dtype=np.int64))
+    if start == "dense":
+        occupied = rng.choice(1 << b, size=sparse_max_elements(1 << b) + 1,
+                              replace=False)
+        occupied = np.r_[occupied, rng.integers(
+            0, 1 << b, size=DIRECT_COUNTER_MAX_ELEMENTS)]
+        pre = np.r_[pre, _hashes_at(occupied, b, rng)]
     ref_batch = _scalar_registers(hashes, b)
     ref = np.maximum(ref_batch, _scalar_registers(pre, b))
 
     def started():
         hll = HyperLogLog(b=b)
-        if start == "dense":
-            hll.reserve_dense()
         hll.add_hashes(pre)
+        if start == "dense":
+            assert hll.direct is None and not hll.is_sparse
         return hll
 
     hll = started()
@@ -101,7 +114,7 @@ def test_register_update_matches_scalar_reference(b, n, start):
         hll.add_values(values)
         assert np.array_equal(hll.registers(), ref)
         assert hll.count_additions == len(pre) + len(values)
-        assert hll.is_sparse == (start == "sparse" and len(values) < hll.m
+        assert hll.is_sparse == (start == "sparse"
                                  and np.count_nonzero(ref) <= hll.sparse_max)
 
     if len(hashes) <= DIRECT_COUNTER_MAX_ELEMENTS:
@@ -245,25 +258,35 @@ def test_copy_preserves_everything():
     assert cp != hll  # deep copy: mutation does not leak back
 
 
-def test_reserve_dense_is_pure_storage_hint():
-    """reserve_dense() (keyed-partial fast path) must not change any
-    observable state: registers, direct exactness, wire blobs, merges."""
-    import numpy as np
-
-    from cardinalityestimation_ray.sketches import HyperLogLog
-
+def test_add_values_slicing_changes_no_state():
+    """How a stream is sliced into add calls must not change any observable
+    state: wire blobs (flags byte included), registers, direct exactness,
+    merges."""
     rng = np.random.default_rng(7)
+    vals = rng.choice(rng.random(50), size=20_000)  # 50 distinct float64
+    whole = HyperLogLog(b=14)
+    whole.add_values(vals)
+    sliced = HyperLogLog(b=14)
+    for part in np.array_split(vals, 4):
+        sliced.add_values(part)
+    assert whole.to_bytes() == sliced.to_bytes()
+    assert whole.to_bytes()[8] == 3  # flags: isSparse | hasDirect
+    assert whole == sliced
+    assert whole.estimate() == 50
+
     h = rng.integers(0, 2 ** 63, size=50_000, dtype=np.int64).astype(np.uint64)
     plain = HyperLogLog(b=14)
     plain.add_hashes(h)
-    hinted = HyperLogLog(b=14).reserve_dense()
-    hinted.add_hashes(h)
-    assert plain == hinted
-    assert plain.estimate() == hinted.estimate()
+    chunked = HyperLogLog(b=14)
+    for part in np.array_split(h, 7):
+        chunked.add_hashes(part)
+    assert plain == chunked
+    assert np.array_equal(plain.registers(), chunked.registers())
+    assert plain.estimate() == chunked.estimate()
 
-    # direct-count exactness survives the dense bank (incl. duplicates)
+    # direct-count exactness with duplicates, through a round trip
     small = rng.integers(0, 2 ** 63, size=50, dtype=np.int64).astype(np.uint64)
-    c = HyperLogLog(b=14).reserve_dense()
+    c = HyperLogLog(b=14)
     c.add_hashes(small)
     c.add_hashes(small)
     assert c.estimate() == len(np.unique(small))
@@ -272,7 +295,7 @@ def test_reserve_dense_is_pure_storage_hint():
     # sparse x dense merges agree with a single-sketch build
     m1 = HyperLogLog(b=14)
     m1.add_hashes(small)
-    m1.merge(hinted)
+    m1.merge(plain)
     m2 = HyperLogLog(b=14)
     m2.add_hashes(small)
     m2.add_hashes(h)
