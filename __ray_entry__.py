@@ -402,7 +402,6 @@ def _q_bloom_absent_probe_tokens(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data
 
-    from cardinalityestimation_ray.sketches.bloom import BloomFilter
     from cardinalityestimation_ray.stages.sketch_stages import (
         SketchPartials,
         tree_merge_partials,
@@ -421,12 +420,10 @@ def _q_bloom_absent_probe_tokens(sf_dir: str):
             f"{sf_dir}/documents.parquet", columns=["text"]).map_batches(
                 flat_words, batch_format="pyarrow")
 
+    params = {"num_bits": 1 << 20, "num_hashes": 7}
     partials = words_ds().map_batches(
-        SketchPartials("bloom", "tok", num_bits=1 << 20, num_hashes=7),
-        batch_format="pyarrow")
-    bf, _total = tree_merge_partials(partials, "bloom")
-    if bf is None:
-        bf = BloomFilter(num_bits=1 << 20, num_hashes=7)
+        SketchPartials("bloom", "tok", **params), batch_format="pyarrow")
+    bf, _total = tree_merge_partials(partials, "bloom", params)
 
     probes = np.array(_BLOOM_PROBE_WORDS)
     member = np.array([bf.contains(w) for w in probes])

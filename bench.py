@@ -470,15 +470,17 @@ def profile_stats() -> None:
     phi = 0.001  # bench's heavy_hitters_synthetic config
     width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
 
+    params = {"depth": 5, "width": width}
+
     def pass1():
         ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
                                    override_num_blocks=2 * NUM_CPUS)
         return ds.map_batches(
-            SketchPartials("countmin", "tokens", depth=5, width=width),
+            SketchPartials("countmin", "tokens", **params),
             batch_format="pyarrow")
 
     t0 = time.perf_counter()
-    cms, total = tree_merge_partials(pass1(), "countmin")
+    cms, total = tree_merge_partials(pass1(), "countmin", params)
     wall1 = time.perf_counter() - t0
     threshold = phi * total
     cms_ref = ray.put(cms.to_bytes())

@@ -54,18 +54,18 @@ def global_distinct_tokens(tokens_ds, b: int = 14,
     the pattern for stages with real per-actor setup cost. Both produce
     identical results (tested).
     """
+    params = {"b": b, "hash_name": hash_name}
     if concurrency is None:
         partials = tokens_ds.map_batches(
-            SketchPartials(b=b, hash_name=hash_name), batch_format="pyarrow",
+            SketchPartials(**params), batch_format="pyarrow",
             batch_size=batch_size)
     else:
         partials = tokens_ds.map_batches(
             SketchPartials, batch_format="pyarrow",
-            fn_constructor_kwargs={"b": b, "hash_name": hash_name},
+            fn_constructor_kwargs=params,
             concurrency=concurrency, num_cpus=1, batch_size=batch_size)
-    sketch, total = tree_merge_partials(partials, "hll", fanout=fanout)
-    if sketch is None:
-        sketch = HyperLogLog(b=b, hash_name=hash_name)
+    sketch, total = tree_merge_partials(partials, "hll", params,
+                                        fanout=fanout)
     return {
         "distinct_tokens": sketch.estimate(),
         "total_tokens": total,
@@ -85,12 +85,12 @@ def distinct_tokens_by_source(tokens_ds, b: int = 14,
     partial IS the salt). The rows merge through the combiner tree
     (``tree_merge_partials``), so there is no all-to-all.
     """
+    params = {"b": b, "hash_name": hash_name}
     partials = tokens_ds.map_batches(
-        SketchPartials(key_column="source", b=b, hash_name=hash_name),
+        SketchPartials(key_column="source", **params),
         batch_format="pyarrow", batch_size=batch_size,
     )
-    merged = tree_merge_partials(partials, "hll", key_column="source",
-                                 hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", params, key_column="source")
     return _keyed_result_frame(merged, "source", "distinct_tokens",
                                "total_tokens")
 
@@ -106,13 +106,13 @@ def distinct_column_by_key(ds, value_column: str, key_column: str,
 
     Exact (direct-count mode) whenever a key's distinct count is <= 100 —
     the reference's exact regime (HllConstants.cs:42)."""
+    params = {"b": b, "hash_name": hash_name}
     partials = ds.map_batches(
-        SketchPartials("hll", value_column, key_column=key_column, b=b,
-                       hash_name=hash_name),
+        SketchPartials("hll", value_column, key_column=key_column, **params),
         batch_format="pyarrow",
     )
-    merged = tree_merge_partials(partials, "hll", key_column=key_column,
-                                 hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", params,
+                                 key_column=key_column)
     return _keyed_result_frame(merged, key_column, estimate_name, count_name)
 
 
@@ -134,16 +134,16 @@ def flagship_summary(tokens_ds, b: int = 14,
     per source, and the register-max union of those sketches IS the global
     sketch (lossless union) — so the global row costs a driver-side merge of
     a few KB sketches, not a second scan (round-2 review fix)."""
+    params = {"b": b, "hash_name": hash_name}
     partials = tokens_ds.map_batches(
-        SketchPartials(key_column="source", b=b, hash_name=hash_name),
+        SketchPartials(key_column="source", **params),
         batch_format="pyarrow", batch_size=None)
-    merged = tree_merge_partials(partials, "hll", key_column="source",
-                                 hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", params, key_column="source")
     per_source = _keyed_result_frame(merged, "source", "distinct_tokens",
                                      "total_tokens")
-    glob = HyperLogLog.merge_many(sk.copy() for sk, _ in merged.values())
-    if glob is None:
-        glob = HyperLogLog(b=b, hash_name=hash_name)
+    glob = HyperLogLog(**params)
+    for sk, _ in merged.values():
+        glob.merge(sk)
     glob_row = pd.DataFrame(
         {
             "source": ["__all__"],
@@ -173,13 +173,13 @@ def set_ops_distinct(ds, value_column: str, key_column: str,
         return batch.filter(pc.is_in(batch[key_column],
                                      value_set=pa.array([key_a, key_b])))
 
+    params = {"b": b, "hash_name": hash_name}
     partials = ds.map_batches(only_keys, batch_format="pyarrow").map_batches(
-        SketchPartials("hll", value_column, key_column=key_column, b=b,
-                       hash_name=hash_name),
+        SketchPartials("hll", value_column, key_column=key_column, **params),
         batch_format="pyarrow")
-    merged = tree_merge_partials(partials, "hll", key_column=key_column,
-                                 hash_name=hash_name)
-    empty = HyperLogLog(b=b, hash_name=hash_name)
+    merged = tree_merge_partials(partials, "hll", params,
+                                 key_column=key_column)
+    empty = HyperLogLog(**params)
     sk_a = merged.get(key_a, (empty, 0))[0]
     sk_b = merged.get(key_b, (empty, 0))[0]
     return pd.DataFrame({
@@ -209,12 +209,15 @@ def theta_set_ops_tokens(tokens_ds, key_column: str, key_a: str, key_b: str,
         return batch.filter(pc.is_in(batch[key_column],
                                      value_set=pa.array([key_a, key_b])))
 
+    params = {"k": k}
     partials = tokens_ds.map_batches(only_keys, batch_format="pyarrow") \
         .map_batches(
-            SketchPartials("theta", token_column, key_column=key_column, k=k),
+            SketchPartials("theta", token_column, key_column=key_column,
+                           **params),
             batch_format="pyarrow")
-    merged = tree_merge_partials(partials, "theta", key_column=key_column)
-    empty = ThetaSketch(k=k)
+    merged = tree_merge_partials(partials, "theta", params,
+                                 key_column=key_column)
+    empty = ThetaSketch(**params)
     sk_a = merged.get(key_a, (empty, 0))[0]
     sk_b = merged.get(key_b, (empty, 0))[0]
     return pd.DataFrame({
@@ -256,10 +259,13 @@ def pairwise_overlap_matrix(tokens_ds, key_column: str, *, k: int = 4096,
     """
     from ..sketches.theta import ThetaSketch
 
+    params = {"k": k}
     partials = tokens_ds.map_batches(
-        SketchPartials("theta", token_column, key_column=key_column, k=k),
+        SketchPartials("theta", token_column, key_column=key_column,
+                       **params),
         batch_format="pyarrow")
-    merged = tree_merge_partials(partials, "theta", key_column=key_column)
+    merged = tree_merge_partials(partials, "theta", params,
+                                 key_column=key_column)
     keys = sorted(merged)
     estimates = {k: int(merged[k][0].estimate()) for k in keys}
     rows = []
@@ -317,7 +323,8 @@ def pairwise_overlap_matrix_distributed(
     """
     import numpy as np
 
-    from ..stages.sketch_stages import _merge_block_fn, sketch_from_blob
+    from ..sketches.base import sketch_from_bytes
+    from ..stages.sketch_stages import _merge_block_fn
 
     if n_buckets < 2 or (n_buckets & (n_buckets - 1)):
         raise ValueError(
@@ -347,7 +354,7 @@ def pairwise_overlap_matrix_distributed(
         ks, exact, th, nret, est = [], [], [], [], []
         for key, blob in zip(tbl[key_column].to_pylist(),
                              tbl["sketch"].to_pylist()):
-            sk = sketch_from_blob("theta", blob)
+            sk = sketch_from_bytes("theta", blob)
             ks.append(key)
             exact.append(sk.is_exact())
             th.append(0 if sk.is_exact() else sk.theta64)
@@ -381,7 +388,7 @@ def pairwise_overlap_matrix_distributed(
         hs, ks = [], []
         for key, blob in zip(tbl[key_column].to_pylist(),
                              tbl["sketch"].to_pylist()):
-            sk = sketch_from_blob("theta", blob)
+            sk = sketch_from_bytes("theta", blob)
             hs.append(sk.retained)
             ks.append(np.full(len(sk.retained), key_idx[key],
                               dtype=np.int32))

@@ -88,12 +88,13 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
         # set that exact verification filters anyway
         width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
 
+    params = {"depth": depth, "width": width}
     partials = make_tokens_ds().map_batches(
-        SketchPartials("countmin", token_column, depth=depth, width=width),
+        SketchPartials("countmin", token_column, **params),
         batch_format="pyarrow",
     )
-    cms, total = tree_merge_partials(partials, "countmin")
-    if cms is None or total == 0:
+    cms, total = tree_merge_partials(partials, "countmin", params)
+    if total == 0:
         return typed_frame(None, _TOKEN_COUNTS)
     threshold = phi * total
     cms_ref = ray.put(cms.to_bytes())  # broadcast once; plasma-cached per node
@@ -175,8 +176,9 @@ def token_frequencies_cms(tokens_ds, probe_tokens: np.ndarray, *,
     (published count-min bounds); the sketch is built distributed (partial
     per batch, merge = elementwise add) and queried on the driver.
     """
+    params = {"depth": depth, "width": width}
     partials = tokens_ds.map_batches(
-        SketchPartials("countmin", token_column, depth=depth, width=width),
+        SketchPartials("countmin", token_column, **params),
         batch_format="pyarrow",
     )
     # tree-task memory = fanout x blob size: at the default width 2^16 a
@@ -184,9 +186,7 @@ def token_frequencies_cms(tokens_ds, probe_tokens: np.ndarray, *,
     # fanout=64 would hand each merge task ~170 MB — cap the bundle to
     # keep merge tasks within a lean worker heap (elementwise add is
     # bandwidth-bound anyway; 16 blobs per task loses no parallelism)
-    cms, total = tree_merge_partials(partials, "countmin", fanout=16)
-    if cms is None:
-        cms = CountMinSketch(depth=depth, width=width)
+    cms, total = tree_merge_partials(partials, "countmin", params, fanout=16)
     probes = np.asarray(probe_tokens, dtype=np.int32)
     est = cms.query_values(probes)
     return pd.DataFrame({
@@ -284,8 +284,10 @@ def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
     if width is None:
         width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
 
+    params = {"depth": depth, "width": width}
+
     def build_partial(batch: pa.Table) -> pa.Table:
-        cms = CountMinSketch(depth=depth, width=width)
+        cms = CountMinSketch(**params)
         pairs = _packed_bigrams(batch, token_column)
         cms.add_values(pairs)
         return pa.table({
@@ -295,8 +297,8 @@ def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
 
     partials = make_tokens_ds().map_batches(build_partial,
                                             batch_format="pyarrow")
-    cms, total = tree_merge_partials(partials, "countmin")
-    if cms is None or total == 0:
+    cms, total = tree_merge_partials(partials, "countmin", params)
+    if total == 0:
         return typed_frame(None, _BIGRAM_COUNTS)
     threshold = phi * total
     cms_ref = ray.put(cms.to_bytes())

@@ -33,17 +33,18 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
     Returns the updated summary (key, estimate, n_added). The write is
     atomic (tmp + rename), so a crashed update leaves the previous table
     intact and rerunning is safe (the new data's partials are recomputed,
-    not double-merged).
+    not double-merged). The stored sketches keep the hash the table
+    records, so an update under another ``hash_name`` raises the merge's
+    hash mismatch.
     """
-    prior = (read_sketch_results(results_path, key_name=key_column,
-                                 hash_name=hash_name)
+    prior = (read_sketch_results(results_path, key_name=key_column)
              if os.path.exists(results_path) else {})
+    params = {"b": b, "hash_name": hash_name}
     partials = new_tokens_ds.map_batches(
-        SketchPartials("hll", value_column, key_column=key_column, b=b,
-                       hash_name=hash_name),
+        SketchPartials("hll", value_column, key_column=key_column, **params),
         batch_format="pyarrow")
-    fresh = tree_merge_partials(partials, "hll", key_column=key_column,
-                                hash_name=hash_name)
+    fresh = tree_merge_partials(partials, "hll", params,
+                                key_column=key_column)
     merged: dict = {}
     for k in set(prior) | set(fresh):
         if k in prior and k in fresh:

@@ -19,15 +19,12 @@ from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 def build_token_bloom(tokens_ds, *, num_bits: int = 1 << 22, num_hashes: int = 7,
                       token_column: str = "tokens") -> tuple[BloomFilter, int]:
     """Distributed Bloom build over the exploded token column."""
+    params = {"num_bits": num_bits, "num_hashes": num_hashes}
     partials = tokens_ds.map_batches(
-        SketchPartials("bloom", token_column, num_bits=num_bits,
-                       num_hashes=num_hashes),
+        SketchPartials("bloom", token_column, **params),
         batch_format="pyarrow",
     )
-    bf, total = tree_merge_partials(partials, "bloom")
-    if bf is None:
-        bf = BloomFilter(num_bits=num_bits, num_hashes=num_hashes)
-    return bf, total
+    return tree_merge_partials(partials, "bloom", params)
 
 
 def probe_token_membership(tokens_ds, probe_tokens: np.ndarray,

@@ -36,8 +36,8 @@ def column_quantiles(ds, column: str, *, kind: str = "tdigest",
         params = {"delta": 200} if kind == "tdigest" else {"k": 200}
     partials = ds.map_batches(
         SketchPartials(kind, column, **params), batch_format="pyarrow")
-    sk, total = tree_merge_partials(partials, kind)
-    if sk is None:
+    sk, total = tree_merge_partials(partials, kind, params)
+    if total == 0:
         # keep the non-empty schema (q, value, n) so an empty input stays
         # schema-stable against the SQL oracle (round-5 oracle-eligibility)
         return pd.DataFrame({"q": list(qs), "value": [float("nan")] * len(qs),
@@ -148,7 +148,8 @@ def column_quantiles_by_key(ds, column: str, key_column: str, *,
     partials = ds.map_batches(
         SketchPartials(kind, column, key_column=key_column, **params),
         batch_format="pyarrow")
-    merged = tree_merge_partials(partials, kind, key_column=key_column)
+    merged = tree_merge_partials(partials, kind, params,
+                                 key_column=key_column)
     rows = []
     for key in sorted(merged):
         sk, n = merged[key]

@@ -104,15 +104,12 @@ def priority_sample_column(ds, value_column: str, id_column: str, *,
     priority of ``id_column`` (unique non-null ids). Returns
     (PrioritySample, n_rows_sampled_from); with ``key_column``, one sample
     per key: ``{key: (PrioritySample, n_rows)}`` (stratified sampling)."""
-    partial = _sample_partial(value_column, id_column, k=k, seed=seed,
-                              key_column=key_column)
-    merged = tree_merge_partials(
+    params = {"k": k, "seed": seed}
+    partial = _sample_partial(value_column, id_column, key_column=key_column,
+                              **params)
+    return tree_merge_partials(
         ds.map_batches(partial, batch_format="pyarrow"), "priority_sample",
-        key_column=key_column)
-    if key_column is not None:
-        return merged
-    s, total = merged
-    return (s if s is not None else PrioritySample(k=k, seed=seed)), total
+        params, key_column=key_column)
 
 
 def priority_sample_summary(ds, value_column: str, id_column: str, *,
@@ -155,12 +152,12 @@ def weighted_dlt_sample_rows(ds, value_column: str, weight_column: str,
     layout-invariant AND value-level SQL-oracle-checkable; est_weight is
     the per-row unbiased subset-sum estimator max(w, tau), emitted per row
     precisely so no accumulation-order float sum enters the contract."""
-    partial = _sample_partial(value_column, id_column, k=k, seed=seed,
-                              weight_column=weight_column)
+    params = {"k": k, "seed": seed}
+    partial = _sample_partial(value_column, id_column,
+                              weight_column=weight_column, **params)
     s, _total = tree_merge_partials(
-        ds.map_batches(partial, batch_format="pyarrow"), "weighted_dlt_sample")
-    if s is None:
-        s = WeightedDLTSample(k=k, seed=seed)
+        ds.map_batches(partial, batch_format="pyarrow"), "weighted_dlt_sample",
+        params)
     return pd.DataFrame({
         value_column: s.sample(),
         weight_column: s.sample_weights(),

@@ -106,5 +106,20 @@ class Sketch(ABC):
     def from_bytes(cls, blob: bytes) -> "Sketch": ...
 
 
-def sketch_from_bytes(kind: str, blob: bytes) -> Sketch:
-    return Sketch.REGISTRY[kind].from_bytes(blob)
+def sketch_from_bytes(kind: str, blob: bytes,
+                      hash_name: str | None = None) -> Sketch:
+    """The one decode rule for a ``kind`` blob. The reference requires every
+    sketch in a merge or a deserialize to share the hash (SURVEY.md §1.1),
+    and its v3 HLL blob does not carry it, so the caller states it:
+
+    - a blob that names its hash (BLM2, CMS2, THE2) is labelled with that
+      hash, and raises "built under hash" when ``hash_name`` differs;
+    - a blob that names none (HLL v3, BLM1, CMS1, THE1) takes
+      ``hash_name``, else the default hash.
+
+    Kinds without a hash (KLL, t-digest, the samplers) take no
+    ``hash_name``: pass None for them."""
+    cls = Sketch.REGISTRY[kind]
+    if hash_name is None:
+        return cls.from_bytes(blob)
+    return cls.from_bytes(blob, hash_name)

@@ -28,7 +28,7 @@ from .base import Sketch
 
 _U64 = np.uint64
 _MAGIC = b"BLM1"   # legacy: no embedded hash name (read-only)
-_MAGIC_V2 = b"BLM2"  # adds a length-prefixed hash-name field
+_MAGIC_V2 = b"BLM2"  # adds the hash-name field (hashing.pack_hash_name)
 
 
 class BloomFilter(Sketch):
@@ -158,48 +158,31 @@ class BloomFilter(Sketch):
         # BLM2 embeds the hash name (same fix as theta's THE2: from_bytes
         # otherwise silently rebuilt custom-hash filters as the default
         # hash, turning every probe into a false negative); BLM1 blobs
-        # (no hash field) remain readable.
-        hname = self.hash_name.encode()
-        if len(hname) > 255:
-            raise ValueError("hash_name too long to serialize")
-        header = (_MAGIC_V2
-                  + struct.pack("<QHQB", self.num_bits, self.num_hashes,
-                                self.count_additions, len(hname))
-                  + hname)
-        return header + np.packbits(self.bits, bitorder="little").tobytes()
+        # (the same header without the hash field) remain readable.
+        return (_MAGIC_V2
+                + struct.pack("<QHQ", self.num_bits, self.num_hashes,
+                              self.count_additions)
+                + hashing.pack_hash_name(self.hash_name)
+                + np.packbits(self.bits, bitorder="little").tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes,
                    hash_name: str | None = None) -> "BloomFilter":
         magic = blob[:4]
-        if magic == _MAGIC_V2:
-            try:
-                num_bits, num_hashes, adds, hlen = struct.unpack_from(
-                    "<QHQB", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated bloom blob: {e}") from None
-            off = 4 + struct.calcsize("<QHQB")
-            if len(blob) < off + hlen:
-                raise ValueError("truncated bloom blob: hash name")
-            embedded = blob[off:off + hlen].decode()
-            if hash_name is not None and hash_name != embedded:
-                raise ValueError(
-                    f"bloom blob was built under hash {embedded!r}, "
-                    f"cannot rebuild as {hash_name!r}")
-            hash_name = embedded
-            off += hlen
-        elif magic == _MAGIC:
-            try:
-                num_bits, num_hashes, adds = struct.unpack_from("<QHQ", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated bloom blob: {e}") from None
-            off = 4 + struct.calcsize("<QHQ")
-            hash_name = hash_name or hashing.DEFAULT_HASH
-        else:
+        if magic not in (_MAGIC, _MAGIC_V2):
             raise ValueError("invalid bloom blob: bad magic")
+        try:
+            num_bits, num_hashes, adds = struct.unpack_from("<QHQ", blob, 4)
+        except struct.error as e:
+            raise ValueError(f"truncated bloom blob: {e}") from None
+        off = 4 + struct.calcsize("<QHQ")
+        if magic == _MAGIC_V2:
+            hash_name, off = hashing.unpack_hash_name(blob, off, hash_name,
+                                                      "bloom")
         if num_bits < 8 or num_bits > (1 << 40) or (num_bits & (num_bits - 1)):
             raise ValueError(f"invalid bloom blob: num_bits {num_bits}")
-        out = cls(num_bits=num_bits, num_hashes=num_hashes, hash_name=hash_name)
+        out = cls(num_bits=num_bits, num_hashes=num_hashes,
+                  hash_name=hash_name or hashing.DEFAULT_HASH)
         payload = blob[off:]
         if len(payload) != num_bits // 8:
             raise ValueError(

@@ -22,7 +22,7 @@ from .base import Sketch
 
 _U64 = np.uint64
 _MAGIC = b"CMS1"   # legacy: no embedded hash name (read-only)
-_MAGIC_V2 = b"CMS2"  # adds a length-prefixed hash-name field
+_MAGIC_V2 = b"CMS2"  # adds the hash-name field (hashing.pack_hash_name)
 
 
 class CountMinSketch(Sketch):
@@ -161,45 +161,29 @@ class CountMinSketch(Sketch):
         # CMS2 embeds the hash name (same fix as theta THE2 / bloom BLM2:
         # from_bytes otherwise silently rebuilt custom-hash sketches under
         # the default hash, so every query probed the wrong counters);
-        # CMS1 blobs (no hash field) remain readable.
-        hname = self.hash_name.encode()
-        if len(hname) > 255:
-            raise ValueError("hash_name too long to serialize")
-        header = (_MAGIC_V2
-                  + struct.pack("<HIQB", self.depth, self.width, self.total,
-                                len(hname))
-                  + hname)
-        return header + self.counts.tobytes()
+        # CMS1 blobs (the same header without the hash field) remain
+        # readable.
+        return (_MAGIC_V2
+                + struct.pack("<HIQ", self.depth, self.width, self.total)
+                + hashing.pack_hash_name(self.hash_name)
+                + self.counts.tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes,
                    hash_name: str | None = None) -> "CountMinSketch":
         magic = blob[:4]
-        if magic == _MAGIC_V2:
-            try:
-                depth, width, total, hlen = struct.unpack_from("<HIQB", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated count-min blob: {e}") from None
-            off = 4 + struct.calcsize("<HIQB")
-            if len(blob) < off + hlen:
-                raise ValueError("truncated count-min blob: hash name")
-            embedded = blob[off:off + hlen].decode()
-            if hash_name is not None and hash_name != embedded:
-                raise ValueError(
-                    f"count-min blob was built under hash {embedded!r}, "
-                    f"cannot rebuild as {hash_name!r}")
-            hash_name = embedded
-            off += hlen
-        elif magic == _MAGIC:
-            try:
-                depth, width, total = struct.unpack_from("<HIQ", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated count-min blob: {e}") from None
-            off = 4 + struct.calcsize("<HIQ")
-            hash_name = hash_name or hashing.DEFAULT_HASH
-        else:
+        if magic not in (_MAGIC, _MAGIC_V2):
             raise ValueError("invalid count-min blob: bad magic")
-        out = cls(depth=depth, width=width, hash_name=hash_name)
+        try:
+            depth, width, total = struct.unpack_from("<HIQ", blob, 4)
+        except struct.error as e:
+            raise ValueError(f"truncated count-min blob: {e}") from None
+        off = 4 + struct.calcsize("<HIQ")
+        if magic == _MAGIC_V2:
+            hash_name, off = hashing.unpack_hash_name(blob, off, hash_name,
+                                                      "count-min")
+        out = cls(depth=depth, width=width,
+                  hash_name=hash_name or hashing.DEFAULT_HASH)
         expected = depth * width * 8
         payload = blob[off:]
         if len(payload) != expected:

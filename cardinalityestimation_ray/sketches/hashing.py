@@ -88,19 +88,18 @@ def fnv1a64(data: bytes) -> int:
 
 
 def fnv1a64_fixed(values: np.ndarray) -> np.ndarray:
-    """Vectorized FNV-1a 64 of a fixed-width integer/float array.
+    """Vectorized FNV-1a 64 of a contiguous little-endian fixed-width
+    integer/float array (:func:`hash_fixed_batch` brings its input there).
 
-    Each element is encoded as its little-endian byte image (4 bytes for
-    32-bit dtypes, 8 for 64-bit), matching the reference's typed Add overloads
-    (CardinalityEstimator.cs:376-459), then FNV-1a folded byte by byte: one
-    xor and one multiply per byte column of the array's own byte view.
+    Each element is its little-endian byte image (4 bytes for 32-bit dtypes,
+    8 for 64-bit), matching the reference's typed Add overloads
+    (CardinalityEstimator.cs:376-459), FNV-1a folded byte by byte: one xor
+    and one multiply per byte column of the array's own byte view.
     """
-    values = np.asarray(values)
     width = values.dtype.itemsize
     if width not in (4, 8):
         raise TypeError(f"unsupported dtype for fixed-width hash: {values.dtype}")
-    columns = np.ascontiguousarray(
-        values, dtype=values.dtype.newbyteorder("<")).view(np.uint8).reshape(-1, width)
+    columns = values.view(np.uint8).reshape(-1, width)
     h = np.full(len(columns), _FNV_OFFSET, dtype=np.uint64)
     for j in range(width):
         np.bitwise_xor(h, columns[:, j], out=h)
@@ -331,7 +330,6 @@ def murmur3_128_x64_low64_fixed(values: np.ndarray) -> np.ndarray:
     :func:`murmur3_128_x64_low64` on the element's byte image (tested),
     expressed as ~12 numpy passes per batch.
     """
-    values = np.ascontiguousarray(values)
     if values.dtype == np.float32:
         values = values.view(np.uint32)
     elif values.dtype == np.float64:
@@ -469,6 +467,33 @@ def check_hash_name(hash_name: str) -> str:
     return hash_name
 
 
+def pack_hash_name(hash_name: str) -> bytes:
+    """The hash-name field that ends a BLM2/CMS2/THE2 header: a u8 length,
+    then the name's UTF-8 bytes."""
+    raw = hash_name.encode()
+    if len(raw) > 255:
+        raise ValueError("hash_name too long to serialize")
+    return bytes([len(raw)]) + raw
+
+
+def unpack_hash_name(blob: bytes, off: int, hash_name: str | None,
+                     what: str) -> tuple[str, int]:
+    """Read the :func:`pack_hash_name` field of a ``what`` blob at ``off``:
+    (the embedded name, the offset after the field). A blob names its own
+    hash, so a caller that names a different one is refused."""
+    # length check BEFORE decode: a blob truncated inside a non-ASCII hash
+    # name must raise ValueError, not UnicodeDecodeError
+    if len(blob) <= off or len(blob) < off + 1 + blob[off]:
+        raise ValueError(f"truncated {what} blob: hash name")
+    end = off + 1 + blob[off]
+    embedded = bytes(blob[off + 1:end]).decode()
+    if hash_name is not None and hash_name != embedded:
+        raise ValueError(
+            f"{what} blob was built under hash {embedded!r}, "
+            f"cannot rebuild as {hash_name!r}")
+    return embedded, end
+
+
 def hash_scalar(data: bytes, hash_name: str = DEFAULT_HASH) -> int:
     return HASH_FUNCTIONS[hash_name](data)
 
@@ -503,9 +528,10 @@ def hash_fixed_batch(values: np.ndarray, hash_name: str = DEFAULT_HASH) -> np.nd
     Every hash reads each element's little-endian byte image, so a batch
     agrees with :func:`hash_scalar` of :func:`encode_element` of the same
     typed value; ``polars`` has no numeric kernel of its own and uses
-    ``fnv1a_mix``'s.
+    ``fnv1a_mix``'s. The input is brought to a contiguous little-endian
+    array here, once, so the kernels read their byte views as they are.
     """
-    values = np.ascontiguousarray(values)
+    values = np.asarray(values)
     dt = values.dtype
     if dt == np.bool_:
         raise TypeError("bool elements are not supported")  # reference rule
@@ -516,6 +542,8 @@ def hash_fixed_batch(values: np.ndarray, hash_name: str = DEFAULT_HASH) -> np.nd
         values = values.astype(np.int32 if dt.kind == "i" else np.uint32)
     elif dt.kind == "f" and dt.itemsize < 4:
         values = values.astype(np.float32)
+    values = np.ascontiguousarray(values,
+                                  dtype=values.dtype.newbyteorder("<"))
     if hash_name == "fnv1a":
         return fnv1a64_fixed(values)
     if hash_name in ("fnv1a_mix", "polars"):

@@ -83,13 +83,7 @@ class HyperLogLog(Sketch):
 
     def __init__(self, b: int = 14, use_direct_counting: bool = True,
                  hash_name: str = hashing.DEFAULT_HASH):
-        validate_bits(b)
-        self.b = b
-        self.bits_for_hll = 64 - b
-        self.m = 1 << b
-        self.alpha_m = get_alpha_m(self.m)
-        self.threshold = get_sub_algorithm_selection_threshold(b)
-        self.sparse_max = sparse_max_elements(self.m)
+        self._set_b(b)
         self.hash_name = hashing.check_hash_name(hash_name)
         self.count_additions = 0
         # one state at a time: a direct-mode sketch is its exact hash set,
@@ -101,6 +95,16 @@ class HyperLogLog(Sketch):
         self.dense: np.ndarray | None = None
         if not use_direct_counting:
             self._registers_add(_NO_HASHES)
+
+    def _set_b(self, b: int) -> None:
+        """Set ``b`` and the constants that follow from it."""
+        validate_bits(b)
+        self.b = b
+        self.bits_for_hll = 64 - b
+        self.m = 1 << b
+        self.alpha_m = get_alpha_m(self.m)
+        self.threshold = get_sub_algorithm_selection_threshold(b)
+        self.sparse_max = sparse_max_elements(self.m)
 
     # ------------------------------------------------------------------
     # properties
@@ -360,12 +364,7 @@ class HyperLogLog(Sketch):
 
     def copy(self) -> "HyperLogLog":
         out = HyperLogLog.__new__(HyperLogLog)
-        out.b = self.b
-        out.bits_for_hll = self.bits_for_hll
-        out.m = self.m
-        out.alpha_m = self.alpha_m
-        out.threshold = self.threshold
-        out.sparse_max = self.sparse_max
+        out._set_b(self.b)
         out.hash_name = self.hash_name
         out.direct = set(self.direct) if self.direct is not None else None
         out.sparse = dict(self.sparse) if self.sparse is not None else None
@@ -443,17 +442,15 @@ class HyperLogLog(Sketch):
     def from_bytes(cls, blob: bytes, hash_name: str | None = None) -> "HyperLogLog":
         """Deserialize with the reference's version gating and bounds checks.
 
-        Hash contract (v3): the layout is byte-pinned to the reference's
-        v3.1 wire format, which carries NO hash identifier — the hash is
-        supplied by the CALLER (``hash_name``), defaulting to the library
-        default, exactly as the C# reference does
-        (CardinalityEstimator.cs:668+). Unlike theta/bloom/count-min (whose
-        THE2/BLM2/CMS2 formats embed the hash name), a custom-hash HLL blob
-        rebuilt without ``hash_name`` is therefore silently labeled with the
-        default hash. This is safe for merge-only rebuilds (registers are
-        the data; ``merge`` raises on a label mismatch and every pipeline
-        stage threads its ``hash_name`` through), but callers who ADD to a
-        rebuilt custom-hash sketch must pass ``hash_name`` explicitly.
+        Hash: the v3 layout is byte-pinned to the reference's v3.1 wire
+        format, which carries no hash identifier, so the blob takes the
+        caller's ``hash_name``, else the library default, as the C#
+        reference's deserializer does (CardinalityEstimator.cs:668+). This
+        is the rule :func:`~.base.sketch_from_bytes` applies to every blob
+        that names no hash: the pipelines decode their results through it
+        with the hash their partial stage was built under, so a rebuilt
+        sketch can be added to. Legacy v2 blobs carry a hash id, which a
+        caller's ``hash_name`` overrides.
         """
         view = memoryview(blob)
         pos = 0
@@ -571,14 +568,8 @@ class HyperLogLog(Sketch):
         direct-mode blobs ship only the exact set, whose registers are a
         function of it (reference state ctor, CardinalityEstimator.cs:272-312)
         built when the set outgrows the cap."""
-        validate_bits(b)
         out = cls.__new__(cls)
-        out.b = b
-        out.bits_for_hll = 64 - b
-        out.m = 1 << b
-        out.alpha_m = get_alpha_m(out.m)
-        out.threshold = get_sub_algorithm_selection_threshold(b)
-        out.sparse_max = sparse_max_elements(out.m)
+        out._set_b(b)
         out.hash_name = hashing.check_hash_name(hash_name)
         out.count_additions = count_additions
         out.direct = out.sparse = out.dense = None

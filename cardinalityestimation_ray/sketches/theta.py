@@ -35,7 +35,7 @@ from . import hashing
 from .base import Sketch
 
 _MAGIC = b"THE1"  # legacy: no embedded hash name
-_MAGIC_V2 = b"THE2"  # adds a length-prefixed hash-name field
+_MAGIC_V2 = b"THE2"  # adds the hash-name field (hashing.pack_hash_name)
 _U64_SPAN = float(1 << 64)
 
 
@@ -180,54 +180,35 @@ class ThetaSketch(Sketch):
         # theta64 == 2^64 encoded as 0 (no value can reach it as a bound).
         # THE2 embeds the hash name (round-2 ADVICE fix: generic tree merges
         # rebuilt custom-hash theta sketches as DEFAULT_HASH, mistagging
-        # them); THE1 blobs (no hash field) remain readable.
+        # them); THE1 blobs (the same header without the hash field) remain
+        # readable.
         t = 0 if self.theta64 >= (1 << 64) else self.theta64
-        hname = self.hash_name.encode()
-        if len(hname) > 255:
-            raise ValueError("hash_name too long to serialize")
-        header = (_MAGIC_V2
-                  + struct.pack("<IQQB", self.k, t, len(self.retained),
-                                len(hname))
-                  + hname)
-        return header + self.retained.tobytes()
+        return (_MAGIC_V2
+                + struct.pack("<IQQ", self.k, t, len(self.retained))
+                + hashing.pack_hash_name(self.hash_name)
+                + self.retained.tobytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes,
                    hash_name: str | None = None) -> "ThetaSketch":
         magic = blob[:4]
-        if magic == _MAGIC_V2:
-            try:
-                k, t, cnt, hlen = struct.unpack_from("<IQQB", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated theta blob: {e}") from None
-            off = 4 + struct.calcsize("<IQQB")
-            # length check BEFORE decode: a blob truncated inside a
-            # non-ASCII hash name must raise ValueError, not UnicodeDecodeError
-            if len(blob) < off + hlen:
-                raise ValueError("truncated theta blob: hash name")
-            embedded = blob[off:off + hlen].decode()
-            if hash_name is not None and hash_name != embedded:
-                raise ValueError(
-                    f"theta blob was built under hash {embedded!r}, "
-                    f"cannot rebuild as {hash_name!r}")
-            hash_name = embedded
-            off += hlen
-        elif magic == _MAGIC:
-            try:
-                k, t, cnt = struct.unpack_from("<IQQ", blob, 4)
-            except struct.error as e:
-                raise ValueError(f"truncated theta blob: {e}") from None
-            off = 4 + struct.calcsize("<IQQ")
-            hash_name = hash_name or hashing.DEFAULT_HASH
-        else:
+        if magic not in (_MAGIC, _MAGIC_V2):
             raise ValueError("invalid theta blob: bad magic")
+        try:
+            k, t, cnt = struct.unpack_from("<IQQ", blob, 4)
+        except struct.error as e:
+            raise ValueError(f"truncated theta blob: {e}") from None
+        off = 4 + struct.calcsize("<IQQ")
+        if magic == _MAGIC_V2:
+            hash_name, off = hashing.unpack_hash_name(blob, off, hash_name,
+                                                      "theta")
         if k < 16 or cnt > k:
             raise ValueError(f"invalid theta blob: k={k} cnt={cnt}")
         if len(blob) - off != cnt * 8:
             raise ValueError(
                 f"invalid theta blob: expected {cnt * 8} payload bytes, "
                 f"got {len(blob) - off}")
-        out = cls(k, hash_name=hash_name)
+        out = cls(k, hash_name=hash_name or hashing.DEFAULT_HASH)
         out.theta64 = (1 << 64) if t == 0 else t
         out.retained = np.frombuffer(blob, dtype=np.uint64, count=cnt,
                                      offset=off).copy()

@@ -462,8 +462,9 @@ def _vhigh_129to240(data, starts, lns, nb: int):
 
 def xxh128_dotnet_fixed(values: np.ndarray) -> np.ndarray:
     """Vectorized dotnet-composite hash of a fixed-width (4- or 8-byte)
-    numeric array — the reference's Add(int/long/float/double) identity."""
-    values = np.ascontiguousarray(values)
+    numeric array — the reference's Add(int/long/float/double) identity.
+    Reads the elements' little-endian images: :func:`hashing.hash_fixed_batch`
+    hands it a contiguous little-endian array."""
     width = values.dtype.itemsize
     n = len(values)
     lns = np.full(n, width, dtype=np.int64)

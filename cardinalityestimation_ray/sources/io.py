@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sketches.base import Sketch
+from ..sketches.base import sketch_from_bytes
 
 
 def read_table(path: str, *, format: str | None = None,
@@ -129,23 +129,22 @@ def typed_frame(result, schema: dict) -> pd.DataFrame:
 def write_sketch_results(merged: dict, path: str, *, kind: str,
                          key_name: str = "key") -> None:
     """Persist a keyed merge result (dict[key, (Sketch, n_added)]) as a
-    Parquet table (key, kind, sketch blob, estimate, n_added) — the
-    reference's serializer round-trip (EP3) as a queryable results table."""
+    Parquet table (key, kind, sketch blob, hash, estimate, n_added) — the
+    reference's serializer round-trip (EP3) as a queryable results table.
+    ``hash`` is each sketch's ``hash_name`` (null for kinds without one):
+    the HLL v3 blob does not carry it."""
     keys = sorted(merged)
-    rows = {
-        key_name: keys,
-        "kind": [kind] * len(keys),
-        "sketch": [merged[k][0].to_bytes() for k in keys],
-        "estimate": [getattr(merged[k][0], "estimate", lambda: None)()
-                     for k in keys],
-        "n_added": [merged[k][1] for k in keys],
-    }
+    sketches = [merged[k][0] for k in keys]
     tbl = pa.table({
-        key_name: pa.array(rows[key_name]),
-        "kind": pa.array(rows["kind"]),
-        "sketch": pa.array(rows["sketch"], type=pa.binary()),
-        "estimate": pa.array(rows["estimate"], type=pa.int64()),
-        "n_added": pa.array(rows["n_added"], type=pa.int64()),
+        key_name: pa.array(keys),
+        "kind": pa.array([kind] * len(keys)),
+        "sketch": pa.array([sk.to_bytes() for sk in sketches],
+                           type=pa.binary()),
+        "hash": pa.array([getattr(sk, "hash_name", None) for sk in sketches],
+                         type=pa.string()),
+        "estimate": pa.array([getattr(sk, "estimate", lambda: None)()
+                              for sk in sketches], type=pa.int64()),
+        "n_added": pa.array([merged[k][1] for k in keys], type=pa.int64()),
     })
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
@@ -153,27 +152,20 @@ def write_sketch_results(merged: dict, path: str, *, kind: str,
     os.replace(tmp, path)
 
 
-def read_sketch_results(path: str, *, key_name: str = "key",
-                        hash_name: str | None = None) -> dict:
+def read_sketch_results(path: str, *, key_name: str = "key") -> dict:
     """Load a sketch-results table back into dict[key, (Sketch, n_added)] —
     sketches remain mergeable across job runs (incremental corpus updates).
 
-    ``hash_name`` rebuilds sketches under that hash (the HLL v3 wire format
-    does not embed one; round-3 review fix — loading under the library
-    default then merging with fresh custom-hash sketches raised on every
-    incremental update). Kinds whose blobs embed the hash (theta) ignore a
-    None and validate a mismatch themselves.
-    """
+    Each blob decodes through :func:`sketch_from_bytes` under the table's
+    stored ``hash``, so a sketch comes back labelled with the hash it was
+    built under, and merging it with sketches of another hash raises. A
+    table written without the ``hash`` column decodes under the default
+    rule (the blob's own hash, else the default)."""
     tbl = pq.read_table(path)
-    out = {}
-    for key, kind, blob, n in zip(tbl[key_name].to_pylist(),
-                                  tbl["kind"].to_pylist(),
-                                  tbl["sketch"].to_pylist(),
-                                  tbl["n_added"].to_pylist()):
-        cls = Sketch.REGISTRY[kind]
-        if hash_name is not None:
-            sk = cls.from_bytes(blob, hash_name)
-        else:
-            sk = cls.from_bytes(blob)
-        out[key] = (sk, n)
-    return out
+    hashes = (tbl["hash"].to_pylist() if "hash" in tbl.column_names
+              else [None] * tbl.num_rows)
+    return {key: (sketch_from_bytes(kind, blob, hash_name), n)
+            for key, kind, blob, hash_name, n in zip(
+                tbl[key_name].to_pylist(), tbl["kind"].to_pylist(),
+                tbl["sketch"].to_pylist(), hashes,
+                tbl["n_added"].to_pylist())}

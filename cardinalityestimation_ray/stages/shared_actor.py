@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sketches.base import Sketch
+from ..sketches.base import Sketch, sketch_from_bytes
 
 
 class SharedSketch:
@@ -33,20 +33,8 @@ class SharedSketch:
         return len(values)
 
     def merge_blob(self, blob: bytes) -> None:
-        # Thread the accumulator's own hash label into the rebuild: the HLL
-        # v3 wire format carries no hash name (reference parity — see
-        # hll.from_bytes), so a bare from_bytes would label the pushed
-        # partial with the DEFAULT hash and merge() would reject every
-        # legitimate push into a custom-hash accumulator. Consequence: for
-        # HLL the accumulator TRUSTS that pushes were built under its hash
-        # (the wire cannot say otherwise — same contract as the reference's
-        # deserializer); kinds whose blobs DO embed the name
-        # (THE2/BLM2/CMS2) still raise on a real mismatch.
-        cls = Sketch.REGISTRY[self.kind]
-        hname = getattr(self.sketch, "hash_name", None)
-        other = cls.from_bytes(blob) if hname is None else \
-            cls.from_bytes(blob, hash_name=hname)
-        self.sketch.merge(other)
+        self.sketch.merge(sketch_from_bytes(
+            self.kind, blob, getattr(self.sketch, "hash_name", None)))
 
     def estimate(self):
         est = getattr(self.sketch, "estimate", None)

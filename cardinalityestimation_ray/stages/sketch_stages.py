@@ -53,8 +53,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..functions.text import _as_array, _flatten_list_column
-from ..sketches.base import Sketch
-from ..sketches.hll import HyperLogLog
+from ..sketches.base import Sketch, sketch_from_bytes
 
 logger = logging.getLogger("cardinalityestimation_ray")
 
@@ -62,12 +61,6 @@ logger = logging.getLogger("cardinalityestimation_ray")
 def build_sketch(kind: str, params: dict) -> Sketch:
     """Instantiate a registered sketch kind from a picklable spec."""
     return Sketch.REGISTRY[kind](**params)
-
-
-def sketch_from_blob(kind: str, blob: bytes) -> Sketch:
-    from ..sketches.base import sketch_from_bytes
-
-    return sketch_from_bytes(kind, blob)
 
 
 def segment_rows_by_key(keys) -> tuple[pa.Array, np.ndarray, np.ndarray]:
@@ -165,14 +158,6 @@ class SketchPartials:
 HllTokenPartials = SketchPartials
 
 
-def _decoder(kind: str, hash_name: str | None):
-    """Blob -> sketch for ``kind``. ``hash_name`` labels rebuilt HLL
-    sketches: the v3 HLL wire format does not carry its hash."""
-    if kind == "hll":
-        return lambda blob: HyperLogLog.from_bytes(blob, hash_name)
-    return lambda blob: sketch_from_blob(kind, blob)
-
-
 def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
                            blob_column: str = "sketch",
                            finalize: "str | object" = "sketch",
@@ -186,8 +171,8 @@ def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
     groupby-aggregate tree-reduction ships sketches, never raw values —
     the same two-level merge shape the reference builds by hand with
     Parallel.ForEach + PLINQ (ConcurrentCardinalityEstimator.cs:709-773).
-    Blobs decode through :func:`_decoder`, so HLL accumulators keep the
-    ``hash_name`` in ``params``.
+    Blobs decode through :func:`sketch_from_bytes` under ``params``'
+    ``hash_name``, so an HLL accumulator keeps its hash.
 
     ``finalize``: ``"sketch"`` → the merged wire blob (binary);
     ``"estimate"`` → ``sk.estimate()`` (kinds exposing it: hll, theta);
@@ -202,7 +187,9 @@ def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
     from ray.data.aggregate import AggregateFn
 
     params = dict(params or {})
-    decode = _decoder(kind, params.get("hash_name"))
+
+    def decode(blob: bytes) -> Sketch:
+        return sketch_from_bytes(kind, blob, params.get("hash_name"))
 
     def init(_key):
         return build_sketch(kind, params).to_bytes()
@@ -238,15 +225,16 @@ def sketch_merge_aggregate(kind: str, params: dict | None = None, *,
     )
 
 
-def _merge_block_fn(kind: str, key_column: str | None = None,
-                    hash_name: str | None = None):
+def _merge_block_fn(kind: str, key_column: str | None = None):
     """The kind's row merge: a table of partial rows in, one row per key out
     (one row when ``key_column`` is None, none for an empty table).
+
+    Its rows need no hash label: an HLL blob re-encodes without one, and
+    the other hashed kinds' blobs carry theirs.
 
     The key column keeps the INPUT's type: an untyped ``pa.array(keys)``
     infers null for an empty table and int64 for int32 keys, and sibling
     outputs would then no longer concatenate."""
-    decode = _decoder(kind, hash_name)
 
     def merge_block(tbl: pa.Table) -> pa.Table:
         keys = (tbl[key_column].to_pylist() if key_column is not None
@@ -255,7 +243,7 @@ def _merge_block_fn(kind: str, key_column: str | None = None,
         counts: dict = {}
         for k, blob, n in zip(keys, tbl["sketch"].to_pylist(),
                               tbl["n_added"].to_pylist()):
-            sk = decode(blob)
+            sk = sketch_from_bytes(kind, blob)
             if k in acc:
                 acc[k].merge(sk)
                 counts[k] += n
@@ -583,25 +571,33 @@ def combine_partials(partials_ds, merge_fn, *,
     return table, n_tasks
 
 
-def tree_merge_partials(partials_ds, kind: str, *,
-                        key_column: str | None = None,
-                        hash_name: str | None = None, fanout: int = 64):
+def tree_merge_partials(partials_ds, kind: str, params: dict | None = None,
+                        *, key_column: str | None = None, fanout: int = 64):
     """Merge a partial stage's rows with :func:`combine_partials` and decode
     its one merged row per key on the driver. No all-to-all anywhere.
 
-    Global (``key_column=None``): returns (merged sketch | None, total
-    n_added). Keyed: returns ``dict[key, (sketch, n_added)]``. Every merge
-    task holds one sketch per key, and the driver's fold up to ``fanout``
-    tables of such rows; a caller whose keys are too many for that uses
+    ``params`` are the constructor arguments the partial stage built its
+    sketches with (``SketchPartials(kind, column, **params)``). The result
+    decodes through :func:`sketch_from_bytes` under their ``hash_name``,
+    so it can be added to under the stage's hash.
+
+    Global (``key_column=None``): returns (merged sketch, total n_added);
+    with no rows, an empty ``build_sketch(kind, params)`` and 0. Keyed:
+    returns ``dict[key, (sketch, n_added)]``. Every merge task holds one
+    sketch per key, and the driver's fold up to ``fanout`` tables of such
+    rows; a caller whose keys are too many for that uses
     ``groupby(key).aggregate(sketch_merge_aggregate(...))`` directly, which
     hash-partitions the merge."""
+    params = params or {}
     table, _ = combine_partials(
-        partials_ds, _merge_block_fn(kind, key_column, hash_name),
-        fanout=fanout)
-    decode = _decoder(kind, hash_name)
+        partials_ds, _merge_block_fn(kind, key_column), fanout=fanout)
+
+    def decode(blob: bytes) -> Sketch:
+        return sketch_from_bytes(kind, blob, params.get("hash_name"))
+
     if key_column is None:
-        if table is None or table.num_rows == 0:
-            return None, 0
+        if table is None:
+            return build_sketch(kind, params), 0
         return decode(table["sketch"][0].as_py()), table["n_added"][0].as_py()
     if table is None:
         return {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,41 +14,62 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+#: Seconds to wait, after a test, for Ray to hand back CPUs that actors of
+#: its finished Datasets still hold, before the session is restarted.
+CPU_RELEASE_WAIT_S = 30
+
+_RAY_INIT_KWARGS = dict(address="local", num_cpus=4, include_dashboard=False,
+                        ignore_reinit_error=True, logging_level="ERROR")
+
+
+def _restart_ray(ray) -> None:
+    """Start the shared test session afresh: every actor and task of the
+    old one is gone, so the next test gets all of its CPUs."""
+    ray.shutdown()
+    ray.init(**_RAY_INIT_KWARGS)
+
 
 @pytest.fixture(scope="session")
 def ray_session():
     import ray
 
     if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=4,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
+        ray.init(**_RAY_INIT_KWARGS)
     yield ray
     ray.shutdown()
 
 
+def _cpus_in_use(ray) -> bool:
+    return ray.available_resources().get("CPU", 0) < \
+        ray.cluster_resources().get("CPU", 0)
+
+
 @pytest.fixture(autouse=True)
 def _release_actor_handles():
-    """Collect garbage after a test that left some of Ray's CPUs in use.
+    """Give back the CPUs a test left in use before the next test starts.
 
     Ray Data releases a finished actor pool by dropping its handles, and
     Ray kills an actor once no handle is left. A Dataset that failed inside
     an actor (a ``pytest.raises`` over an actor-pool stage) leaves those
     handles in the exception's traceback cycle, so the actor keeps its CPU
     until Python's collector next runs, and in the shared 4-CPU session a
-    later test's pool can starve the task that feeds it. Collecting here
-    frees those CPUs before the next test starts. Only tests that leave a
-    CPU in use pay for the collection."""
+    later test's pool can starve the task that feeds it. So after a test
+    that leaves a CPU in use, this collects garbage and waits up to
+    ``CPU_RELEASE_WAIT_S`` for the killed actors to exit. An actor that
+    still holds its CPU then (one Ray killed while it was starting can
+    stay) is ended by restarting the session. Only tests that leave a CPU
+    in use pay for any of this."""
     yield
     ray = sys.modules.get("ray")
-    if ray is not None and ray.is_initialized() and \
-            ray.available_resources().get("CPU", 0) < \
-            ray.cluster_resources().get("CPU", 0):
-        gc.collect()
+    if ray is None or not ray.is_initialized() or not _cpus_in_use(ray):
+        return
+    gc.collect()
+    deadline = time.monotonic() + CPU_RELEASE_WAIT_S
+    while _cpus_in_use(ray):
+        if time.monotonic() > deadline:
+            _restart_ray(ray)
+            return
+        time.sleep(0.05)
 
 
 @pytest.fixture(scope="session")

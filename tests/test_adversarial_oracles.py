@@ -75,10 +75,8 @@ def test_generic_partials_keep_all_null_value_groups(ray_session):
     the keyed partial stage silently dropped the group)."""
     import pyarrow as pa
 
-    from cardinalityestimation_ray.stages.sketch_stages import (
-        SketchPartials,
-        sketch_from_blob,
-    )
+    from cardinalityestimation_ray.sketches import sketch_from_bytes
+    from cardinalityestimation_ray.stages.sketch_stages import SketchPartials
 
     batch = pa.table({
         "k": pa.array(["a", "a", "ghost", None]),
@@ -90,8 +88,8 @@ def test_generic_partials_keep_all_null_value_groups(ray_session):
             for i in range(len(out))}
     assert set(rows) == {"a", "ghost"}  # null key dropped, ghost kept
     assert rows["ghost"][1] == 0
-    assert sketch_from_blob("theta", rows["ghost"][0]).estimate() == 0
-    assert sketch_from_blob("theta", rows["a"][0]).estimate() == 2
+    assert sketch_from_bytes("theta", rows["ghost"][0]).estimate() == 0
+    assert sketch_from_bytes("theta", rows["a"][0]).estimate() == 2
 
 
 def test_broadcast_semi_join_nullable_int_build(ray_session):

@@ -26,19 +26,32 @@ def test_murmur3_golden_vectors():
     assert hashing.murmur3_128_x64_low64(bytes([255] * 4)) == 4889297221962843713
 
 
+#: every registered hash with a scalar rule (``polars`` has none)
+_SCALAR_HASHES = sorted(set(hashing.HASH_FUNCTIONS) - {"polars"})
+
+
+def _assert_batch_matches_scalar(vals, fmt):
+    for name in _SCALAR_HASHES:
+        vec = hashing.hash_fixed_batch(vals, name)
+        for v, h in zip(vals, vec):
+            assert hashing.hash_scalar(struct.pack(fmt, v.item()),
+                                       name) == int(h), (name, v)
+
+
 @pytest.mark.parametrize("dtype,fmt", [
     (np.int32, "<i"), (np.uint32, "<I"), (np.int64, "<q"), (np.uint64, "<Q"),
-    (">i4", "<i"), (">i8", "<q"),  # big-endian arrays hash their values
+    # big-endian arrays hash their values
+    (">i4", "<i"), (">u4", "<I"), (">i8", "<q"), (">u8", "<Q"),
 ])
 def test_fnv1a_vectorized_matches_scalar_ints(dtype, fmt):
+    """Every hash's batch kernel equals its scalar rule on each element's
+    little-endian byte image, whatever the array's byte order."""
     rng = np.random.default_rng(7)
     info = np.iinfo(dtype)
     vals = rng.integers(info.min, info.max, size=257,
                         dtype=info.dtype.newbyteorder("=")).astype(dtype)
     vals[:4] = [0, 1, info.min, info.max]
-    vec = hashing.fnv1a64_fixed(vals)
-    for v, h in zip(vals, vec):
-        assert hashing.fnv1a64(struct.pack(fmt, int(v))) == int(h)
+    _assert_batch_matches_scalar(vals, fmt)
 
 
 @pytest.mark.parametrize("dtype,fmt", [(np.float32, "<f"), (np.float64, "<d"),
@@ -46,9 +59,7 @@ def test_fnv1a_vectorized_matches_scalar_ints(dtype, fmt):
 def test_fnv1a_vectorized_matches_scalar_floats(dtype, fmt):
     rng = np.random.default_rng(8)
     vals = rng.normal(size=64).astype(dtype)
-    vec = hashing.fnv1a64_fixed(vals)
-    for v, h in zip(vals, vec):
-        assert hashing.fnv1a64(struct.pack(fmt, float(v))) == int(h)
+    _assert_batch_matches_scalar(vals, fmt)
 
 
 def test_fnv1a_arrow_binary_matches_scalar():

@@ -91,6 +91,8 @@ def test_write_partitioned_rewrite_cleans_crashed_attempt(tmp_path, _ray):
 
 
 def test_sketch_results_roundtrip_and_incremental_merge(tmp_path):
+    import pyarrow.parquet as pq
+
     from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.sources.io import (
         read_sketch_results,
@@ -107,6 +109,24 @@ def test_sketch_results_roundtrip_and_incremental_merge(tmp_path):
     loaded = read_sketch_results(path, key_name="source")
     assert set(loaded) == {"web", "books"}
     assert loaded["web"][0] == day1["web"][0]
+    # the table stores each sketch's hash (the HLL v3 blob has none), so a
+    # reloaded sketch keeps it; merging it with another hash's sketch raises
+    mm = HyperLogLog(b=12, hash_name="murmur3")
+    mm.add_values(np.arange(100, dtype=np.int64))
+    mm_path = str(tmp_path / "results" / "murmur3.parquet")
+    write_sketch_results({"web": (mm, 100)}, mm_path, kind="hll",
+                         key_name="source")
+    back = read_sketch_results(mm_path, key_name="source")["web"][0]
+    assert back == mm
+    fresh = HyperLogLog(b=12)
+    fresh.add_values(np.arange(100, dtype=np.int64))
+    with pytest.raises(ValueError, match="different hash"):
+        back.merge(fresh)
+    # a table without the hash column decodes under the default rule
+    legacy = pq.read_table(mm_path).drop_columns(["hash"])
+    pq.write_table(legacy, mm_path)
+    assert read_sketch_results(mm_path, key_name="source")["web"][0] \
+        .hash_name == "fnv1a_mix"
     # incremental: merge yesterday's sketch with today's new data
     today = HyperLogLog(b=12)
     today.add_values(np.arange(500, 1500, dtype=np.int64))

@@ -3,6 +3,7 @@ technique upgraded to generated properties: split/merge invariance, wire
 round-trips, order insensitivity, for all sketch kinds."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +214,36 @@ def test_registry_holds_one_sketch_per_question():
     assert set(_registry()) == {
         "bloom", "countmin", "hll", "kll", "priority_sample", "tdigest",
         "theta", "weighted_dlt_sample"}
+
+
+#: small constructor args of every kind that hashes its elements
+_HASHED_KINDS = {
+    "hll": {"b": 10},
+    "theta": {"k": 64},
+    "bloom": {"num_bits": 1 << 12, "num_hashes": 3},
+    "countmin": {"depth": 3, "width": 1 << 8},
+}
+
+
+@pytest.mark.parametrize("hash_name", ["fnv1a", "murmur3", "xxhash128"])
+@pytest.mark.parametrize("kind", sorted(_HASHED_KINDS))
+@settings(max_examples=10, deadline=None)
+@given(xs=_elements)
+def test_decoded_sketch_adds_like_its_source(kind, hash_name, xs):
+    """A blob decoded under its sketch's hash is that sketch: adding the
+    same values to it and to a copy of the source gives the same state and
+    the same hash (the reference requires a deserialized sketch to share
+    the hash it was built under, SURVEY.md §1.1)."""
+    from cardinalityestimation_ray.sketches import sketch_from_bytes
+
+    sk = _registry()[kind](**_HASHED_KINDS[kind], hash_name=hash_name)
+    sk.add_values(_arr(xs))
+    back = sketch_from_bytes(kind, sk.to_bytes(), sk.hash_name)
+    back.add_values(_arr(xs))
+    again = sk.copy()
+    again.add_values(_arr(xs))
+    assert back.hash_name == again.hash_name == hash_name
+    assert back.to_bytes() == again.to_bytes()
 
 
 @settings(max_examples=100, deadline=None)

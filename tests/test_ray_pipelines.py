@@ -1456,6 +1456,47 @@ def test_incremental_update_custom_hash_roundtrip(tmp_path, _ray):
     assert got == {"a": 3, "b": 1}  # {1,2,4} and {3}
 
 
+def test_incremental_update_under_another_hash_raises(tmp_path, _ray):
+    """The results table stores each sketch's hash, so an update under a
+    different hash meets the merge's hash check instead of merging two
+    hash spaces (which counted 100 values twice as about 200)."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.incremental import (
+        incremental_distinct_update,
+    )
+    from cardinalityestimation_ray.sources.io import read_sketch_results
+
+    path = str(tmp_path / "inc.parquet")
+    df = pd.DataFrame({"source": ["a"] * 100, "doc": np.arange(100)})
+    incremental_distinct_update(path, ray.data.from_pandas(df),
+                                hash_name="murmur3", value_column="doc")
+    stored = read_sketch_results(path, key_name="source")
+    assert stored["a"][0].hash_name == "murmur3"
+    with pytest.raises(ValueError, match="different hash"):
+        incremental_distinct_update(path, ray.data.from_pandas(df),
+                                    value_column="doc")
+
+
+def test_global_distinct_sketch_keeps_its_hash(_ray):
+    """The merged sketch comes back under the stage's hash, so adding the
+    same tokens again leaves its estimate where it was."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.distinct import (
+        global_distinct_tokens,
+    )
+
+    tokens = pa.array([[1, 2, 3], [4, 5]], type=pa.list_(pa.int32()))
+    res = global_distinct_tokens(
+        ray.data.from_arrow(pa.table({"tokens": tokens})), hash_name="murmur3")
+    sketch = res["sketch"]
+    assert sketch.hash_name == "murmur3"
+    assert sketch.estimate() == 5
+    sketch.add_values(np.arange(1, 6, dtype=np.int32))
+    assert sketch.estimate() == 5
+
+
 def test_probe_membership_out_of_range_probe_is_false(tokens_small):
     from cardinalityestimation_ray.pipelines.membership import (
         probe_token_membership,
@@ -1618,9 +1659,9 @@ def test_udaf_countmin_counter_identity(tokens_small, sf_dir):
     import duckdb
 
     from cardinalityestimation_ray.sketches.countmin import CountMinSketch
+    from cardinalityestimation_ray.sketches import sketch_from_bytes
     from cardinalityestimation_ray.stages.sketch_stages import (
         SketchPartials,
-        sketch_from_blob,
         sketch_merge_aggregate,
     )
 
@@ -1630,7 +1671,7 @@ def test_udaf_countmin_counter_identity(tokens_small, sf_dir):
         batch_format="pyarrow")
     res = partials.aggregate(
         sketch_merge_aggregate("countmin", params, name="cms"))
-    cms = sketch_from_blob("countmin", res["cms"])
+    cms = sketch_from_bytes("countmin", res["cms"])
 
     local = CountMinSketch(**params)
     src = duckdb.sql(
@@ -1643,9 +1684,9 @@ def test_udaf_countmin_counter_identity(tokens_small, sf_dir):
 def test_udaf_tdigest_quantile_and_bloom_blob(tokens_small, sf_dir):
     import duckdb
 
+    from cardinalityestimation_ray.sketches import sketch_from_bytes
     from cardinalityestimation_ray.stages.sketch_stages import (
         SketchPartials,
-        sketch_from_blob,
         sketch_merge_aggregate,
     )
 
@@ -1669,7 +1710,7 @@ def test_udaf_tdigest_quantile_and_bloom_blob(tokens_small, sf_dir):
     blob = bpart.aggregate(
         sketch_merge_aggregate("bloom", {"num_bits": 1 << 16, "num_hashes": 5},
                                finalize="sketch", name="bloom"))["bloom"]
-    bf = sketch_from_blob("bloom", blob)
+    bf = sketch_from_bytes("bloom", blob)
     assert bf.contains("doc-0") and bf.contains("doc-42")
     assert not bf.contains("doc-definitely-not-there")
 

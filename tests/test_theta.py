@@ -175,13 +175,11 @@ class TestHashTagging:
         assert ThetaSketch.from_bytes(legacy).hash_name == "fnv1a_mix"
 
     def test_generic_blob_rebuild_keeps_hash(self):
-        from cardinalityestimation_ray.stages.sketch_stages import (
-            sketch_from_blob,
-        )
+        from cardinalityestimation_ray.sketches import sketch_from_bytes
 
         s = ThetaSketch(k=64, hash_name="murmur3")
         s.add_values(np.arange(300, dtype=np.int64))
-        back = sketch_from_blob("theta", s.to_bytes())
+        back = sketch_from_bytes("theta", s.to_bytes())
         assert back.hash_name == "murmur3"
 
     @pytest.mark.parametrize("op", ["intersection_estimate",

@@ -158,12 +158,14 @@ def test_keyed_combiner_tree_sends_one_row_per_key(ray_session):
 
 def test_combiner_tree_edge_cases(ray_session):
     """A lone block needs no merge task: the driver folds its partial rows
-    into one; no rows at all gives no table and no task; fanout < 2
+    into one; no rows at all gives no table and no task, so the global
+    merge gives an empty sketch and the keyed one no keys; fanout < 2
     cannot reduce and is refused. The CPU left to the merges is set on a
     copy: the caller's dataset keeps its own execution options."""
     import ray.data
     from ray.data import ExecutionResources
 
+    from cardinalityestimation_ray.sketches.hll import HyperLogLog
     from cardinalityestimation_ray.stages.sketch_stages import (
         SketchPartials,
         _merge_block_fn,
@@ -183,7 +185,7 @@ def test_combiner_tree_edge_cases(ray_session):
 
     empty = one_block.filter(expr="n_added < 0")
     assert combine_partials(empty, _merge_block_fn("hll")) == (None, 0)
-    assert tree_merge_partials(empty, "hll") == (None, 0)
+    assert tree_merge_partials(empty, "hll") == (HyperLogLog(), 0)
     assert tree_merge_partials(empty, "hll", key_column="source") == {}
 
     with pytest.raises(ValueError, match="fanout"):
