@@ -453,57 +453,27 @@ def profile_stats() -> None:
     print(split)
 
     # --- heavy-hitters lineages (the costliest bench query): the two
-    # passes of frequency.heavy_hitters, mirrored stage-for-stage (same
+    # passes of frequency.heavy_hitters, run through its own stages (same
     # phi-derived CMS width, same tree). Pass 2 needs the pass-1 sketch,
     # so it is profiled with a real broadcast blob.
-    import math
-
-    import numpy as np
-    import pyarrow as pa
-
-    from cardinalityestimation_ray.sketches.countmin import CountMinSketch
-    from cardinalityestimation_ray.stages.sketch_stages import (
-        _flatten_list_column,
-        tree_merge_partials,
+    from cardinalityestimation_ray.pipelines.frequency import (
+        candidate_sums,
+        cms_width,
+        count_min,
     )
 
     phi = 0.001  # bench's heavy_hitters_synthetic config
-    width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
 
-    params = {"depth": 5, "width": width}
-
-    def pass1():
-        ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
-                                   override_num_blocks=2 * NUM_CPUS)
-        return ds.map_batches(
-            SketchPartials("countmin", "tokens", **params),
-            batch_format="pyarrow")
+    def corpus():
+        return ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
+                                     override_num_blocks=2 * NUM_CPUS)
 
     t0 = time.perf_counter()
-    cms, total = tree_merge_partials(pass1(), "countmin", params)
+    cms, total = count_min(corpus(), "tokens", depth=5, width=cms_width(phi))
     wall1 = time.perf_counter() - t0
-    threshold = phi * total
-    cms_ref = ray.put(cms.to_bytes())
-
-    def candidate_counts(batch: pa.Table) -> pa.Table:
-        sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
-        values, _ = _flatten_list_column(batch["tokens"])
-        uniq, counts = np.unique(values, return_counts=True)
-        est = sketch.query_values(uniq.astype(np.int32))
-        keep = est >= threshold
-        return pa.table({"token": pa.array(uniq[keep].astype(np.int32)),
-                         "cnt": pa.array(counts[keep].astype(np.int64))})
-
-    def pass2():
-        from ray.data.aggregate import Sum
-
-        ds = ray.data.read_parquet(CORPUS_DIR, columns=["tokens"],
-                                   override_num_blocks=2 * NUM_CPUS)
-        return (ds.map_batches(candidate_counts, batch_format="pyarrow")
-                .groupby("token").aggregate(Sum("cnt", alias_name="cnt")))
 
     t0 = time.perf_counter()
-    m2 = pass2().materialize()
+    m2 = candidate_sums(corpus(), "tokens", cms, phi * total).materialize()
     wall2 = time.perf_counter() - t0
     print(m2.stats())
     print(f"\n[heavy_hitters] pass1 (CMS build + tree): {wall1:.3f}s, "

@@ -99,6 +99,31 @@ def _flatten_list_column(col):
     return flat.to_numpy(zero_copy_only=False), offsets
 
 
+def vector_matrix(col, name: str = "embedding") -> np.ndarray:
+    """(n, d) matrix of a vector column (list, large_list or
+    fixed_size_list), in the column's value dtype: the zero-copy
+    flatten-and-reshape path, no per-row Python objects. Null and ragged
+    rows raise ValueError naming ``name``; an empty variable-width column
+    gives (0, 0)."""
+    col = _as_array(col)
+    t = col.type
+    if not (pa.types.is_list(t) or pa.types.is_large_list(t)
+            or pa.types.is_fixed_size_list(t)):
+        return np.stack(col.to_numpy(zero_copy_only=False))
+    if col.null_count:
+        raise ValueError(f"null {name} row")
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    if pa.types.is_fixed_size_list(t):
+        return flat.reshape(-1, t.list_size)
+    lens = np.diff(col.offsets.to_numpy(zero_copy_only=False))
+    if len(lens) == 0:
+        return flat.reshape(0, 0)
+    if not np.all(lens == lens[0]):
+        raise ValueError(f"ragged {name} column: lengths "
+                         f"{np.unique(lens).tolist()[:5]}")
+    return flat.reshape(-1, int(lens[0]))
+
+
 def split_tokens(toks) -> tuple[pa.Array, np.ndarray]:
     """(flat tokens, row offsets) of a whitespace-split text column. Empty
     strings (from leading or trailing whitespace) are not tokens."""

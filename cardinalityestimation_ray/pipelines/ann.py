@@ -16,36 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.text import vector_matrix
 from ..sources.io import typed_frame
-
-
-def _to_matrix(col) -> np.ndarray:
-    """(n, d) matrix from a list<float> column via the zero-copy
-    offsets/flatten path — no per-row Python objects (``np.stack`` over an
-    object array walks every row in the interpreter, which made this the
-    hottest non-numpy line of the brute scorer). Raises on null or ragged
-    rows (same contract as embeddings._batch_matrix)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    t = col.type
-    if pa.types.is_list(t) or pa.types.is_large_list(t):
-        if col.null_count:
-            raise ValueError("null embedding row in ANN batch")
-        lens = np.diff(col.offsets.to_numpy(zero_copy_only=False))
-        if len(lens) == 0:
-            return np.zeros((0, 0), dtype=np.float32)
-        d = int(lens[0])
-        if not np.all(lens == d):
-            raise ValueError(
-                f"ragged embedding column: lengths "
-                f"{np.unique(lens).tolist()[:5]}")
-        return col.flatten().to_numpy(zero_copy_only=False).reshape(-1, d)
-    if pa.types.is_fixed_size_list(t):
-        if col.null_count:
-            raise ValueError("null embedding row in ANN batch")
-        return (col.flatten().to_numpy(zero_copy_only=False)
-                .reshape(-1, t.list_size))
-    return np.stack(col.to_numpy(zero_copy_only=False))
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -156,7 +128,8 @@ def ann_topk_brute(emb_ds, queries: np.ndarray, k: int = 10, *,
             self.q64 = self.q.astype(np.float64)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            x = _normalize(_to_matrix(batch[vector_column]).astype(np.float32))
+            x = _normalize(vector_matrix(batch[vector_column], vector_column)
+                           .astype(np.float32))
             ids = (batch[id_column].to_numpy(zero_copy_only=False)
                    .astype(np.int64))
             kk = min(k, len(ids))
@@ -287,7 +260,8 @@ def ann_topk_ivf(emb_ds, queries: np.ndarray, k: int = 10, *,
                                  for c in range(len(self.centers))}
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            x = _normalize(_to_matrix(batch[vector_column]).astype(np.float32))
+            x = _normalize(vector_matrix(batch[vector_column], vector_column)
+                           .astype(np.float32))
             ids = (batch[id_column].to_numpy(zero_copy_only=False)
                    .astype(np.int64))
             cells = np.argmax(x @ self.centers.T, axis=1)

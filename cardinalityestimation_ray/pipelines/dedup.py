@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.text import content_hash
+from ..functions.text import content_hash, vector_matrix
 from ..sources.io import typed_frame
 from ..stages.dedup import (
     band_hashes,
@@ -807,18 +807,15 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
             self.planes = None  # built once per actor, (num_bands, d, num_planes)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            col = batch[vector_column]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
             if len(batch) == 0:
-                # np.stack([]) raises; emit the typed empty block every
-                # sibling matrix stage emits (round-4 session-9 review
-                # fix). The unit width is knowable without data only for
-                # fixed_size_list inputs; variable-list inputs get a
-                # width-0 type (concat with non-empty siblings would then
-                # still fail loudly, same as today — but Ray skips empty
-                # blocks, so this path is belt-and-braces)
-                vt = col.type
+                # an empty batch has no vector width; emit the typed
+                # empty block every sibling matrix stage emits. The unit
+                # width is knowable without data only for fixed_size_list
+                # inputs; variable-list inputs get a width-0 type (concat
+                # with non-empty siblings would then still fail loudly —
+                # but Ray skips empty blocks, so this path is
+                # belt-and-braces)
+                vt = batch.schema.field(vector_column).type
                 d = vt.list_size if pa.types.is_fixed_size_list(vt) else 0
                 return pa.table({
                     "band": pa.array([], type=pa.int32()),
@@ -828,7 +825,7 @@ def embedding_dedup_pairs(emb_ds, *, threshold: float = 0.95,
                     id_column: batch[id_column],
                     "unit": pa.array([], type=pa.list_(pa.float32(), d)),
                 })
-            mat = np.stack(col.to_numpy(zero_copy_only=False))
+            mat = vector_matrix(batch[vector_column], vector_column)
             if self.planes is None:
                 rng = np.random.default_rng(seed)
                 self.planes = rng.standard_normal(

@@ -32,31 +32,13 @@ from ..functions.detsum import (
     limbs_to_blobs,
     limbs_to_float,
 )
+from ..functions.text import vector_matrix
 from ..sources.io import typed_frame
 
 
 def _limb_col(limbs: np.ndarray, rows_per_blob: int = 1) -> pa.Array:
     """Binary limb-blob column from an (n_keys, N_LIMBS) array."""
     return pa.array(limbs_to_blobs(limbs, rows_per_blob), pa.binary())
-
-
-def _batch_matrix(col, vector_column: str) -> np.ndarray:
-    """(n, d) float64 matrix from a list<float> column; raises on ragged
-    or null rows."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if col.null_count:
-        raise ValueError(f"null {vector_column} row in embeddings batch")
-    offsets = np.diff(col.offsets.to_numpy(zero_copy_only=False))
-    if len(offsets) == 0:
-        return np.zeros((0, 0), dtype=np.float64)
-    d = int(offsets[0])
-    if not np.all(offsets == d):
-        raise ValueError(
-            f"ragged {vector_column} column: lengths "
-            f"{np.unique(offsets).tolist()[:5]}")
-    flat = col.flatten().to_numpy(zero_copy_only=False)
-    return flat.reshape(-1, d).astype(np.float64)
 
 
 def label_centroids(ds, *, vector_column: str = "embedding",
@@ -76,7 +58,8 @@ def label_centroids(ds, *, vector_column: str = "embedding",
             import pyarrow.compute as pc
 
             batch = batch.filter(pc.is_valid(lab_col))
-        mat = _batch_matrix(batch[vector_column], vector_column)
+        mat = vector_matrix(batch[vector_column],
+                            vector_column).astype(np.float64)
         labels = batch[label_column].to_numpy(zero_copy_only=False)
         if mat.shape[0] == 0:
             return pa.table({"label": pa.array([], pa.int64()),
@@ -137,7 +120,8 @@ def norm_stats_by_label(ds, *, vector_column: str = "embedding",
             import pyarrow.compute as pc
 
             batch = batch.filter(pc.is_valid(lab_col))
-        mat = _batch_matrix(batch[vector_column], vector_column)
+        mat = vector_matrix(batch[vector_column],
+                            vector_column).astype(np.float64)
         labels = batch[label_column].to_numpy(zero_copy_only=False)
         if mat.shape[0] == 0:
             empty = np.zeros((0, N_LIMBS), dtype=np.int64)
@@ -214,7 +198,8 @@ def assign_nearest_centroid(ds, centroids: pd.DataFrame, *,
             self.labels, self.cmat = ray.get(table_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            mat = _batch_matrix(batch[vector_column], vector_column)
+            mat = vector_matrix(batch[vector_column],
+                                vector_column).astype(np.float64)
             n = mat.shape[0]
             if n == 0:
                 return pa.table({

@@ -1,7 +1,19 @@
-"""Frequency pipelines: exact top-k (pre-aggregated groupby) and count-min
-point estimates."""
+"""Frequency pipelines over a token column: exact top-k (pre-aggregated
+groupby), exact phi-heavy hitters (count-min candidates, then an exact
+verify) and count-min point estimates.
+
+A bigram is a token of the bigram column. :func:`bigram_column` packs each
+row's consecutive token pairs into one int64 apiece, and every bigram query
+is its token query run over that column, with ``(token_a, token_b)``
+unpacked from the packed id before any prune or sort, so bigrams order by
+their signed ids. So tokens and bigrams share one count-min build
+(:func:`count_min`), one phi -> width rule (:func:`cms_width`), one
+candidate filter (:func:`candidate_sums`) and one top-k plan.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -17,49 +29,171 @@ from ..stages.sketch_stages import (
 
 _TOKEN_COUNTS = {"token": "int32", "cnt": "int64"}
 _BIGRAM_COUNTS = {"token_a": "int32", "token_b": "int32", "cnt": "int64"}
+#: the packed-bigram column :func:`_bigrams` adds
+_BIGRAMS = "bigrams"
+#: count-min blob bytes one merge task holds: a CMS blob is depth x width
+#: x 8 B (2.6 MB at the default 5 x 2^16), so the tree's default fanout of
+#: 64 would hand each merge task ~170 MB there. Elementwise add is
+#: bandwidth-bound, so a smaller fan-in loses no parallelism.
+_MERGE_TASK_BYTES = 40 << 20
 
 
-def _batch_token_counts(batch: pa.Table, token_column: str) -> pa.Table:
-    """Pre-aggregate token counts within a batch (the combiner): emits at most
-    one row per distinct token per batch, so the downstream groupby shuffles
-    vocabulary-sized partials, never the corpus."""
-    values, _ = _flatten_list_column(batch[token_column])
-    uniq, counts = np.unique(values, return_counts=True)
-    return pa.table({
-        "token": pa.array(uniq, type=pa.int32()),
-        "cnt": pa.array(counts.astype(np.int64)),
-    })
+def bigram_column(col) -> pa.Array:
+    """``list<int64>``: row i holds row i's consecutive token pairs, each
+    packed as ``token_a << 32 | token_b``. The low word is masked, so a
+    negative ``token_b`` does not sign-extend over ``token_a``. Null tokens
+    are dropped first, as by every reader of a token column
+    (``_flatten_list_column``), and no pair crosses a row."""
+    values, offsets = _flatten_list_column(col)
+    bounds = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(np.maximum(np.diff(offsets) - 1, 0), out=bounds[1:])
+    v = values.astype(np.int64)
+    # pair (i, i + 1) stays in its row iff no row starts at i + 1
+    same_row = np.ones(max(len(v) - 1, 0), dtype=bool)
+    starts = offsets[1:-1]
+    same_row[starts[(starts > 0) & (starts < len(v))] - 1] = False
+    pairs = ((v[:-1] << 32) | (v[1:] & 0xFFFFFFFF))[same_row]
+    return pa.ListArray.from_arrays(pa.array(bounds, type=pa.int32()),
+                                    pa.array(pairs, type=pa.int64()))
 
 
-def token_topk_exact(tokens_ds, k: int = 100, token_column: str = "tokens"):
-    """Exact top-k most frequent token ids.
+def _bigrams(tokens_ds, token_column: str):
+    """``tokens_ds`` as its one-column packed-bigram dataset."""
+    return tokens_ds.map_batches(
+        lambda batch: pa.table({_BIGRAMS: bigram_column(batch[token_column])}),
+        batch_format="pyarrow")
 
-    Per-batch combiner -> groupby(token).sum -> deterministic sort
-    (count desc, token asc) -> limit k. The only all-to-all moves
-    (distinct-tokens-per-batch) rows.
-    """
+
+def _keys(values: np.ndarray, bigrams: bool) -> dict:
+    """The key columns of counted values: the token, typed like the
+    column's values, or a packed bigram's ``(token_a, token_b)``."""
+    if not bigrams:
+        return {"token": values}
+    return {"token_a": (values >> 32).astype(np.int32),
+            "token_b": (values & 0xFFFFFFFF).astype(np.uint32)
+            .view(np.int32)}
+
+
+def _value_counts(batch: pa.Table, column: str):
+    """(distinct values, their counts) of a batch's column."""
+    values, _ = _flatten_list_column(batch[column])
+    return np.unique(values, return_counts=True)
+
+
+def _topk(ds, k: int, column: str, bigrams: bool) -> pd.DataFrame:
+    """The one exact top-k plan: per-batch value counts (the combiner: at
+    most one row per distinct value per batch, so the groupby shuffles
+    vocabulary-sized partials, never the corpus) -> groupby(keys).sum ->
+    lossless per-block prune -> sort (count desc, keys asc) -> limit k.
+    Prune and sort see the unpacked key columns, so bigrams order by
+    signed ``(token_a, token_b)``."""
     from ray.data.aggregate import Sum
 
-    partial = tokens_ds.map_batches(
-        lambda b: _batch_token_counts(b, token_column), batch_format="pyarrow")
-    agg = partial.groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
+    schema = _BIGRAM_COUNTS if bigrams else _TOKEN_COUNTS
+    names = list(schema)[:-1]
+
+    def batch_counts(batch: pa.Table) -> pa.Table:
+        uniq, counts = _value_counts(batch, column)
+        return pa.table({**_keys(uniq, bigrams),
+                         "cnt": counts.astype(np.int64)})
 
     def block_topk(tbl: pa.Table) -> pa.Table:
-        # post-groupby every token lives in exactly one row, so a per-block
+        # post-groupby every key lives in exactly one row, so a per-block
         # top-k is a lossless prune: any global top-k row survives its own
         # block's top-k. Shrinks the final sort from vocab-sized to
         # k x blocks rows.
         if len(tbl) <= k:
             return tbl
         cnt = tbl["cnt"].to_numpy(zero_copy_only=False)
-        tok = tbl["token"].to_numpy(zero_copy_only=False)
-        idx = np.lexsort((tok, -cnt))[:k]
+        keys = [tbl[c].to_numpy(zero_copy_only=False) for c in names]
+        idx = np.lexsort((*reversed(keys), -cnt))[:k]
         return tbl.take(pa.array(np.sort(idx)))
 
+    agg = ds.map_batches(batch_counts, batch_format="pyarrow") \
+        .groupby(names).aggregate(Sum("cnt", alias_name="cnt"))
     pruned = agg.map_batches(block_topk, batch_format="pyarrow",
                              batch_size=None)
-    top = pruned.sort(["cnt", "token"], descending=[True, False]).limit(k)
-    return typed_frame(top, _TOKEN_COUNTS)
+    top = pruned.sort(["cnt", *names],
+                      descending=[True] + [False] * len(names)).limit(k)
+    return typed_frame(top, schema)
+
+
+def cms_width(phi: float) -> int:
+    """The count-min width of a phi-heavy-hitter query. Candidate
+    completeness only needs the overestimate to stay below ~phi/4 of N
+    beyond truth; wider just shrinks the candidate set that the exact
+    verify filters anyway."""
+    return 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
+
+
+def count_min(ds, column: str, *, depth: int, width: int):
+    """The one count-min build: :class:`SketchPartials` over ``column``,
+    merged by :func:`tree_merge_partials` with at most
+    ``_MERGE_TASK_BYTES`` of blobs per merge task. Returns (sketch, number
+    of values added)."""
+    params = {"depth": depth, "width": width}
+    partials = ds.map_batches(SketchPartials("countmin", column, **params),
+                              batch_format="pyarrow")
+    fanout = min(64, max(2, _MERGE_TASK_BYTES // (8 * depth * width)))
+    return tree_merge_partials(partials, "countmin", params, fanout=fanout)
+
+
+def candidate_sums(ds, column: str, cms: CountMinSketch, threshold: float):
+    """The one candidate filter, as a Dataset of exact (token, cnt) sums
+    over the values of ``column`` whose count-min estimate is >=
+    ``threshold``.
+
+    ``cms`` is broadcast once (plasma-cached per node). Each batch queries
+    it for its distinct values in the column's own dtype: count-min hashes
+    each value's byte image at its width, so a cast would read other cells.
+    Count-min never underestimates, so no value with count >= ``threshold``
+    is dismissed. The kept per-batch counts are summed by value (combiner
+    + tiny groupby).
+    """
+    import ray
+    from ray.data.aggregate import Sum
+
+    cms_ref = ray.put(cms.to_bytes())
+
+    def candidates(batch: pa.Table) -> pa.Table:
+        # stateless task: full scheduler width; the broadcast blob fetch is
+        # zero-copy from the local object store after the first task per node
+        sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
+        uniq, counts = _value_counts(batch, column)
+        keep = sketch.query_values(uniq) >= threshold
+        return pa.table({"token": uniq[keep],
+                         "cnt": counts[keep].astype(np.int64)})
+
+    return ds.map_batches(candidates, batch_format="pyarrow") \
+        .groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
+
+
+def _heavy_hitters(make_ds, column: str, phi: float, depth: int,
+                   width: int | None, bigrams: bool) -> pd.DataFrame:
+    """The one heavy-hitter plan: :func:`count_min` over a first scan,
+    :func:`candidate_sums` over a second, then keep count >= phi * N, with
+    the key columns unpacked, by count desc, keys asc."""
+    schema = _BIGRAM_COUNTS if bigrams else _TOKEN_COUNTS
+    cms, total = count_min(make_ds(), column, depth=depth,
+                           width=cms_width(phi) if width is None else width)
+    if total == 0:
+        return typed_frame(None, schema)
+    threshold = phi * total
+    df = typed_frame(candidate_sums(make_ds(), column, cms, threshold),
+                     {"token": "int64", "cnt": "int64"})
+    df = df[df["cnt"] >= threshold]
+    df = typed_frame(pd.DataFrame({**_keys(df["token"].to_numpy(), bigrams),
+                                   "cnt": df["cnt"].to_numpy()}), schema)
+    names = list(schema)[:-1]
+    return df.sort_values(["cnt", *names],
+                          ascending=[False] + [True] * len(names)
+                          ).reset_index(drop=True)
+
+
+def token_topk_exact(tokens_ds, k: int = 100, token_column: str = "tokens"):
+    """Exact top-k most frequent token ids, (token, cnt) by count desc,
+    token asc. Tokens keep the column's value type."""
+    return _topk(tokens_ds, k, token_column, bigrams=False)
 
 
 def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
@@ -75,50 +209,11 @@ def heavy_hitters(make_tokens_ds, phi: float = 0.01, *,
     3. exact-count the candidate set (combiner + tiny groupby) and filter.
 
     ``make_tokens_ds`` is a zero-arg factory (the dataset is consumed twice).
-    Output is exact -> oracle-checkable against GROUP BY ... HAVING.
+    Output is exact -> oracle-checkable against GROUP BY ... HAVING; tokens
+    keep the column's value type.
     """
-    import math
-
-    import ray
-    from ray.data.aggregate import Sum
-
-    if width is None:
-        # candidate completeness only needs the CMS overestimate to stay
-        # below ~phi/4 of N beyond truth; wider just shrinks the candidate
-        # set that exact verification filters anyway
-        width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
-
-    params = {"depth": depth, "width": width}
-    partials = make_tokens_ds().map_batches(
-        SketchPartials("countmin", token_column, **params),
-        batch_format="pyarrow",
-    )
-    cms, total = tree_merge_partials(partials, "countmin", params)
-    if total == 0:
-        return typed_frame(None, _TOKEN_COUNTS)
-    threshold = phi * total
-    cms_ref = ray.put(cms.to_bytes())  # broadcast once; plasma-cached per node
-
-    def candidate_counts(batch: pa.Table) -> pa.Table:
-        # stateless task: full scheduler width; the broadcast blob fetch is
-        # zero-copy from the local object store after the first task per node
-        sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
-        values, _ = _flatten_list_column(batch[token_column])
-        uniq, counts = np.unique(values, return_counts=True)
-        est = sketch.query_values(uniq.astype(np.int32))
-        keep = est >= threshold
-        return pa.table({
-            "token": pa.array(uniq[keep].astype(np.int32)),
-            "cnt": pa.array(counts[keep].astype(np.int64)),
-        })
-
-    cand = make_tokens_ds().map_batches(candidate_counts,
-                                        batch_format="pyarrow")
-    agg = cand.groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
-    df = typed_frame(agg, _TOKEN_COUNTS)
-    df = df[df["cnt"] >= threshold]
-    return df.sort_values(["cnt", "token"],
-                          ascending=[False, True]).reset_index(drop=True)
+    return _heavy_hitters(make_tokens_ds, token_column, phi, depth, width,
+                          bigrams=False)
 
 
 def exact_token_counts(tokens_ds, probe_tokens, *,
@@ -173,20 +268,11 @@ def token_frequencies_cms(tokens_ds, probe_tokens: np.ndarray, *,
     """Count-min frequency estimates for the probe tokens.
 
     Guarantees est >= true count and est <= true + eps*N w.p. 1-delta
-    (published count-min bounds); the sketch is built distributed (partial
-    per batch, merge = elementwise add) and queried on the driver.
+    (published count-min bounds); the sketch is built distributed
+    (:func:`count_min`) and queried on the driver with int32 probes, the
+    token columns' type.
     """
-    params = {"depth": depth, "width": width}
-    partials = tokens_ds.map_batches(
-        SketchPartials("countmin", token_column, **params),
-        batch_format="pyarrow",
-    )
-    # tree-task memory = fanout x blob size: at the default width 2^16 a
-    # CMS blob is depth x width x 8 B ~= 2.6 MB, so the global tree's
-    # fanout=64 would hand each merge task ~170 MB — cap the bundle to
-    # keep merge tasks within a lean worker heap (elementwise add is
-    # bandwidth-bound anyway; 16 blobs per task loses no parallelism)
-    cms, total = tree_merge_partials(partials, "countmin", params, fanout=16)
+    cms, total = count_min(tokens_ds, token_column, depth=depth, width=width)
     probes = np.asarray(probe_tokens, dtype=np.int32)
     est = cms.query_values(probes)
     return pd.DataFrame({
@@ -198,70 +284,19 @@ def token_frequencies_cms(tokens_ds, probe_tokens: np.ndarray, *,
 
 def token_bigram_topk(tokens_ds, k: int = 20,
                       token_column: str = "tokens") -> pd.DataFrame:
-    """Exact top-k most frequent consecutive token PAIRS (bigrams).
-
-    The windowed-n-gram pattern over token streams: pairs are packed into
-    one int64 per bigram inside the batch (vectorized shift-or, document
-    boundaries masked), pre-aggregated per batch, then the same
-    combiner -> groupby -> lossless per-block prune -> sort/limit plan as
-    :func:`token_topk_exact`.
+    """Exact top-k most frequent consecutive token PAIRS (bigrams):
+    :func:`token_topk_exact` over the packed-bigram column, as (token_a,
+    token_b, cnt) by count desc, then signed token_a, token_b asc.
 
     Scale caveat (unlike unigram top-k): the bigram vocabulary grows toward
     V^2, so the per-batch combiner compresses far less — the groupby can
     approach corpus-sized input on natural text. This exact operator is the
-    small/medium-corpus oracle; at 100 TB run the CMS candidates + exact
-    verify plan instead (:func:`heavy_hitters` with packed bigram ids),
-    which never shuffles more than the candidate set.
+    small/medium-corpus oracle; at 100 TB run
+    :func:`bigram_heavy_hitters` instead, which never shuffles more than
+    the candidate set.
     """
-    from ray.data.aggregate import Sum
-
-    def batch_bigram_counts(batch: pa.Table) -> pa.Table:
-        pair = _packed_bigrams(batch, token_column)
-        if len(pair) == 0:
-            return pa.table({"token_a": pa.array([], type=pa.int32()),
-                             "token_b": pa.array([], type=pa.int32()),
-                             "cnt": pa.array([], type=pa.int64())})
-        uniq, counts = np.unique(pair, return_counts=True)
-        return pa.table({
-            "token_a": pa.array((uniq >> 32).astype(np.int32)),
-            "token_b": pa.array((uniq & 0xFFFFFFFF).astype(np.uint32)
-                                .view(np.int32)),
-            "cnt": pa.array(counts.astype(np.int64)),
-        })
-
-    partial = tokens_ds.map_batches(batch_bigram_counts,
-                                    batch_format="pyarrow")
-    agg = partial.groupby(["token_a", "token_b"]).aggregate(
-        Sum("cnt", alias_name="cnt"))
-
-    def block_topk(tbl: pa.Table) -> pa.Table:
-        if len(tbl) <= k:
-            return tbl
-        cnt = tbl["cnt"].to_numpy(zero_copy_only=False)
-        a = tbl["token_a"].to_numpy(zero_copy_only=False)
-        b = tbl["token_b"].to_numpy(zero_copy_only=False)
-        idx = np.lexsort((b, a, -cnt))[:k]
-        return tbl.take(pa.array(np.sort(idx)))
-
-    pruned = agg.map_batches(block_topk, batch_format="pyarrow",
-                             batch_size=None)
-    top = pruned.sort(["cnt", "token_a", "token_b"],
-                      descending=[True, False, False]).limit(k)
-    return typed_frame(top, _BIGRAM_COUNTS)
-
-
-def _packed_bigrams(batch: pa.Table, token_column: str) -> np.ndarray:
-    """int64-packed consecutive token pairs of a batch (doc-boundary masked)."""
-    values, offsets = _flatten_list_column(batch[token_column])
-    if len(values) < 2:
-        return np.empty(0, dtype=np.int64)
-    # pair (i, i + 1) crosses a document boundary iff a row starts at i + 1
-    starts = offsets[1:-1]
-    same_doc = np.ones(len(values) - 1, dtype=bool)
-    same_doc[starts[(starts > 0) & (starts < len(values))] - 1] = False
-    # low word masked: negative ids must not sign-extend over the high word
-    return ((values[:-1].astype(np.int64) << 32)
-            | (values[1:].astype(np.int64) & 0xFFFFFFFF))[same_doc]
+    return _topk(_bigrams(tokens_ds, token_column), k, _BIGRAMS,
+                 bigrams=True)
 
 
 def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
@@ -270,59 +305,9 @@ def bigram_heavy_hitters(make_tokens_ds, phi: float = 0.001, *,
     """EXACT phi-heavy-hitter BIGRAMS — the 100 TB-scale answer to
     :func:`token_bigram_topk`'s full-vocabulary shuffle.
 
-    Same provably-exact two-pass plan as :func:`heavy_hitters` (CMS build ->
-    broadcast -> candidate filter -> exact verify), run over int64-packed
-    consecutive token pairs: nothing bigger than the candidate set (bounded
-    by ~1/phi plus CMS collisions) ever reaches the groupby, no matter how
-    large the bigram vocabulary grows.
+    :func:`heavy_hitters` over the packed-bigram column: nothing bigger
+    than the candidate set (bounded by ~1/phi plus CMS collisions) ever
+    reaches the groupby, no matter how large the bigram vocabulary grows.
     """
-    import math
-
-    import ray
-    from ray.data.aggregate import Sum
-
-    if width is None:
-        width = 1 << max(10, math.ceil(math.log2(4 * math.e / phi)))
-
-    params = {"depth": depth, "width": width}
-
-    def build_partial(batch: pa.Table) -> pa.Table:
-        cms = CountMinSketch(**params)
-        pairs = _packed_bigrams(batch, token_column)
-        cms.add_values(pairs)
-        return pa.table({
-            "sketch": pa.array([cms.to_bytes()], type=pa.binary()),
-            "n_added": pa.array([len(pairs)], type=pa.int64()),
-        })
-
-    partials = make_tokens_ds().map_batches(build_partial,
-                                            batch_format="pyarrow")
-    cms, total = tree_merge_partials(partials, "countmin", params)
-    if total == 0:
-        return typed_frame(None, _BIGRAM_COUNTS)
-    threshold = phi * total
-    cms_ref = ray.put(cms.to_bytes())
-
-    def candidate_counts(batch: pa.Table) -> pa.Table:
-        sketch = CountMinSketch.from_bytes(ray.get(cms_ref))
-        pairs = _packed_bigrams(batch, token_column)
-        uniq, counts = np.unique(pairs, return_counts=True)
-        est = sketch.query_values(uniq)
-        keep = est >= threshold
-        return pa.table({
-            "pair": pa.array(uniq[keep]),
-            "cnt": pa.array(counts[keep].astype(np.int64)),
-        })
-
-    cand = make_tokens_ds().map_batches(candidate_counts,
-                                        batch_format="pyarrow")
-
-    agg = cand.groupby("pair").aggregate(Sum("cnt", alias_name="cnt"))
-    df = typed_frame(agg, {"pair": "int64", "cnt": "int64"})
-    df = df[df["cnt"] >= threshold].copy()
-    df["token_a"] = (df["pair"].to_numpy() >> 32).astype(np.int32)
-    df["token_b"] = (df["pair"].to_numpy() & 0xFFFFFFFF).astype(np.uint32) \
-        .view(np.int32)
-    return df[["token_a", "token_b", "cnt"]].sort_values(
-        ["cnt", "token_a", "token_b"],
-        ascending=[False, True, True]).reset_index(drop=True)
+    return _heavy_hitters(lambda: _bigrams(make_tokens_ds(), token_column),
+                          _BIGRAMS, phi, depth, width, bigrams=True)

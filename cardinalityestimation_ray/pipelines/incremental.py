@@ -14,6 +14,7 @@ import os
 import pandas as pd
 
 from ..sketches import hashing
+from ..sketches.hll import HyperLogLog
 from ..sources.io import read_sketch_results, write_sketch_results
 from ..stages.sketch_stages import SketchPartials, tree_merge_partials
 from .distinct import _keyed_result_frame
@@ -34,8 +35,8 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
     atomic (tmp + rename), so a crashed update leaves the previous table
     intact and rerunning is safe (the new data's partials are recomputed,
     not double-merged). The stored sketches keep the hash the table
-    records, so an update under another ``hash_name`` raises the merge's
-    hash mismatch.
+    records, so an update under another ``hash_name`` or ``b`` raises the
+    merge's mismatch, even when it holds only new keys.
     """
     prior = (read_sketch_results(results_path, key_name=key_column)
              if os.path.exists(results_path) else {})
@@ -45,13 +46,17 @@ def incremental_distinct_update(results_path: str, new_tokens_ds, *,
         batch_format="pyarrow")
     fresh = tree_merge_partials(partials, "hll", params,
                                 key_column=key_column)
+    # every key's result is one sketch built from ``params``: a stored
+    # sketch of another b or hash raises here, before anything is written,
+    # whether or not the update holds its key
     merged: dict = {}
     for k in set(prior) | set(fresh):
-        if k in prior and k in fresh:
-            sk = prior[k][0].merge(fresh[k][0])
-            merged[k] = (sk, prior[k][1] + fresh[k][1])
-        else:
-            merged[k] = prior.get(k) or fresh[k]
+        sk, n = HyperLogLog(**params), 0
+        for part in (prior.get(k), fresh.get(k)):
+            if part is not None:
+                sk.merge(part[0])
+                n += part[1]
+        merged[k] = (sk, n)
     write_sketch_results(merged, results_path, kind="hll",
                          key_name=key_column)
     return _keyed_result_frame(merged, key_column, "distinct_tokens",

@@ -346,19 +346,6 @@ class HyperLogLog(Sketch):
         inter = max(0, a.estimate() + b.estimate() - union)
         return inter / union
 
-    @staticmethod
-    def merge_many(sketches) -> "HyperLogLog | None":
-        """Merge an iterable of sketches (None entries tolerated) into a new one."""
-        result: HyperLogLog | None = None
-        for sk in sketches:
-            if sk is None:
-                continue
-            if result is None:
-                result = sk.copy()
-            else:
-                result.merge(sk)
-        return result
-
     # ------------------------------------------------------------------
     # copy / equality
 

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import pyarrow.parquet as pq
 import ray
 
+from ..sketches.base import sketch_from_bytes
 from ..sketches.hll import HyperLogLog
 from ..stages.sketch_stages import SketchPartials
 
@@ -183,16 +184,18 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
     # normalize on the DRIVER so partition ids are cwd-independent
     # (workers on other nodes must not re-resolve relative paths)
     input_files = [os.path.abspath(p) for p in input_files]
+    spec = {"b": b, "hash": hash_name, "token_column": token_column}
+
+    def same_spec(rec) -> bool:
+        return all(rec.metrics.get(k) == v for k, v in spec.items())
+
     store = CheckpointStore(checkpoint_root)
     done = store.completed()
     pending = []
     for path in sorted(input_files):
-        pid = _partition_id_for(path)
-        rec = done.get(pid)
+        rec = done.get(_partition_id_for(path))
         if rec is not None and rec.input_bytes == os.path.getsize(path) \
-                and rec.metrics.get("b") == b \
-                and rec.metrics.get("hash") == hash_name \
-                and rec.metrics.get("token_column") == token_column:
+                and same_spec(rec):
             continue
         pending.append(path)
 
@@ -225,13 +228,8 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
     # one closing read serves the merge AND the manifest, which still
     # counts every completed record in the store, stale ones included
     all_recs = store.completed()
-    recs = {
-        pid: r for pid, r in all_recs.items()
-        if pid in wanted
-        and r.metrics.get("b") == b
-        and r.metrics.get("hash") == hash_name
-        and r.metrics.get("token_column") == token_column
-    }
+    recs = {pid: r for pid, r in all_recs.items()
+            if pid in wanted and same_spec(r)}
     if not aborted:
         # completeness gate (round-3 review fix): a lineage record written
         # to a worker-local (non-shared) checkpoint_root, or lost to a
@@ -245,11 +243,9 @@ def resumable_distinct_tokens(input_files: list[str], checkpoint_root: str, *,
                 f"lineage record under {checkpoint_root!r} (e.g. "
                 f"{sorted(missing)[:3]}). The checkpoint_root must be on "
                 "storage visible to the driver and every worker node.")
-    merged = HyperLogLog.merge_many(
-        HyperLogLog.from_bytes(r.sketch_blob(), hash_name)
-        for r in recs.values())
-    if merged is None:
-        merged = HyperLogLog(b=b, hash_name=hash_name)
+    merged = HyperLogLog(b=b, hash_name=hash_name)
+    for r in recs.values():
+        merged.merge(sketch_from_bytes("hll", r.sketch_blob(), hash_name))
     return {
         "distinct_tokens": merged.estimate(),
         "total_tokens": sum(r.token_count for r in recs.values()),

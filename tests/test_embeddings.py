@@ -146,28 +146,53 @@ def test_nearest_centroid_dim_mismatch(_ray):
 
 
 def test_ann_to_matrix_layouts():
-    """_to_matrix must read list / large_list / fixed_size_list columns
-    via the zero-copy flatten path (incl. sliced arrays) and raise on
-    null or ragged rows."""
+    """vector_matrix (the one vector-column reader of ANN, embeddings and
+    embedding dedup) must read list / large_list / fixed_size_list columns
+    via the zero-copy flatten path (incl. sliced arrays), keep the value
+    dtype, and raise on null or ragged rows."""
     import pyarrow as pa
 
-    from cardinalityestimation_ray.pipelines.ann import _to_matrix
+    from cardinalityestimation_ray.functions.text import vector_matrix
 
     mat = np.arange(12, dtype=np.float32).reshape(4, 3)
     for typ in (pa.list_(pa.float32()), pa.large_list(pa.float32()),
-                pa.list_(pa.float32(), 3)):
+                pa.list_(pa.float32(), 3), pa.list_(pa.float64())):
         arr = pa.array([list(r) for r in mat], type=typ)
-        np.testing.assert_array_equal(_to_matrix(arr), mat)
+        assert vector_matrix(arr).dtype == typ.value_type.to_pandas_dtype()
+        np.testing.assert_array_equal(vector_matrix(arr), mat)
         # sliced view must not leak neighbor rows
-        np.testing.assert_array_equal(_to_matrix(arr.slice(1, 2)), mat[1:3])
+        np.testing.assert_array_equal(vector_matrix(arr.slice(1, 2)),
+                                      mat[1:3])
         chunked = pa.chunked_array([arr.slice(0, 2), arr.slice(2, 2)])
-        np.testing.assert_array_equal(_to_matrix(chunked), mat)
+        np.testing.assert_array_equal(vector_matrix(chunked), mat)
 
-    with pytest.raises(ValueError, match="null"):
-        _to_matrix(pa.array([[1.0, 2.0], None], pa.list_(pa.float32())))
+    with pytest.raises(ValueError, match="null vec row"):
+        vector_matrix(pa.array([[1.0, 2.0], None], pa.list_(pa.float32())),
+                      "vec")
     with pytest.raises(ValueError, match="ragged"):
-        _to_matrix(pa.array([[1.0, 2.0], [3.0]], pa.list_(pa.float32())))
-    assert _to_matrix(pa.array([], pa.list_(pa.float32()))).shape == (0, 0)
+        vector_matrix(pa.array([[1.0, 2.0], [3.0]], pa.list_(pa.float32())))
+    assert vector_matrix(pa.array([], pa.list_(pa.float32()))).shape == (0, 0)
+
+
+def test_embedding_dedup_rejects_null_and_ragged_rows(_ray):
+    """Embedding near-dup reads its vectors through the same reader, so a
+    null or ragged row raises its named ValueError there too."""
+    import pyarrow as pa
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.dedup import (
+        embedding_dedup_pairs,
+    )
+
+    # 40 rows alternating two kinds, so every block holds both
+    for rows, match in (([[1.0, 2.0], None] * 20, "null embedding row"),
+                        ([[1.0, 2.0], [3.0]] * 20, "ragged embedding")):
+        tbl = pa.table({
+            "vec_id": pa.array(np.arange(40), pa.int64()),
+            "embedding": pa.array(rows, pa.list_(pa.float32())),
+        })
+        with pytest.raises(Exception, match=match):
+            embedding_dedup_pairs(ray.data.from_arrow(tbl))
 
 
 def test_ann_finalize_topk_matches_pandas_reference():

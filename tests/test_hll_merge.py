@@ -34,7 +34,9 @@ def test_kway_split_register_identical(k):
         p = HyperLogLog(b=14)
         p.add_values(vals[assign == i])
         parts.append(p)
-    merged = HyperLogLog.merge_many(parts)
+    merged = HyperLogLog(b=14)
+    for p in parts:
+        merged.merge(p)
     assert np.array_equal(merged.registers(), single.registers())
     assert merged.count_additions == single.count_additions
     assert merged.estimate() == single.estimate()
@@ -226,17 +228,22 @@ def test_merge_incompatible_hash_raises():
         a.merge(b)
 
 
-def test_merge_many_tolerates_none_and_copies():
+@pytest.mark.parametrize("n", [0, 10, 5_000, 200_000])
+def test_merge_into_empty_sketch_copies(n):
+    """Merging many sketches is a fold into an empty one, as the
+    checkpoint merge does: one part gives a sketch equal to it, with the
+    same blob, and the inputs are not mutated (copy-ctor parity,
+    CardinalityEstimatorTests.cs:270-280)."""
     a = HyperLogLog(b=12)
-    a.add_values(np.arange(10, dtype=np.int64))
+    a.add_values(np.arange(n, dtype=np.int64))
     b = HyperLogLog(b=12)
     b.add_values(np.arange(5, 20, dtype=np.int64))
     a_before = a.copy()
-    merged = HyperLogLog.merge_many([None, a, None, b])
-    assert merged.estimate() == 20
-    assert a == a_before  # inputs not mutated (copy-ctor parity,
-    #                        CardinalityEstimatorTests.cs:270-280)
-    assert HyperLogLog.merge_many([None, None]) is None
+    one = HyperLogLog(b=12).merge(a)
+    assert one == a and one.to_bytes() == a.to_bytes()
+    merged = HyperLogLog(b=12).merge(a).merge(b)
+    assert merged == a_before.copy().merge(b)
+    assert a == a_before
 
 
 def test_count_additions_sums_on_merge():

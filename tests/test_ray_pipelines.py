@@ -921,6 +921,79 @@ def test_bigram_heavy_hitters_exact(_ray):
     assert got == expected
 
 
+def test_heavy_hitters_int64_tokens_match_int32(tokens_small):
+    """A list<int64> token column gives the int32 column's heavy hitters:
+    the candidate filter queries the count-min sketch in the dtype it was
+    built from (a sketch built over int64 values answers 0 for an int32
+    query of the same value)."""
+    from cardinalityestimation_ray.pipelines.frequency import heavy_hitters
+
+    def as_int64(batch: pa.Table) -> pa.Table:
+        i = batch.schema.get_field_index("tokens")
+        return batch.set_column(
+            i, "tokens", batch["tokens"].cast(pa.list_(pa.int64())))
+
+    want = heavy_hitters(lambda: tokens_small(), phi=0.02)
+    got = heavy_hitters(
+        lambda: tokens_small().map_batches(as_int64, batch_format="pyarrow"),
+        phi=0.02)
+    assert len(want) > 0
+    assert list(zip(got["token"].tolist(), got["cnt"].tolist())) == \
+        list(zip(want["token"].tolist(), want["cnt"].tolist()))
+
+
+def test_bigram_queries_null_empty_and_sliced_batches(_ray):
+    """Both bigram queries over batches with null tokens, empty and null
+    rows and a sliced batch equal a pure-Python count: null tokens are
+    dropped before pairing, and no pair crosses a row."""
+    import collections
+
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.frequency import (
+        bigram_heavy_hitters,
+        token_bigram_topk,
+    )
+
+    rng = np.random.default_rng(11)
+    tables = []
+    for t in range(4):
+        rows = []
+        for _ in range(60):
+            r = rng.random()
+            if r < 0.1:
+                rows.append(None)
+            elif r < 0.2:
+                rows.append([])
+            else:
+                ids = rng.integers(-4, 8, rng.integers(1, 12))
+                rows.append([None if rng.random() < 0.1 else int(x)
+                             for x in ids])
+        tbl = pa.table({"tokens": pa.array(rows, pa.list_(pa.int32()))})
+        tables.append(tbl.slice(7, 40) if t == 2 else tbl)
+    want = collections.Counter()
+    for tbl in tables:
+        for row in tbl["tokens"].to_pylist():
+            vals = [x for x in row or [] if x is not None]
+            want.update(zip(vals[:-1], vals[1:]))
+    ranked = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    def rows(df):
+        return [((a, b), c) for a, b, c in zip(
+            df["token_a"].tolist(), df["token_b"].tolist(),
+            df["cnt"].tolist())]
+
+    top = token_bigram_topk(ray.data.from_arrow(tables), k=len(want) + 5)
+    assert rows(top) == ranked
+    assert rows(token_bigram_topk(ray.data.from_arrow(tables), k=10)) == \
+        ranked[:10]
+    phi = 0.01
+    total = sum(want.values())
+    heavy = bigram_heavy_hitters(lambda: ray.data.from_arrow(tables), phi=phi)
+    assert rows(heavy) == [(p, c) for p, c in ranked if c >= phi * total]
+    assert len(heavy) > 0
+
+
 def test_bigram_negative_ids_distinct(_ray):
     """Negative int32 token ids (padding sentinels) must not collapse
     distinct bigrams via sign extension (self-review fix)."""
@@ -1476,6 +1549,30 @@ def test_incremental_update_under_another_hash_raises(tmp_path, _ray):
     with pytest.raises(ValueError, match="different hash"):
         incremental_distinct_update(path, ray.data.from_pandas(df),
                                     value_column="doc")
+
+
+def test_incremental_update_of_new_keys_under_another_hash_raises(
+        tmp_path, _ray):
+    """An update that holds only new keys still meets the stored table's
+    hash: every key's result merges into one sketch built from the call's
+    b and hash, so the call raises before it writes, and the table is not
+    left holding sketches of two hashes."""
+    import ray.data
+
+    from cardinalityestimation_ray.pipelines.incremental import (
+        incremental_distinct_update,
+    )
+
+    path = tmp_path / "inc.parquet"
+    old = pd.DataFrame({"source": ["a"] * 100, "doc": np.arange(100)})
+    incremental_distinct_update(str(path), ray.data.from_pandas(old),
+                                hash_name="murmur3", value_column="doc")
+    before = path.read_bytes()
+    new = pd.DataFrame({"source": ["b"] * 50, "doc": np.arange(50)})
+    with pytest.raises(ValueError, match="different hash"):
+        incremental_distinct_update(str(path), ray.data.from_pandas(new),
+                                    value_column="doc")
+    assert path.read_bytes() == before
 
 
 def test_global_distinct_sketch_keeps_its_hash(_ray):

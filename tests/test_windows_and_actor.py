@@ -216,7 +216,9 @@ def test_live_progress_actor_during_scan(_ray, sf_dir):
                        progress_actor="scan-progress"),
         batch_format="pyarrow")
     merged = tree_merge_partials(partials, "hll", key_column="source")
-    union = HyperLogLog.merge_many(sk for sk, _ in merged.values())
+    union = HyperLogLog(b=12)
+    for sk, _ in merged.values():
+        union.merge(sk)
     total = sum(n for _, n in merged.values())
     deadline = time.time() + 30
     while time.time() < deadline:
